@@ -28,7 +28,6 @@ from .decoders import (
     output_distribution,
     parse_code_spec,
     repetition_code,
-    run_decoder,
     shared_pivot_code,
 )
 from .exact import PowerBound, floor_power_bound

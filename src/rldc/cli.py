@@ -311,6 +311,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= args.seed < 1 << 64:
+            raise ValueError(f"--seed must lie in [0, 2^64), got {args.seed}")
+        if getattr(args, "trials", 1) < 1:
+            raise ValueError(f"--trials must be >= 1, got {args.trials}")
         return args.func(args)
     except (ValueError, OSError) as err:
         parser.exit(2, f"rldc: error: {err}\n")

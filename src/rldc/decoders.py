@@ -304,20 +304,11 @@ class NonAdaptiveDecoder:
                         raise ValueError(f"view coords outside [0, {self.n})")
 
     def decode(self, w, i: int, rng: Random) -> "tuple[int | None, frozenset[int]]":
+        """Sample a view for index i and apply it to w: (output, queried set)."""
         if i < 0 or i >= self.k:
             raise ValueError(f"index {i} outside [0, {self.k})")
         view = self.views[i].sample(rng)
         return view.read_and_evaluate(w), frozenset(view.coords)
-
-
-def run_decoder(
-    decoder: NonAdaptiveDecoder, w, i: int, rng: Random
-) -> "tuple[int | None, frozenset[int]]":
-    """Sample a query set for index i, read the oracle, apply the predicate.
-
-    Returns the output symbol and the queried coordinate set.
-    """
-    return decoder.decode(w, i, rng)
 
 
 def output_distribution(decoder: NonAdaptiveDecoder, w, i: int) -> "dict[int | None, Fraction]":

@@ -122,13 +122,6 @@ def _cmp_power_vs_fraction(base: int, exponent: Fraction, value: Fraction) -> in
     return (lhs > rhs) - (lhs < rhs)
 
 
-def int_exceeds(value: int, coeff: Fraction, base: int, exponent: Fraction) -> bool:
-    """Exact test  value > coeff * base**exponent  for nonnegative value."""
-    if value <= 0:
-        return False
-    return PowerBound(coeff, base, exponent).exceeded_by(value)
-
-
 def floor_power_bound(bound: PowerBound) -> int:
     """Exact floor of the bound's value, by binary search over integers.
 

@@ -9,6 +9,13 @@ enumerates every kernel assignment, completes the queried petals into full
 local views, and outputs a bit as soon as some assignment makes all completed
 views agree on it.
 
+One completion core serves the decoder and the audit in harness.py:
+complete_views turns each queried view into its table, the table index of its
+sampled petal bits and a (table bit, assignment bit) pair per kernel
+coordinate, so unanimous_bit evaluates assignment a by OR-ing in only kernel
+bits.  Assignment a gives the smallest kernel element its most significant
+bit, so counting a upward walks assignments in lexicographic order.
+
 On a valid codeword the assignment matching the true kernel values makes
 every completed view output the true bit, and no assignment can achieve
 unanimity on the wrong bit as long as one good petal is sampled; corrupted
@@ -150,28 +157,43 @@ def fully_queried_petals(pkg: IndexDecodePackage, sampled: frozenset[int]) -> tu
     )
 
 
-def _kernel_assignment(kernel_order: tuple[int, ...], index: int) -> dict[int, int]:
-    # Bit for the smallest kernel element is the most significant, so
-    # counting `index` upward walks assignments in lexicographic order.
-    width = len(kernel_order)
-    return {e: (index >> (width - 1 - j)) & 1 for j, e in enumerate(kernel_order)}
+def complete_views(
+    pkg: IndexDecodePackage, queried: Sequence[int], sampled_values: Mapping[int, int]
+) -> tuple:
+    """The completion core: one (table, base index, kernel pairs) triple per
+    queried view.  The base index holds the view's sampled petal bits; each
+    kernel coordinate it reads is a (table bit, assignment bit) pair."""
+    width = len(pkg.kernel_order)
+    slot = {e: 1 << (width - 1 - j) for j, e in enumerate(pkg.kernel_order)}
+    completion = []
+    for m in queried:
+        view, petal = pkg.views[m], pkg.petals[m]
+        base, pairs = 0, []
+        for j, c in enumerate(view.coords):
+            if c not in petal:
+                pairs.append((1 << j, slot[c]))
+            elif sampled_values[c]:
+                base |= 1 << j
+        completion.append((view.table, base, pairs))
+    return tuple(completion)
 
 
-def _completed_outputs(
-    pkg: IndexDecodePackage,
-    queried_members: Sequence[int],
-    sampled_values: Mapping[int, int],
-    kappa: Mapping[int, int],
-) -> list[int | None]:
+def kernel_assignment(pkg: IndexDecodePackage, word: Sequence[int]) -> int:
+    """The number of the kernel assignment that word carries."""
+    width = len(pkg.kernel_order)
+    return sum(1 << (width - 1 - j) for j, e in enumerate(pkg.kernel_order) if word[e])
+
+
+def unanimous_bit(completion: tuple, a: int) -> int | None:
+    """The bit every completed view outputs under assignment a, else None."""
     outputs = []
-    for m in queried_members:
-        view = pkg.views[m]
-        petal = pkg.petals[m]
-        values = [
-            sampled_values[c] if c in petal else kappa[c] for c in view.coords
-        ]
-        outputs.append(view.evaluate(values))
-    return outputs
+    for table, idx, pairs in completion:
+        for table_bit, assignment_bit in pairs:
+            if a & assignment_bit:
+                idx |= table_bit
+        outputs.append(table[idx])
+    first = outputs[0]
+    return first if first is not REJECT and all(out == first for out in outputs) else None
 
 
 def decode_index(
@@ -193,21 +215,19 @@ def decode_index(
     if len(kernel) > kernel_cap:
         return IndexOutcome(KERNEL_TOO_LARGE, None, 0, 0)
 
-    sampled = frozenset(sampled_values)
-    queried = fully_queried_petals(pkg, sampled)
+    queried = fully_queried_petals(pkg, frozenset(sampled_values))
     if not queried:
         return IndexOutcome(NO_CONSENSUS, None, 0, 0)
 
+    completion = complete_views(pkg, queried, sampled_values)
     unanimous: set[int] = set()
     assignments = 1 << len(kernel)
     for a in range(assignments):
-        kappa = _kernel_assignment(kernel, a)
-        outputs = _completed_outputs(pkg, queried, sampled_values, kappa)
-        first = outputs[0]
-        if first is not REJECT and all(out == first for out in outputs):
+        bit = unanimous_bit(completion, a)
+        if bit is not None:
             if not strict:
-                return IndexOutcome(DECODED, first, len(queried), a + 1)
-            unanimous.add(first)
+                return IndexOutcome(DECODED, bit, len(queried), a + 1)
+            unanimous.add(bit)
     if strict and len(unanimous) == 1:
         return IndexOutcome(DECODED, unanimous.pop(), len(queried), assignments)
     return IndexOutcome(NO_CONSENSUS, None, len(queried), assignments)

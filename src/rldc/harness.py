@@ -23,10 +23,13 @@ from .global_decoder import (
     DECODED,
     IndexDecodePackage,
     build_decode_packages,
+    complete_views,
     decode_index,
     fully_queried_petals,
+    kernel_assignment,
     sample_coordinates,
     default_sampling_probability,
+    unanimous_bit,
 )
 from .rng import derive_rng
 from .set_system import (
@@ -49,22 +52,16 @@ CLAIM_IDS = (
 )
 
 DEFAULT_POINTS = tuple((n, ell) for n in (64, 256, 1024) for ell in (2, 3, 4))
+MAX_LABELS = 25  # violation labels kept per report; counts stay exact
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs shared by the verification and simulation entry points."""
+    """Knobs of `verify_claims`, the claim-verification entry point."""
 
-    code: str = "hadamard:m=10"
     trials: int = 200
     seed: int = 0
-    p: float | None = None
     kernel_cap: int = 20
-    query_budget: int | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    strict_consensus: bool = False
-    timing: bool = False
     threads: int = 1
     claim_points: tuple[tuple[int, int], ...] = DEFAULT_POINTS
     claim_instances: int = 1000
@@ -96,7 +93,7 @@ class ClaimReport:
 
     def record(self, labels, margin: float | None = None) -> None:
         self.violations += 1
-        if len(self.violation_seeds) < 25:
+        if len(self.violation_seeds) < MAX_LABELS:
             self.violation_seeds.append(labels)
         self.note_margin(margin)
 
@@ -327,6 +324,11 @@ class GlobalTrialStats:
     soundness_violations: int = 0
     violation_seeds: list = field(default_factory=list)
 
+    def label(self, t: int, kind: str, index: int) -> None:
+        """Keep the replay label (seed, "trial", t, kind, index), up to MAX_LABELS."""
+        if len(self.violation_seeds) < MAX_LABELS:
+            self.violation_seeds.append((self.seed, "trial", t, kind, index))
+
     @property
     def success_rate(self) -> float:
         return self.successes / self.trials
@@ -356,28 +358,9 @@ def _audit_index(
     if not queried:
         return True, 0
 
-    true_kappa = {e: word[e] for e in kernel}
-    complete = True
-    for m in queried:
-        view = pkg.views[m]
-        petal = pkg.petals[m]
-        values = [sampled_values[c] if c in petal else true_kappa[c] for c in view.coords]
-        if view.evaluate(values) != true_bit:
-            complete = False
-            break
-
-    wrong_events = 0
-    for a in range(1 << len(kernel)):
-        kappa = {e: (a >> (len(kernel) - 1 - j)) & 1 for j, e in enumerate(kernel)}
-        outputs = [
-            pkg.views[m].evaluate(
-                [sampled_values[c] if c in pkg.petals[m] else kappa[c] for c in pkg.views[m].coords]
-            )
-            for m in queried
-        ]
-        if outputs and all(out == 1 - true_bit for out in outputs):
-            wrong_events += 1
-    return complete, wrong_events
+    completion = complete_views(pkg, queried, sampled_values)
+    wrong = sum(unanimous_bit(completion, a) == 1 - true_bit for a in range(1 << len(kernel)))
+    return unanimous_bit(completion, kernel_assignment(pkg, word)) == true_bit, wrong
 
 
 def run_global_trials(
@@ -427,21 +410,17 @@ def run_global_trials(
             elif outcome.bit != x[pkg.index]:
                 ok = False
                 stats.wrong_bits += 1
-                stats.violation_seeds.append((master_seed, "trial", t, "wrong-bit", pkg.index))
+                stats.label(t, "wrong-bit", pkg.index)
             if audit:
                 complete, wrong_events = _audit_index(
                     pkg, sampled_values, word, x[pkg.index], kernel_cap
                 )
                 if not complete:
                     stats.completeness_violations += 1
-                    stats.violation_seeds.append(
-                        (master_seed, "trial", t, "completeness", pkg.index)
-                    )
+                    stats.label(t, "completeness", pkg.index)
                 if wrong_events:
                     stats.soundness_violations += wrong_events
-                    stats.violation_seeds.append(
-                        (master_seed, "trial", t, "soundness", pkg.index)
-                    )
+                    stats.label(t, "soundness", pkg.index)
 
         wall = (time.perf_counter() - start) * 1000 if timing else 0.0
         stats.successes += ok
@@ -463,12 +442,13 @@ def run_decoder_claim_suite(
         )
         completeness.instances += trials * code.k
         soundness.instances += trials * code.k
-        if stats.completeness_violations:
-            completeness.violations += stats.completeness_violations
-            completeness.violation_seeds.extend(stats.violation_seeds[:5])
-        if stats.soundness_violations or stats.wrong_bits:
-            soundness.violations += stats.soundness_violations + stats.wrong_bits
-            soundness.violation_seeds.extend(stats.violation_seeds[:5])
+        completeness.violations += stats.completeness_violations
+        soundness.violations += stats.soundness_violations + stats.wrong_bits
+        # labels are (seed, "trial", t, kind, index); "soundness" and
+        # "wrong-bit" labels both belong to the soundness report
+        labels = stats.violation_seeds
+        completeness.violation_seeds.extend([s for s in labels if s[3] == "completeness"][:5])
+        soundness.violation_seeds.extend([s for s in labels if s[3] != "completeness"][:5])
     return {"completeness": completeness, "soundness": soundness}
 
 

@@ -226,8 +226,21 @@ def system_to_json(obj: SetSystem | WeightedSetSystem) -> dict:
 
 
 def system_from_json(doc: dict) -> WeightedSetSystem:
-    """Inverse of system_to_json; uniform weights when the field is absent."""
-    system = SetSystem(int(doc["n"]), tuple(tuple(sorted(int(e) for e in s)) for s in doc["sets"]))
+    """Inverse of system_to_json; uniform weights when the field is absent.
+    A missing or ill-typed field raises ValueError naming it."""
+
+    def read(name, convert):
+        if not isinstance(doc, dict) or name not in doc:
+            raise ValueError(f"set-system JSON has no field {name!r}")
+        try:
+            return convert(doc[name])
+        except (TypeError, ValueError, AttributeError) as err:
+            raise ValueError(f"set-system JSON field {name!r} is ill-typed: {err}") from None
+
+    system = SetSystem(
+        read("n", int), read("sets", lambda v: tuple(tuple(sorted(int(e) for e in s)) for s in v))
+    )
     if "weights" in doc:
-        return WeightedSetSystem.from_weights(system, [parse_fraction(w) for w in doc["weights"]])
+        weights = read("weights", lambda v: [parse_fraction(w) for w in v])
+        return WeightedSetSystem.from_weights(system, weights)
     return WeightedSetSystem.uniform(system)

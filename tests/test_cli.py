@@ -120,3 +120,47 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--code", "hadamard:m=3", "--trials", "0", "--format", "json"],
+        ["simulate", "--code", "hadamard:m=3", "--trials", "0"],
+        ["scaling", "--sizes", "64,256", "--trials", "0"],
+        ["simulate", "--code", "hadamard:m=3", "--trials", "1", "--seed", "-5"],
+        ["wrapup", "--k", "2", "--seed", str(1 << 64)],
+    ],
+)
+def test_bad_trials_or_seed_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("rldc: error: --")
+    assert captured.out == ""
+
+
+def test_largest_seed_accepted():
+    assert main(["wrapup", "--k", "2", "--seed", str((1 << 64) - 1)]) == 0
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"sets": [[0, 1]]}, "'n'"),
+        ({"n": "eight", "sets": [[0, 1]]}, "'n'"),
+        ({"n": 4}, "'sets'"),
+        ({"n": 4, "sets": 3}, "'sets'"),
+        ({"n": 4, "sets": [[0, 1]], "weights": [None]}, "'weights'"),
+        ([[0, 1]], "'n'"),
+    ],
+)
+def test_malformed_system_json_is_usage_error(doc, field, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["extract-daisy", "--in", str(path), "--ell", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rldc: error: set-system JSON") and field in err

@@ -22,7 +22,6 @@ from rldc.decoders import (
     output_distribution,
     parse_code_spec,
     repetition_code,
-    run_decoder,
     shared_pivot_code,
     wrong_rate,
 )
@@ -44,7 +43,7 @@ def test_identity_decodes_every_bit():
     code, dec = identity_code(3)
     w = code.encode((1, 0, 1))
     for i, expect in enumerate((1, 0, 1)):
-        out, queried = run_decoder(dec, w, i, random.Random(i))
+        out, queried = dec.decode(w, i, random.Random(i))
         assert out == expect and queried == frozenset({i})
 
 
@@ -67,7 +66,7 @@ def test_constant_reject_predicate():
     views = (ExplicitViews([(Fraction(1), LocalView((0,), (REJECT, REJECT)))]),)
     dec = NonAdaptiveDecoder(k=1, n=2, locality=1, views=views)
     for w in ((0, 0), (1, 1)):
-        out, _ = run_decoder(dec, w, 0, random.Random(0))
+        out, _ = dec.decode(w, 0, random.Random(0))
         assert out is REJECT
 
 
@@ -183,7 +182,7 @@ def test_oracle_accounting():
     for i in range(4):
         for trial in range(10):
             oracle = TrackingOracle(w)
-            _, queried = run_decoder(dec, oracle, i, random.Random(trial))
+            _, queried = dec.decode(oracle, i, random.Random(trial))
             assert len(queried) <= dec.locality
             assert oracle.reads == set(queried)
 
@@ -191,7 +190,7 @@ def test_oracle_accounting():
 def test_decoder_index_validation():
     _, dec = identity_code(2)
     with pytest.raises(ValueError):
-        run_decoder(dec, (0, 1), 2, random.Random(0))
+        dec.decode((0, 1), 2, random.Random(0))
 
 
 def test_oracle_out_of_range():

@@ -1,10 +1,14 @@
+import functools
 import math
 import random
 import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rldc.daisy import HeavyDaisy
 from rldc.decoders import (
     REJECT,
     ExplicitViews,
@@ -20,6 +24,7 @@ from rldc.global_decoder import (
     KERNEL_TOO_LARGE,
     NO_CONSENSUS,
     IndexDecodePackage,
+    IndexOutcome,
     SamplePlan,
     build_decode_packages,
     build_index_package,
@@ -30,7 +35,7 @@ from rldc.global_decoder import (
     run_global_decoder,
     sample_coordinates,
 )
-from rldc.harness import run_global_trials
+from rldc.harness import _audit_index, run_global_trials
 
 
 def test_sample_extremes():
@@ -221,3 +226,138 @@ def test_trials_deterministic():
     a = run_global_trials(code, dec, 10, master_seed=3, audit=False)
     b = run_global_trials(code, dec, 10, master_seed=3, audit=False)
     assert a.rows == b.rows and a.successes == b.successes
+
+
+# ---------------------------------------------------------------------------
+# the completion core against the brute-force enumerator it replaced
+
+
+def _reference_outputs(pkg, queried, sampled_values, a):
+    """Completed outputs under assignment a, built value by value."""
+    width = len(pkg.kernel_order)
+    kappa = {e: (a >> (width - 1 - j)) & 1 for j, e in enumerate(pkg.kernel_order)}
+    return [
+        pkg.views[m].evaluate(
+            [sampled_values[c] if c in pkg.petals[m] else kappa[c] for c in pkg.views[m].coords]
+        )
+        for m in queried
+    ]
+
+
+def reference_decode(pkg, sampled_values, kernel_cap, strict):
+    kernel = pkg.kernel_order
+    if len(kernel) > kernel_cap:
+        return IndexOutcome(KERNEL_TOO_LARGE, None, 0, 0)
+    queried = fully_queried_petals(pkg, frozenset(sampled_values))
+    if not queried:
+        return IndexOutcome(NO_CONSENSUS, None, 0, 0)
+    unanimous = set()
+    assignments = 1 << len(kernel)
+    for a in range(assignments):
+        outputs = _reference_outputs(pkg, queried, sampled_values, a)
+        first = outputs[0]
+        if first is not REJECT and all(out == first for out in outputs):
+            if not strict:
+                return IndexOutcome(DECODED, first, len(queried), a + 1)
+            unanimous.add(first)
+    if strict and len(unanimous) == 1:
+        return IndexOutcome(DECODED, unanimous.pop(), len(queried), assignments)
+    return IndexOutcome(NO_CONSENSUS, None, len(queried), assignments)
+
+
+def reference_audit(pkg, sampled_values, word, true_bit, kernel_cap):
+    kernel = pkg.kernel_order
+    if len(kernel) > kernel_cap:
+        return True, 0
+    queried = fully_queried_petals(pkg, frozenset(sampled_values))
+    if not queried:
+        return True, 0
+    true_kappa = {e: word[e] for e in kernel}
+    complete = all(
+        pkg.views[m].evaluate(
+            [sampled_values[c] if c in pkg.petals[m] else true_kappa[c] for c in pkg.views[m].coords]
+        )
+        == true_bit
+        for m in queried
+    )
+    wrong = sum(
+        all(out == 1 - true_bit for out in _reference_outputs(pkg, queried, sampled_values, a))
+        for a in range(1 << len(kernel))
+    )
+    return complete, wrong
+
+
+@functools.lru_cache(maxsize=None)
+def _pivot_package(kappa, r, k, i):
+    code, dec = shared_pivot_code(kappa, r, k)
+    return code, build_index_package(dec, i)
+
+
+@st.composite
+def pivot_cases(draw):
+    """A shared-pivot index with kappa <= 6, a corrupted codeword and a sample."""
+    kappa, r, k = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    code, pkg = _pivot_package(kappa, r, k, draw(st.integers(0, k - 1)))
+    x = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    word = list(code.encode(tuple(x)))
+    for j in draw(st.sets(st.integers(0, code.n - 1), max_size=3)):
+        word[j] ^= 1
+    return pkg, word, x[pkg.index], draw(st.sets(st.integers(0, code.n - 1)))
+
+
+@st.composite
+def explicit_cases(draw):
+    """Random views with REJECT in their tables and an arbitrary kernel; a
+    member lying inside the kernel has an empty petal."""
+    n = draw(st.integers(2, 7))
+    coord_sets = draw(
+        st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=3), min_size=1, max_size=6)
+    )
+    views = tuple(
+        LocalView(
+            tuple(sorted(coords)),
+            tuple(draw(st.lists(st.sampled_from((0, 1, REJECT)), min_size=1 << len(coords),
+                                max_size=1 << len(coords)))),
+        )
+        for coords in coord_sets
+    )
+    kernel = frozenset(draw(st.sets(st.integers(0, n - 1), max_size=4)))
+    members = tuple(range(len(views)))
+    pkg = IndexDecodePackage(
+        index=0,
+        daisy=HeavyDaisy(1, members, kernel, 3, PowerBound(Fraction(1), n, Fraction(0)), Fraction(1)),
+        petals={m: frozenset(views[m].coords) - kernel for m in members},
+        kernel_order=tuple(sorted(kernel)),
+        views=views,
+    )
+    word = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return pkg, word, draw(st.integers(0, 1)), draw(st.sets(st.integers(0, n - 1)))
+
+
+# mostly the default cap, sometimes one that cuts the kernel off
+kernel_caps = st.one_of(st.just(20), st.integers(0, 6))
+
+
+def _check_against_reference(case, kernel_cap):
+    """case is (package, word, true bit, sampled coordinates)."""
+    pkg, word, true_bit, sample = case
+    sampled_values = {j: word[j] for j in sample}
+    for strict in (False, True):
+        assert decode_index(pkg, sampled_values, kernel_cap, strict) == reference_decode(
+            pkg, sampled_values, kernel_cap, strict
+        )
+    assert _audit_index(pkg, sampled_values, word, true_bit, kernel_cap) == reference_audit(
+        pkg, sampled_values, word, true_bit, kernel_cap
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_cases(), kernel_caps)
+def test_completion_core_matches_reference_shared_pivot(case, kernel_cap):
+    _check_against_reference(case, kernel_cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(explicit_cases(), kernel_caps)
+def test_completion_core_matches_reference_explicit_views(case, kernel_cap):
+    _check_against_reference(case, kernel_cap)

@@ -5,13 +5,17 @@ from fractions import Fraction
 import pytest
 
 from rldc.daisy import build_daisy_sequence
+from rldc import harness
 from rldc.harness import (
+    MAX_LABELS,
     ExperimentConfig,
+    GlobalTrialStats,
     audit_daisy_levels,
     make_in_radius_corpus,
     random_daisy_instance,
     random_set_system,
     run_daisy_claim_suite,
+    run_decoder_claim_suite,
     run_global_trials,
     run_pluck_suite,
     scaling_study,
@@ -188,3 +192,35 @@ def test_global_trials_report_structure():
     assert stats.rows[0].trial == 0
     assert all(len(r.statuses) == code.k for r in stats.rows)
     assert stats.max_queries >= stats.mean_queries
+
+
+def test_decoder_claim_suite_routes_labels_by_kind(monkeypatch):
+    labels = [
+        (4, "trial", 0, "soundness", 1),
+        (4, "trial", 1, "completeness", 2),
+        (4, "trial", 2, "wrong-bit", 3),
+    ]
+
+    def fake_trials(code, decoder, trials, master_seed, **_):
+        return GlobalTrialStats(
+            code.name, trials, master_seed, completeness_violations=1,
+            soundness_violations=2, wrong_bits=1, violation_seeds=list(labels),
+        )
+
+    monkeypatch.setattr(harness, "run_global_trials", fake_trials)
+    reports = run_decoder_claim_suite(3, master_seed=4)
+    completeness, soundness = reports["completeness"], reports["soundness"]
+    # two codes, each with the same three labels
+    assert completeness.violations == 2 and soundness.violations == 6
+    assert completeness.violation_seeds == [labels[1]] * 2
+    assert soundness.violation_seeds == [labels[0], labels[2]] * 2
+
+
+def test_trial_labels_capped_counts_exact():
+    stats = GlobalTrialStats("c", 40, 9)
+    for t in range(40):
+        stats.wrong_bits += 1
+        stats.label(t, "wrong-bit", 0)
+    assert stats.wrong_bits == 40
+    assert len(stats.violation_seeds) == MAX_LABELS
+    assert stats.violation_seeds[-1] == (9, "trial", MAX_LABELS - 1, "wrong-bit", 0)
