@@ -7,6 +7,8 @@ that recovers whole messages from valid codewords, with exact-arithmetic
 verification suites for every quantitative guarantee.
 """
 
+from types import ModuleType as _ModuleType
+
 from .daisy import (
     DaisyLevel,
     HeavyDaisy,
@@ -71,5 +73,5 @@ from .set_system import (
     weight_of,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not (n.startswith("_") or isinstance(globals()[n], _ModuleType))]
 __version__ = "0.1.0"

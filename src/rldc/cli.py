@@ -38,8 +38,6 @@ from .set_system import system_from_json
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed (u64)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface compatibility; execution is sequential")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
 

@@ -9,6 +9,9 @@ with predicate truth tables, which doubles as the weighted set system that
 daisy extraction consumes.  Probabilities are exact rationals; sampling draws
 integer masses so a seeded run is reproducible and matches the exact
 distribution.
+
+An amplified coin outcome (UnanimityView) becomes one table by building a
+whole column per part and folding the columns, not one entry at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ Symbol = int | None  # 0, 1, or REJECT
 REJECT = None
 
 _SYMBOLS = (0, 1, None)
+
+# Most table entries one step may build (a shared-pivot table; all reduced rows),
+# set from the measured time and memory of `rldc preprocess` (CHANGES.md).
+MAX_TABLE_ENTRIES = 1 << 23
 
 
 def _check_symbol(value) -> None:
@@ -49,12 +56,6 @@ class TreeNode:
     coord: int
     if_zero: "TreeNode | int | None"
     if_one: "TreeNode | int | None"
-
-
-def tree_depth(tree) -> int:
-    if not isinstance(tree, TreeNode):
-        return 0
-    return 1 + max(tree_depth(tree.if_zero), tree_depth(tree.if_one))
 
 
 def tree_coords(tree) -> frozenset[int]:
@@ -154,13 +155,6 @@ class LocalView:
         if any(a >= b for a, b in zip(self.coords, self.coords[1:])):
             raise ValueError(f"coords must be strictly increasing: {self.coords}")
 
-    def evaluate(self, values: Sequence[int]) -> "int | None":
-        idx = 0
-        for j, v in enumerate(values):
-            if v:
-                idx |= 1 << j
-        return self.table[idx]
-
     def read_and_evaluate(self, w) -> "int | None":
         idx = 0
         for j, c in enumerate(self.coords):
@@ -184,19 +178,6 @@ class UnanimityView:
         merged = sorted({c for part in parts for c in part.coords})
         return cls(tuple(parts), tuple(merged))
 
-    def evaluate(self, values: Sequence[int]) -> "int | None":
-        lookup = dict(zip(self.coords, values))
-        verdict = None
-        for part in self.parts:
-            out = part.evaluate([lookup[c] for c in part.coords])
-            if out is REJECT:
-                return REJECT
-            if verdict is None:
-                verdict = out
-            elif out != verdict:
-                return REJECT
-        return verdict
-
     def read_and_evaluate(self, w) -> "int | None":
         verdict = None
         for part in self.parts:
@@ -210,12 +191,24 @@ class UnanimityView:
         return verdict
 
     def materialize(self) -> LocalView:
-        """Collapse to a concrete truth table over the merged query set."""
-        table = tuple(
-            self.evaluate([(idx >> j) & 1 for j in range(len(self.coords))])
-            for idx in range(1 << len(self.coords))
-        )
-        return LocalView(self.coords, table)
+        """Collapse to a concrete truth table over the merged query set.
+
+        Column by column: a part's table indices over all merged indices start
+        as [0] and double per merged coordinate, the new half OR-ing in the
+        part's bit for it (a plain copy if the part skips it).  The columns
+        fold pairwise; REJECT is None, so a REJECT or disagreement is REJECT.
+        With no parts the table is (REJECT,).
+        """
+        table = None
+        for part in self.parts:
+            bit = {c: 1 << j for j, c in enumerate(part.coords)}
+            idx = [0]
+            for c in self.coords:
+                b = bit.get(c, 0)
+                idx += [v | b for v in idx] if b else idx
+            col = [part.table[v] for v in idx]
+            table = col if table is None else [a if a == b else REJECT for a, b in zip(table, col)]
+        return LocalView(self.coords, tuple(table or (REJECT,)))
 
 
 class ExplicitViews:
@@ -280,7 +273,9 @@ class ProductViews:
         return UnanimityView.of([self.base.sample(rng) for _ in range(self.times)])
 
     def max_view_size(self) -> int:
-        return self.base.max_view_size() * self.times
+        """`times` base views merged, but no more than all the base covers."""
+        covered = {c for _, view in self.base for c in view.coords}
+        return min(self.base.max_view_size() * self.times, len(covered))
 
 
 @dataclass(frozen=True)
@@ -497,6 +492,8 @@ def shared_pivot_code(kappa: int, r: int, k: int) -> tuple[Code, NonAdaptiveDeco
     """
     if kappa < 1 or r < 1 or k < 1:
         raise ValueError("kappa, r, k must be >= 1")
+    if 1 << (kappa + 1) > MAX_TABLE_ENTRIES:
+        raise ValueError(f"kappa={kappa}: 2^{kappa + 1} table entries exceed {MAX_TABLE_ENTRIES}")
     n = kappa + k * r
 
     def encode(msg: tuple[int, ...]) -> tuple[int, ...]:

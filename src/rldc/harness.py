@@ -62,7 +62,6 @@ class ExperimentConfig:
     trials: int = 200
     seed: int = 0
     kernel_cap: int = 20
-    threads: int = 1
     claim_points: tuple[tuple[int, int], ...] = DEFAULT_POINTS
     claim_instances: int = 1000
     daisy_samples: int = 200
@@ -74,8 +73,6 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0 or self.seed >= 1 << 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def wants(self, claim: str) -> bool:
         return self.toggles is None or claim in self.toggles

@@ -24,6 +24,7 @@ from random import Random
 from typing import Sequence
 
 from .decoders import (
+    MAX_TABLE_ENTRIES,
     REJECT,
     AdaptiveDecoder,
     ExplicitViews,
@@ -155,10 +156,14 @@ def reduce_randomness(
     gives the exact worst fraction of rows whose output is neither the
     reference bit nor REJECT.  If that exceeds `tolerance`, the multisets are
     resampled, up to `retries` extra attempts, before failing with
-    ReductionFailedError carrying the final report.
+    ReductionFailedError carrying the final report.  Rows that could hold
+    over MAX_TABLE_ENTRIES table entries in all raise ValueError up front.
     """
     if multiset_size < 1:
         raise ValueError("multiset size must be >= 1")
+    entries = sum(multiset_size << views.max_view_size() for views in decoder.views)
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(f"reduction needs {entries} table entries, over {MAX_TABLE_ENTRIES}")
     uniform = Fraction(1, multiset_size)
     report = None
     for attempt in range(1, retries + 2):

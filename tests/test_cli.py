@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -75,6 +77,37 @@ def test_preprocess_round_trip(tmp_path):
     assert doc["report"]["multiset_size"] == 16
     decoder = decoder_from_json(doc["decoder"])
     assert len(decoder.views[0]) == 16
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        ("0", "292b8ae5c6bffebfc2528fc514209409264e7870040bfc9abf9d00292d8d5c1b"),
+        ("7", "eda11b9389ead91b0491f7cb5d3f2bf24abb4036ffc325f5f471a0035f8a0588"),
+    ],
+)
+def test_preprocess_shared_pivot_pinned(seed, digest, capsys):
+    # amplified shared-pivot views carry REJECT entries through materialize
+    assert main(["preprocess", "--code", "shared-pivot:kappa=2,r=8,k=4", "--seed", seed]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["preprocess", "--code", "hadamard:m=6", "--epsilon", "1/1024"], "table entries"),
+        (["simulate", "--code", "shared-pivot:kappa=40,r=2,k=2"], "2^41 table entries exceed"),
+    ],
+)
+def test_oversized_tables_are_usage_errors(argv, message, capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - start < 10
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("rldc: error:") and message in captured.err
+    assert captured.out == ""
 
 
 def test_verify_small(tmp_path):

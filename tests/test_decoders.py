@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rldc.decoders import (
     REJECT,
@@ -11,8 +13,10 @@ from rldc.decoders import (
     ExplicitViews,
     LocalView,
     NonAdaptiveDecoder,
+    ProductViews,
     TrackingOracle,
     TreeNode,
+    UnanimityView,
     corrupt,
     decoder_from_json,
     decoder_to_json,
@@ -133,6 +137,11 @@ def test_shared_pivot_paths():
     flipped = corrupt(w, [0])
     for i in range(2):
         assert output_distribution(dec, flipped, i) == {REJECT: Fraction(1)}
+
+
+def test_shared_pivot_table_budget():
+    with pytest.raises(ValueError, match="2\\^24 table entries exceed"):
+        shared_pivot_code(23, 1, 1)
 
 
 def test_shared_pivot_views_contain_pivot():
@@ -301,3 +310,58 @@ def test_view_table_validation():
         LocalView((0, 1), (0, 1))  # table too short
     with pytest.raises(ValueError):
         LocalView((1, 0), (0, 1, 0, 1))  # unsorted coords
+
+
+# ---------------------------------------------------------------------------
+# unanimity views
+
+
+@st.composite
+def unanimity_views(draw):
+    """1-4 parts over overlapping coordinates in [0, 7), REJECT in the tables."""
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        coords = tuple(sorted(draw(st.sets(st.integers(0, 6), max_size=3))))
+        size = 1 << len(coords)
+        table = draw(st.lists(st.sampled_from((0, 1, REJECT)), min_size=size, max_size=size))
+        parts.append(LocalView(coords, tuple(table)))
+    return UnanimityView.of(parts)
+
+
+def assert_materializes(view):
+    concrete = view.materialize()
+    assert concrete.coords == view.coords
+    assert len(concrete.table) == 1 << len(view.coords)
+    for idx, out in enumerate(concrete.table):
+        word = {c: (idx >> j) & 1 for j, c in enumerate(view.coords)}
+        assert out == view.read_and_evaluate(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unanimity_views())
+def test_materialize_matches_read_and_evaluate(view):
+    assert_materializes(view)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["hadamard:m=4", "shared-pivot:kappa=2,r=8,k=4"]),
+    st.integers(2, 4),
+    st.integers(0, 2**32),
+)
+def test_materialize_product_samples(spec, times, seed):
+    _, dec = parse_code_spec(spec)
+    rng = random.Random(seed)
+    for views in dec.views:
+        assert_materializes(ProductViews(views, times).sample(rng))
+
+
+def test_materialize_without_parts_rejects():
+    assert UnanimityView.of([]).materialize() == LocalView((), (REJECT,))
+
+
+def test_product_view_size_capped_by_coverage():
+    _, dec = shared_pivot_code(2, 8, 4)
+    # eight runs of pivot + one copy merge into at most the pivot and all 8 copies
+    assert ProductViews(dec.views[0], 8).max_view_size() == 10
+    assert ProductViews(dec.views[0], 3).max_view_size() == 9

@@ -141,11 +141,11 @@ def test_decode_index_shared_pivot_assignments():
         for a in range(1, 4):
             kappa = {0: (a >> 1) & 1, 1: a & 1}
             outs = [
-                pkg.views[m].evaluate(
-                    [
-                        sampled[c] if c in pkg.petals[m] else kappa[c]
+                pkg.views[m].read_and_evaluate(
+                    {
+                        c: sampled[c] if c in pkg.petals[m] else kappa[c]
                         for c in pkg.views[m].coords
-                    ]
+                    }
                 )
                 for m in fully_queried_petals(pkg, frozenset(sampled))
             ]
@@ -237,8 +237,8 @@ def _reference_outputs(pkg, queried, sampled_values, a):
     width = len(pkg.kernel_order)
     kappa = {e: (a >> (width - 1 - j)) & 1 for j, e in enumerate(pkg.kernel_order)}
     return [
-        pkg.views[m].evaluate(
-            [sampled_values[c] if c in pkg.petals[m] else kappa[c] for c in pkg.views[m].coords]
+        pkg.views[m].read_and_evaluate(
+            {c: sampled_values[c] if c in pkg.petals[m] else kappa[c] for c in pkg.views[m].coords}
         )
         for m in queried
     ]
@@ -274,8 +274,8 @@ def reference_audit(pkg, sampled_values, word, true_bit, kernel_cap):
         return True, 0
     true_kappa = {e: word[e] for e in kernel}
     complete = all(
-        pkg.views[m].evaluate(
-            [sampled_values[c] if c in pkg.petals[m] else true_kappa[c] for c in pkg.views[m].coords]
+        pkg.views[m].read_and_evaluate(
+            {c: sampled_values[c] if c in pkg.petals[m] else true_kappa[c] for c in pkg.views[m].coords}
         )
         == true_bit
         for m in queried

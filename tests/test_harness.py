@@ -181,8 +181,6 @@ def test_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(seed=-1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(threads=0)
 
 
 def test_global_trials_report_structure():

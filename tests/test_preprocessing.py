@@ -184,6 +184,16 @@ def test_reduce_hadamard_m6():
     assert randomness_complexity(reduced) == 8  # ceil(log2 64) + 2
 
 
+def test_reduce_refuses_oversized_tables_before_sampling():
+    _, dec = hadamard_code(6)
+    amp = amplify(dec, Fraction(1, 1024))  # R = 10: rows of up to 2^20 entries
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="1610612736 table entries"):
+        reduce_randomness(amp, 4 * dec.n, [], Fraction(1), rng)
+    assert rng.getstate() == state
+
+
 def test_reduce_coin_space_size_exact():
     _, dec = hadamard_code(4)
     reduced, _ = reduce_randomness(dec, 37, [], Fraction(0), random.Random(1))
