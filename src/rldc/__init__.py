@@ -36,7 +36,6 @@ from .exact import PowerBound, floor_power_bound
 from .global_decoder import (
     GlobalDecodeOutcome,
     IndexDecodePackage,
-    SamplePlan,
     build_decode_packages,
     decode_index,
     fully_queried_petals,

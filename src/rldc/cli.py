@@ -19,6 +19,7 @@ from .decoders import decoder_to_json, parse_code_spec
 from .exact import parse_fraction
 from .global_decoder import default_extraction_scale
 from .harness import (
+    CLAIM_IDS,
     ExperimentConfig,
     make_in_radius_corpus,
     run_global_trials,
@@ -53,7 +54,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(doc, out: str | None) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True), out)
+    """Stream doc to the output; stdout also gets a trailing newline."""
+    if out is None:
+        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
+    else:
+        with open(out, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -284,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--daisies", type=int, default=200, help="random daisies for the pluck suite")
     p.add_argument("--trials", type=int, default=200, help="global-decoder trials per code")
     p.add_argument("--wrapup-max", type=int, default=10)
-    p.add_argument("--claims", nargs="*", default=None, help="subset of claim ids to run")
+    p.add_argument("--claims", nargs="*", choices=CLAIM_IDS, default=None, help="subset of claim ids to run")
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 

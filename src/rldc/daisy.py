@@ -142,6 +142,13 @@ def build_daisy_sequence(
     return tuple(levels)
 
 
+def partition_check(levels: tuple[DaisyLevel, ...], size: int) -> tuple[bool, int]:
+    """(whether the levels' member lists partition range(size), how many
+    members they list in all)."""
+    listed = [m for level in levels for m in level.members]
+    return len(listed) == size and set(listed) == set(range(size)), len(listed)
+
+
 def pick_heavy_level(levels: tuple[DaisyLevel, ...], weighted: WeightedSetSystem) -> HeavyDaisy:
     """Select the smallest level with weight >= 1/l; it exists by pigeonhole.
 
@@ -151,12 +158,7 @@ def pick_heavy_level(levels: tuple[DaisyLevel, ...], weighted: WeightedSetSystem
     if not levels:
         raise ContractError("empty level sequence")
     ell = len(levels)
-    seen: set[int] = set()
-    count = 0
-    for level in levels:
-        count += len(level.members)
-        seen.update(level.members)
-    if count != len(weighted.system.sets) or seen != set(range(len(weighted.system.sets))):
+    if not partition_check(levels, len(weighted.system.sets))[0]:
         raise ContractError("levels do not partition the weighted system's support")
 
     masses = weighted.masses

@@ -20,10 +20,14 @@ from fractions import Fraction
 
 
 def parse_fraction(text: str | int | Fraction) -> Fraction:
-    """Parse "a/b" or "a" (or pass through ints/Fractions) into a Fraction."""
+    """Parse "a/b" or "a" (or pass through ints/Fractions) into a Fraction.
+    Malformed text, a zero denominator included, raises ValueError."""
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_fraction(value: Fraction) -> str:

@@ -9,9 +9,13 @@ enumerates every kernel assignment, completes the queried petals into full
 local views, and outputs a bit as soon as some assignment makes all completed
 views agree on it.
 
+run_global_decoder is the one trial path: it samples, applies the query
+budget and decodes every index; its outcome carries the reads (each sampled
+coordinate with its bit) that the audit in harness.py works from.
+
 One completion core serves the decoder and the audit in harness.py:
-complete_views turns each queried view into its table, the table index of its
-sampled petal bits and a (table bit, assignment bit) pair per kernel
+complete_views turns each fully queried view into its table, the table index
+of its sampled petal bits and a (table bit, assignment bit) pair per kernel
 coordinate, so unanimous_bit evaluates assignment a by OR-ing in only kernel
 bits.  Assignment a gives the smallest kernel element its most significant
 bit, so counting a upward walks assignments in lexicographic order.
@@ -36,19 +40,6 @@ from .exact import PowerBound
 DECODED = "decoded"
 NO_CONSENSUS = "no_consensus"
 KERNEL_TOO_LARGE = "kernel_too_large"
-
-
-@dataclass(frozen=True)
-class SamplePlan:
-    """The binomial sample: inclusion probability, sampled set, budget cap."""
-
-    p: float
-    coords: frozenset[int]
-    query_budget: int | None
-
-    @property
-    def aborted(self) -> bool:
-        return self.query_budget is not None and len(self.coords) > self.query_budget
 
 
 def sample_coordinates(n: int, p: float, rng: Random) -> frozenset[int]:
@@ -101,11 +92,16 @@ class IndexOutcome:
 
 @dataclass(frozen=True)
 class GlobalDecodeOutcome:
-    """Per-index results plus query accounting for one run."""
+    """Per-index results plus the reads of one run: every sampled coordinate
+    with the bit read there, also when the run aborted."""
 
     results: tuple[IndexOutcome, ...]
-    total_queries: int
+    reads: Mapping[int, int]
     aborted: bool
+
+    @property
+    def total_queries(self) -> int:
+        return len(self.reads)
 
     @property
     def message(self) -> tuple[int, ...] | None:
@@ -157,16 +153,15 @@ def fully_queried_petals(pkg: IndexDecodePackage, sampled: frozenset[int]) -> tu
     )
 
 
-def complete_views(
-    pkg: IndexDecodePackage, queried: Sequence[int], sampled_values: Mapping[int, int]
-) -> tuple:
+def complete_views(pkg: IndexDecodePackage, sampled_values: Mapping[int, int]) -> tuple:
     """The completion core: one (table, base index, kernel pairs) triple per
-    queried view.  The base index holds the view's sampled petal bits; each
-    kernel coordinate it reads is a (table bit, assignment bit) pair."""
+    fully queried view, empty when no petal is.  The base index holds the
+    view's sampled petal bits; each kernel coordinate it reads is a
+    (table bit, assignment bit) pair."""
     width = len(pkg.kernel_order)
     slot = {e: 1 << (width - 1 - j) for j, e in enumerate(pkg.kernel_order)}
     completion = []
-    for m in queried:
+    for m in fully_queried_petals(pkg, frozenset(sampled_values)):
         view, petal = pkg.views[m], pkg.petals[m]
         base, pairs = 0, []
         for j, c in enumerate(view.coords):
@@ -215,22 +210,21 @@ def decode_index(
     if len(kernel) > kernel_cap:
         return IndexOutcome(KERNEL_TOO_LARGE, None, 0, 0)
 
-    queried = fully_queried_petals(pkg, frozenset(sampled_values))
-    if not queried:
+    completion = complete_views(pkg, sampled_values)
+    if not completion:
         return IndexOutcome(NO_CONSENSUS, None, 0, 0)
 
-    completion = complete_views(pkg, queried, sampled_values)
     unanimous: set[int] = set()
     assignments = 1 << len(kernel)
     for a in range(assignments):
         bit = unanimous_bit(completion, a)
         if bit is not None:
             if not strict:
-                return IndexOutcome(DECODED, bit, len(queried), a + 1)
+                return IndexOutcome(DECODED, bit, len(completion), a + 1)
             unanimous.add(bit)
     if strict and len(unanimous) == 1:
-        return IndexOutcome(DECODED, unanimous.pop(), len(queried), assignments)
-    return IndexOutcome(NO_CONSENSUS, None, len(queried), assignments)
+        return IndexOutcome(DECODED, unanimous.pop(), len(completion), assignments)
+    return IndexOutcome(NO_CONSENSUS, None, len(completion), assignments)
 
 
 def run_global_decoder(
@@ -241,28 +235,26 @@ def run_global_decoder(
     kernel_cap: int = 20,
     query_budget: int | None = None,
     p: float | None = None,
-    scale: Fraction | PowerBound | None = None,
     strict: bool = False,
     packages: tuple[IndexDecodePackage, ...] | None = None,
 ) -> GlobalDecodeOutcome:
     """One full run: sample once, decode every index from the shared sample.
 
-    The caller promises w = C(x); corrupted inputs still run but only for
-    diagnostics.  Pass precomputed `packages` to reuse daisy extraction
-    across trials (extraction is deterministic per decoder, so this does not
-    affect outcomes).
+    This is the one trial path (harness.run_global_trials calls it per
+    trial), and its outcome carries the reads the harness audits.  A sample
+    larger than query_budget aborts the run before decoding.  The caller
+    promises w = C(x); corrupted inputs still run but only for diagnostics.
+    Pass precomputed `packages`, such as build_decode_packages(decoder,
+    scale), to reuse the deterministic daisy extraction across trials or to
+    extract at another scale.
     """
-    n = code.n
     if p is None:
-        p = default_sampling_probability(n, decoder.locality)
-    plan = SamplePlan(p, sample_coordinates(n, p, rng), query_budget)
-    if plan.aborted:
-        return GlobalDecodeOutcome((), len(plan.coords), True)
+        p = default_sampling_probability(code.n, decoder.locality)
+    reads = {j: w[j] for j in sample_coordinates(code.n, p, rng)}
+    if query_budget is not None and len(reads) > query_budget:
+        return GlobalDecodeOutcome((), reads, True)
 
     if packages is None:
-        packages = build_decode_packages(decoder, scale)
-    sampled_values = {j: w[j] for j in plan.coords}
-    results = tuple(
-        decode_index(pkg, sampled_values, kernel_cap, strict) for pkg in packages
-    )
-    return GlobalDecodeOutcome(results, len(plan.coords), False)
+        packages = build_decode_packages(decoder)
+    results = tuple(decode_index(pkg, reads, kernel_cap, strict) for pkg in packages)
+    return GlobalDecodeOutcome(results, reads, False)

@@ -14,9 +14,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .daisy import DaisyLevel, build_daisy_sequence, pick_heavy_level, pluck_simple_daisy
+from .daisy import (
+    DaisyLevel,
+    build_daisy_sequence,
+    partition_check,
+    pick_heavy_level,
+    pluck_simple_daisy,
+)
 from .decoders import Code, NonAdaptiveDecoder, parse_code_spec, random_corruption
 from .exact import PowerBound, floor_power_bound
 from .global_decoder import (
@@ -24,11 +30,8 @@ from .global_decoder import (
     IndexDecodePackage,
     build_decode_packages,
     complete_views,
-    decode_index,
-    fully_queried_petals,
     kernel_assignment,
-    sample_coordinates,
-    default_sampling_probability,
+    run_global_decoder,
     unanimous_bit,
 )
 from .rng import derive_rng
@@ -193,12 +196,8 @@ def audit_daisy_levels(
     n = system.universe_size
     out: dict[str, list] = {"partition": [], "coresub": [], "external": []}
 
-    seen: set[int] = set()
-    count = 0
-    for level in levels:
-        count += len(level.members)
-        seen.update(level.members)
-    if count != len(system.sets) or seen != set(range(len(system.sets))):
+    partitioned, count = partition_check(levels, len(system.sets))
+    if not partitioned:
         out["partition"].append(("cover", count, len(system.sets)))
 
     for level in levels:
@@ -341,7 +340,7 @@ class GlobalTrialStats:
 
 def _audit_index(
     pkg: IndexDecodePackage,
-    sampled_values: dict[int, int],
+    sampled_values: Mapping[int, int],
     word: Sequence[int],
     true_bit: int,
     kernel_cap: int,
@@ -351,11 +350,10 @@ def _audit_index(
     kernel = pkg.kernel_order
     if len(kernel) > kernel_cap:
         return True, 0
-    queried = fully_queried_petals(pkg, frozenset(sampled_values))
-    if not queried:
+    completion = complete_views(pkg, sampled_values)
+    if not completion:
         return True, 0
 
-    completion = complete_views(pkg, queried, sampled_values)
     wrong = sum(unanimous_bit(completion, a) == 1 - true_bit for a in range(1 << len(kernel)))
     return unanimous_bit(completion, kernel_assignment(pkg, word)) == true_bit, wrong
 
@@ -374,14 +372,13 @@ def run_global_trials(
 ) -> GlobalTrialStats:
     """Seeded global-decoder runs on fresh random valid codewords.
 
-    Each trial gets the stream hash(master_seed, "trial", index); daisy
+    Each trial gets the stream hash(master_seed, "trial", index), draws its
+    message from it and hands the same stream to run_global_decoder; daisy
     packages are extracted once and shared.  With audit on, every trial also
     checks correct-assignment completeness and counts unanimous-wrong kernel
-    assignments across the full enumeration.
+    assignments across the full enumeration, from the run's reads.
     """
     packages = build_decode_packages(decoder)
-    if p is None:
-        p = default_sampling_probability(code.n, decoder.locality)
     stats = GlobalTrialStats(code.name, trials, master_seed)
 
     for t in range(trials):
@@ -389,28 +386,21 @@ def run_global_trials(
         rng = derive_rng(master_seed, "trial", t)
         x = tuple(rng.randrange(2) for _ in range(code.k))
         word = code.encode(x)
-
-        sampled = sample_coordinates(code.n, p, rng)
-        if query_budget is not None and len(sampled) > query_budget:
+        run = run_global_decoder(
+            decoder, code, word, rng, kernel_cap, query_budget, p, strict, packages
+        )
+        if run.aborted:
             stats.aborted += 1
-            stats.rows.append(TrialRow(t, False, len(sampled), ("aborted",) * code.k, 0.0))
+            stats.rows.append(TrialRow(t, False, run.total_queries, ("aborted",) * code.k, 0.0))
             continue
-        sampled_values = {j: word[j] for j in sampled}
 
-        statuses = []
-        ok = True
-        for pkg in packages:
-            outcome = decode_index(pkg, sampled_values, kernel_cap, strict)
-            statuses.append(outcome.code())
-            if outcome.status != DECODED:
-                ok = False
-            elif outcome.bit != x[pkg.index]:
-                ok = False
+        for pkg, outcome in zip(packages, run.results):
+            if outcome.status == DECODED and outcome.bit != x[pkg.index]:
                 stats.wrong_bits += 1
                 stats.label(t, "wrong-bit", pkg.index)
             if audit:
                 complete, wrong_events = _audit_index(
-                    pkg, sampled_values, word, x[pkg.index], kernel_cap
+                    pkg, run.reads, word, x[pkg.index], kernel_cap
                 )
                 if not complete:
                     stats.completeness_violations += 1
@@ -419,9 +409,11 @@ def run_global_trials(
                     stats.soundness_violations += wrong_events
                     stats.label(t, "soundness", pkg.index)
 
+        ok = run.message == x
         wall = (time.perf_counter() - start) * 1000 if timing else 0.0
         stats.successes += ok
-        stats.rows.append(TrialRow(t, ok, len(sampled), tuple(statuses), wall))
+        statuses = tuple(r.code() for r in run.results)
+        stats.rows.append(TrialRow(t, ok, run.total_queries, statuses, wall))
     return stats
 
 

@@ -93,6 +93,25 @@ def test_preprocess_shared_pivot_pinned(seed, digest, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--code", "hadamard:m=8", "--budget", "128", "--seed", "0"],
+         "f13d8f3cb9fd20ed1cb41a55f050231862ead88512c0fad14b7041509ed0a19e"),
+        (["--code", "hadamard:m=8", "--budget", "128", "--seed", "7"],
+         "9c7a99cc9312a665578976ab706b1b7143379ab98526169d9b6983f36238ed50"),
+        (["--code", "shared-pivot:kappa=2,r=64,k=16", "--strict", "--seed", "0"],
+         "acaa4487532682b279ef616fbb2ec05f32a5c61cc069df22b3feb526da912f23"),
+        (["--code", "shared-pivot:kappa=2,r=64,k=16", "--strict", "--seed", "7"],
+         "ba196e012be16c99a907053b3ae46145fab25ec24491337a4fb28f90795e1feb"),
+    ],
+)
+def test_simulate_pinned(argv, digest, capsys):
+    # the budget runs abort about half their trials; the strict runs audit
+    assert main(["simulate", "--trials", "20", "--format", "json"] + argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["preprocess", "--code", "hadamard:m=6", "--epsilon", "1/1024"], "table entries"),
@@ -107,6 +126,16 @@ def test_oversized_tables_are_usage_errors(argv, message, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("rldc: error:") and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("claims", [["nope"], ["wrapup", "nope"]])
+def test_verify_unknown_claim_is_usage_error(claims, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--wrapup-max", "2", "--claims", *claims])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 'nope'" in captured.err
     assert captured.out == ""
 
 
@@ -187,6 +216,7 @@ def test_largest_seed_accepted():
         ({"n": 4, "sets": 3}, "'sets'"),
         ({"n": 4, "sets": [[0, 1]], "weights": [None]}, "'weights'"),
         ([[0, 1]], "'n'"),
+        ({"n": 4, "sets": [[0, 1]], "weights": ["1/0"]}, "'weights'"),
     ],
 )
 def test_malformed_system_json_is_usage_error(doc, field, tmp_path, capsys):
@@ -197,3 +227,20 @@ def test_malformed_system_json_is_usage_error(doc, field, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("rldc: error: set-system JSON") and field in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preprocess", "--code", "hadamard:m=3", "--epsilon", "1/0"],
+        ["preprocess", "--code", "hadamard:m=3", "--tolerance", "1/0"],
+        ["extract-daisy", "--in", "{star}", "--ell", "2", "--c", "1/0"],
+    ],
+)
+def test_zero_denominator_is_usage_error(argv, star_json, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(star=star_json) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "rldc: error: zero denominator in '1/0'\n"
+    assert captured.out == ""

@@ -25,7 +25,6 @@ from rldc.global_decoder import (
     NO_CONSENSUS,
     IndexDecodePackage,
     IndexOutcome,
-    SamplePlan,
     build_decode_packages,
     build_index_package,
     decode_index,
@@ -175,16 +174,19 @@ def test_run_identity_full_sampling():
     code, dec = identity_code(3)
     out = run_global_decoder(dec, code, code.encode((1, 0, 1)), random.Random(0), p=1.0)
     assert out.message == (1, 0, 1)
+    assert out.reads == {0: 1, 1: 0, 2: 1}
     assert out.total_queries == 3 and not out.aborted
 
 
 def test_budget_abort():
     code, dec = identity_code(8)
-    out = run_global_decoder(
-        dec, code, code.encode((0,) * 8), random.Random(0), p=1.0, query_budget=4
-    )
-    assert out.aborted and out.message is None
+    word = code.encode((0,) * 8)
+    out = run_global_decoder(dec, code, word, random.Random(0), p=1.0, query_budget=4)
+    assert out.aborted and out.message is None and out.results == ()
     assert out.total_queries == 8
+    # a sample exactly at the budget still decodes
+    out = run_global_decoder(dec, code, word, random.Random(0), p=1.0, query_budget=8)
+    assert not out.aborted and out.message == (0,) * 8
 
 
 def test_determinism_same_seed():
@@ -195,13 +197,6 @@ def test_determinism_same_seed():
     a = run_global_decoder(dec, code, w, random.Random(99), packages=pkgs)
     b = run_global_decoder(dec, code, w, random.Random(99), packages=pkgs)
     assert a == b
-
-
-def test_plan_abort_flag():
-    plan = SamplePlan(0.5, frozenset({1, 2, 3}), 2)
-    assert plan.aborted
-    assert not SamplePlan(0.5, frozenset({1}), 2).aborted
-    assert not SamplePlan(0.5, frozenset({1, 2, 3}), None).aborted
 
 
 def test_hadamard_monte_carlo_success():
