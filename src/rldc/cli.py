@@ -318,8 +318,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not 0 <= args.seed < 1 << 64:
             raise ValueError(f"--seed must lie in [0, 2^64), got {args.seed}")
-        if getattr(args, "trials", 1) < 1:
-            raise ValueError(f"--trials must be >= 1, got {args.trials}")
+        for name, low in (("trials", 1), ("ell", 1), ("kmax", 0), ("budget", 0)):
+            value = getattr(args, name, None)
+            if value is not None and value < low:
+                raise ValueError(f"--{name} must be >= {low}, got {value}")
         return args.func(args)
     except (ValueError, OSError) as err:
         parser.exit(2, f"rldc: error: {err}\n")

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .exact import PowerBound, floor_power_bound
 from .set_system import (
@@ -119,9 +120,7 @@ def build_daisy_sequence(
         # "deg > threshold" == "deg > floor(threshold)" for integer degrees.
         cap = floor_power_bound(threshold)
 
-        degrees = Counter()
-        for idx in residual:
-            degrees.update(sets[idx])
+        degrees = Counter(chain.from_iterable(sets[idx] for idx in residual))
         kernel = {e for e, d in degrees.items() if d > cap}
 
         members = []

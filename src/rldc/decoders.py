@@ -6,9 +6,10 @@ and must be exact on valid codewords.
 
 Non-adaptive decoders are stored per message index as weighted query sets
 with predicate truth tables, which doubles as the weighted set system that
-daisy extraction consumes.  Probabilities are exact rationals; sampling draws
-integer masses so a seeded run is reproducible and matches the exact
-distribution.
+daisy extraction consumes.  Probabilities are exact rationals, summed and
+checked as integer masses over their least common denominator
+(exact.integer_masses); sampling draws those masses, so a seeded run is
+reproducible and matches the exact distribution.
 
 An amplified coin outcome (UnanimityView) becomes one table by building a
 whole column per part and folding the columns, not one entry at a time.
@@ -17,14 +18,13 @@ whole column per part and folding the columns, not one entry at a time.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .exact import format_fraction, parse_fraction
+from .exact import format_fraction, integer_masses, parse_fraction
 from .set_system import SetSystem, WeightedSetSystem
 
 Symbol = int | None  # 0, 1, or REJECT
@@ -105,10 +105,11 @@ class AdaptiveDecoder:
         if len(self.trees) != self.k:
             raise ValueError("one tree distribution per message index required")
         for i, dist in enumerate(self.trees):
-            if sum(wt for wt, _ in dist) != 1:
+            masses, common = integer_masses([wt for wt, _ in dist])
+            if sum(masses) != common:
                 raise ValueError(f"tree weights for index {i} must sum to 1")
-            for wt, tree in dist:
-                if wt <= 0:
+            for mass, (_, tree) in zip(masses, dist):
+                if mass <= 0:
                     raise ValueError("tree weights must be positive")
                 validate_tree(tree, self.n, self.locality)
 
@@ -123,10 +124,8 @@ class AdaptiveDecoder:
 
 
 def _mass_table(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    common = math.lcm(*(w.denominator for w in weights))
-    masses = [w.numerator * (common // w.denominator) for w in weights]
-    cum = list(itertools.accumulate(masses))
-    return tuple(cum), common
+    masses, common = integer_masses(weights)
+    return tuple(itertools.accumulate(masses)), common
 
 
 def _draw(mass_table: tuple[tuple[int, ...], int], rng: Random) -> int:
@@ -219,10 +218,11 @@ class ExplicitViews:
     def __init__(self, entries: Sequence[tuple[Fraction, LocalView]]):
         if not entries:
             raise ValueError("a decoder index needs at least one view")
-        total = sum(wt for wt, _ in entries)
-        if total != 1:
-            raise ValueError(f"view weights must sum to 1, got {total}")
-        if any(wt <= 0 for wt, _ in entries):
+        masses, common = integer_masses([wt for wt, _ in entries])
+        total = sum(masses)
+        if total != common:
+            raise ValueError(f"view weights must sum to 1, got {Fraction(total, common)}")
+        if any(m <= 0 for m in masses):
             raise ValueError("view weights must be positive")
         self.entries = tuple(entries)
         self._cum = None
@@ -329,7 +329,8 @@ def local_view_system(decoder: NonAdaptiveDecoder, i: int) -> WeightedSetSystem:
         raise TypeError("only explicit view lists convert to set systems")
     sets = tuple(view.coords for _, view in view_set)
     system = SetSystem(decoder.n, sets)
-    return WeightedSetSystem.from_weights(system, [wt for wt, _ in view_set])
+    masses, common = integer_masses([wt for wt, _ in view_set])
+    return WeightedSetSystem(system, tuple(masses), common)
 
 
 class TrackingOracle:

@@ -15,8 +15,10 @@ monotone for q >= 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 
 def parse_fraction(text: str | int | Fraction) -> Fraction:
@@ -33,6 +35,17 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
 def format_fraction(value: Fraction) -> str:
     """Canonical "a/b" form, losslessly round-trippable by parse_fraction."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def integer_masses(weights: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """Exact weights as integer masses over their least common denominator.
+
+    Returns (masses, common) with weights[j] == masses[j] / common, so a
+    weight sum is the integer sum(masses) and a sign is a mass's sign.  Reads
+    only .numerator and .denominator: ints and Fractions are not copied.
+    """
+    common = math.lcm(*{w.denominator for w in weights})
+    return [w.numerator * (common // w.denominator) for w in weights], common
 
 
 @dataclass(frozen=True)

@@ -7,20 +7,20 @@ carry the query distributions of non-adaptive local decoders, so:
 
 - set identity is positional (index into the stored list) and duplicates are
   allowed with multiplicity, giving multiset semantics;
-- weights are exact rationals kept internally as integer masses over a common
-  denominator, so weight sums and the 1/l pigeonhole bound never suffer from
-  rounding.
+- weights are exact rationals kept internally as integer masses over their
+  least common denominator (exact.integer_masses), so weight sums, the
+  sum-to-1 and positivity checks and the 1/l pigeonhole bound are integer
+  arithmetic and never suffer from rounding.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import PowerBound, format_fraction, parse_fraction
+from .exact import PowerBound, format_fraction, integer_masses, parse_fraction
 
 
 class ContractError(RuntimeError):
@@ -93,11 +93,10 @@ class WeightedSetSystem:
 
     @classmethod
     def from_weights(cls, system: SetSystem, weights: Sequence[Fraction]) -> "WeightedSetSystem":
-        fracs = [Fraction(w) for w in weights]
-        if sum(fracs) != 1:
+        masses, common = integer_masses([Fraction(w) for w in weights])
+        if sum(masses) != common:
             raise ValueError("weights must sum to exactly 1")
-        common = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        return cls(system, tuple(f.numerator * (common // f.denominator) for f in fracs), common)
+        return cls(system, tuple(masses), common)
 
     @classmethod
     def uniform(cls, system: SetSystem) -> "WeightedSetSystem":
@@ -175,13 +174,8 @@ def weight_of(wsystem: WeightedSetSystem, scope: Iterable[int] | None) -> Fracti
 
 def petal_degrees(system: SetSystem, members: Iterable[int], kernel: frozenset[int]) -> Counter:
     """How many member petals (set minus kernel) contain each outside element."""
-    counts: Counter = Counter()
     sets = system.sets
-    for idx in members:
-        for e in sets[idx]:
-            if e not in kernel:
-                counts[e] += 1
-    return counts
+    return Counter([e for idx in members for e in sets[idx] if e not in kernel])
 
 
 def verify_daisy(system: SetSystem, cert: DaisyCertificate) -> DaisyReport:

@@ -6,6 +6,8 @@ import pytest
 
 from rldc.cli import main
 from rldc.decoders import decoder_from_json
+from rldc.harness import random_set_system
+from rldc.rng import derive_rng
 from rldc.set_system import SetSystem, WeightedSetSystem, system_to_json
 
 
@@ -111,6 +113,28 @@ def test_simulate_pinned(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_extract_daisy_pinned(tmp_path, capsys):
+    # 256 random 3-sets over [256]: kernels, levels and petal degrees at scale
+    system = random_set_system(256, 256, 3, derive_rng(0, "pin"))
+    path = tmp_path / "pin.json"
+    path.write_text(json.dumps(system_to_json(WeightedSetSystem.uniform(system))))
+    assert main(["extract-daisy", "--in", str(path), "--ell", "3"]) == 0
+    assert (
+        hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        == "682d7469f2edba9c4f99a6583495cd8fbaf9975603b39882896082cef6cddbb5"
+    )
+
+
+def test_simulate_hadamard_extraction_pinned(capsys):
+    # 12 view systems of 2048 pairs each go through the exact weight checks
+    argv = ["simulate", "--code", "hadamard:m=12", "--trials", "5", "--no-audit", "--format", "json"]
+    assert main(argv) == 0
+    assert (
+        hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        == "31f15768a4d88b3c5a613e5e66a56ecafd5af1142e8062e671150f98f82cd321"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -192,11 +216,16 @@ def test_missing_subcommand_is_usage_error():
         ["scaling", "--sizes", "64,256", "--trials", "0"],
         ["simulate", "--code", "hadamard:m=3", "--trials", "1", "--seed", "-5"],
         ["wrapup", "--k", "2", "--seed", str(1 << 64)],
+        ["extract-daisy", "--in", "{star}", "--ell", "0"],
+        ["simulate", "--code", "hadamard:m=3", "--trials", "2", "--kmax", "-1"],
+        ["scaling", "--sizes", "64,256", "--trials", "2", "--kmax", "-1"],
+        ["simulate", "--code", "hadamard:m=3", "--trials", "2", "--budget", "-1"],
     ],
 )
-def test_bad_trials_or_seed_is_usage_error(argv, capsys):
+def test_bad_trials_or_seed_is_usage_error(argv, star_json, capsys):
+    # also the other numeric bounds: --ell >= 1, --kmax >= 0, --budget >= 0
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([arg.format(star=star_json) for arg in argv])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("rldc: error: --")

@@ -1,17 +1,23 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rldc.daisy import build_daisy_sequence, pick_heavy_level, pluck_simple_daisy
-from rldc.exact import PowerBound
+from rldc.exact import PowerBound, floor_power_bound
+from rldc.global_decoder import default_extraction_scale
+from rldc.harness import audit_daisy_levels
 from rldc.set_system import (
     ContractError,
     DaisyCertificate,
     SetSystem,
     WeightedSetSystem,
     covered_elements,
+    petal_degrees,
     verify_daisy,
 )
 
@@ -202,3 +208,72 @@ def test_ell_one_edge_config():
     assert verify_daisy(
         system, DaisyCertificate(frozenset(chosen), heavy.kernel, 1, Fraction(1))
     ).ok
+
+
+def per_set_levels(system, ell, c):
+    """The level construction with one Counter.update per residual set, as
+    build_daisy_sequence counted degrees before: (members, kernel, threshold)
+    per level."""
+    n, sets = system.universe_size, system.sets
+    residual = list(range(len(sets)))
+    out = []
+    for i in range(1, ell + 1):
+        if isinstance(c, PowerBound):
+            threshold = c.scale_exponent(Fraction(i, ell))
+        else:
+            threshold = PowerBound(c, n, Fraction(i, ell))
+        cap = floor_power_bound(threshold)
+        degrees = Counter()
+        for idx in residual:
+            degrees.update(sets[idx])
+        kernel = {e for e, d in degrees.items() if d > cap}
+        members = [idx for idx in residual if sum(e not in kernel for e in sets[idx]) <= i]
+        residual = [idx for idx in residual if idx not in members]
+        out.append((tuple(members), frozenset(kernel), threshold))
+    return out
+
+
+def per_element_petal_degrees(system, members, kernel):
+    """petal_degrees as one `counts[e] += 1` per outside element."""
+    counts = Counter()
+    for idx in members:
+        for e in system.sets[idx]:
+            if e not in kernel:
+                counts[e] += 1
+    return counts
+
+
+@st.composite
+def leveled_systems(draw):
+    """A small system of sets of size <= ell and a scale c >= |T|/n: either
+    the extraction default or |T|/n plus a nonnegative rational."""
+    n = draw(st.integers(1, 12))
+    ell = draw(st.integers(1, 4))
+    element_sets = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(ell, n))
+    sets = draw(st.lists(element_sets, min_size=1, max_size=24))
+    system = SetSystem.from_iterables(n, sets)
+    if draw(st.booleans()):
+        c = default_extraction_scale(len(sets), n, ell)
+    else:
+        c = Fraction(len(sets), n) + draw(st.fractions(min_value=0, max_value=3, max_denominator=8))
+    return system, ell, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(leveled_systems())
+def test_levels_match_per_set_counting(case):
+    system, ell, c = case
+    levels = build_daisy_sequence(system, ell, c)
+    assert [(lvl.members, lvl.kernel, lvl.threshold) for lvl in levels] == per_set_levels(
+        system, ell, c
+    )
+    assert audit_daisy_levels(system, ell, levels) == {
+        "partition": [], "coresub": [], "external": []
+    }
+    # same counts in the same first-occurrence order, so the audit reports
+    # external violations in the same order
+    for lvl in levels:
+        for kernel in (lvl.kernel, frozenset()):
+            assert list(petal_degrees(system, lvl.members, kernel).items()) == list(
+                per_element_petal_degrees(system, lvl.members, kernel).items()
+            )

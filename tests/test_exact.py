@@ -1,10 +1,21 @@
+import math
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rldc.exact import PowerBound, floor_power_bound, format_fraction, parse_fraction
+from rldc.decoders import AdaptiveDecoder, ExplicitViews, LocalView
+from rldc.exact import (
+    PowerBound,
+    floor_power_bound,
+    format_fraction,
+    integer_masses,
+    parse_fraction,
+)
+from rldc.set_system import SetSystem, WeightedSetSystem
 
 
 def test_fraction_round_trip():
@@ -110,3 +121,70 @@ def test_floor_power_bound():
         # Defining property, checked through the exact comparator.
         assert bound.cmp(m) >= 0
         assert bound.cmp(m + 1) < 0
+
+
+def fraction_sum_masses(weights):
+    """What WeightedSetSystem.from_weights built before integer_masses:
+    Fraction copies, their lcm, and masses over it."""
+    fracs = [Fraction(w) for w in weights]
+    common = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
+    return [f.numerator * (common // f.denominator) for f in fracs], common
+
+
+weight = st.one_of(
+    st.integers(-2, 3), st.fractions(min_value=-1, max_value=2, max_denominator=12)
+)
+
+
+@st.composite
+def weight_lists(draw):
+    """Ints and Fractions, zero and negatives included; half the lists are
+    completed so that they sum to exactly 1 (the last weight may be <= 0)."""
+    weights = draw(st.lists(weight, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        weights[-1] = 1 - sum(weights[:-1])
+    return weights
+
+
+def rejection(build) -> str | None:
+    try:
+        build()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(weight_lists())
+def test_integer_masses_decide_like_fraction_sums(weights):
+    total = sum(Fraction(w) for w in weights)
+    masses, common = integer_masses(weights)
+    assert (masses, common) == fraction_sum_masses(weights)
+    assert Fraction(sum(masses), common) == total
+
+    # the sum is checked before positivity, as with Fraction sums
+    if total != 1:
+        sum_error = "must sum to"
+    elif any(w <= 0 for w in weights):
+        sum_error = "must be positive"
+    else:
+        sum_error = None
+    count = len(weights)
+    views = [(w, LocalView((j,), (0, 1))) for j, w in enumerate(weights)]
+    trees = (tuple((w, 0) for w in weights),)
+    system = SetSystem(count, tuple((j,) for j in range(count)))
+    for build in (
+        lambda: ExplicitViews(views),
+        lambda: AdaptiveDecoder(1, count, 1, trees),
+        lambda: WeightedSetSystem.from_weights(system, weights),
+    ):
+        error = rejection(build)
+        assert (error is None) == (sum_error is None)
+        if error is not None:
+            assert sum_error in error
+    if total != 1:
+        assert rejection(lambda: ExplicitViews(views)) == f"view weights must sum to 1, got {total}"
+    if sum_error is None:
+        weighted = WeightedSetSystem.from_weights(system, weights)
+        assert (list(weighted.masses), weighted.total) == fraction_sum_masses(weights)
+        assert weighted.weights == tuple(Fraction(w) for w in weights)
