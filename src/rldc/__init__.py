@@ -36,6 +36,7 @@ from .exact import PowerBound, floor_power_bound
 from .global_decoder import (
     GlobalDecodeOutcome,
     IndexDecodePackage,
+    SampleBytes,
     build_decode_packages,
     decode_index,
     fully_queried_petals,

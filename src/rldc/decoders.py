@@ -36,6 +36,20 @@ _SYMBOLS = (0, 1, None)
 # set from the measured time and memory of `rldc preprocess` (CHANGES.md).
 MAX_TABLE_ENTRIES = 1 << 23
 
+# Most local views a built-in code may build, each message index counting as
+# 4 views more: `rldc simulate` peaks at about 350-700 B per view plus about
+# 1.7 KB per index.  Runs at the budget peaked at 0.46-0.77 GB (CHANGES.md).
+MAX_VIEWS = 1 << 20
+INDEX_VIEWS = 4
+
+
+def _check_views(views: int, k: int) -> None:
+    if views + INDEX_VIEWS * k > MAX_VIEWS:
+        raise ValueError(
+            f"{views} local views over {k} indices exceed the budget of {MAX_VIEWS} "
+            f"(each index counts as {INDEX_VIEWS} views)"
+        )
+
 
 def _check_symbol(value) -> None:
     if value not in _SYMBOLS:
@@ -392,12 +406,14 @@ class Code:
 
 _READ_BIT = (0, 1)
 _PARITY2 = (0, 1, 1, 0)
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def identity_code(k: int) -> tuple[Code, NonAdaptiveDecoder]:
     """n = k, each bit read directly; the degenerate baseline."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_views(k, k)
     code = Code(
         name=f"identity:k={k}",
         k=k,
@@ -416,6 +432,7 @@ def repetition_code(k: int, r: int) -> tuple[Code, NonAdaptiveDecoder]:
     """Each message bit repeated r times; the decoder reads one uniform copy."""
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
+    _check_views(k * r, k)
     n = k * r
 
     def encode(msg: tuple[int, ...]) -> tuple[int, ...]:
@@ -448,16 +465,17 @@ def hadamard_code(m: int) -> tuple[Code, NonAdaptiveDecoder]:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > 20:
-        raise ValueError("m > 20 would materialise an oversized decoder")
+    if m > MAX_VIEWS.bit_length():  # not even computed: m * 2^(m-1) is far past the budget
+        raise ValueError(f"m={m}: m * 2^(m-1) local views exceed the budget of {MAX_VIEWS}")
+    _check_views(m << (m - 1), m)
     n = 1 << m
 
     def encode(msg: tuple[int, ...]) -> tuple[int, ...]:
-        x = 0
-        for j, b in enumerate(msg):
-            if b:
-                x |= 1 << j
-        return tuple((x & a).bit_count() & 1 for a in range(n))
+        # positions with top bit j are the ones below, XOR-ed with x_j
+        word = b"\0"
+        for b in msg:
+            word += word.translate(_FLIP) if b else word
+        return tuple(word)
 
     code = Code(
         name=f"hadamard:m={m}",
@@ -493,7 +511,8 @@ def shared_pivot_code(kappa: int, r: int, k: int) -> tuple[Code, NonAdaptiveDeco
     """
     if kappa < 1 or r < 1 or k < 1:
         raise ValueError("kappa, r, k must be >= 1")
-    if 1 << (kappa + 1) > MAX_TABLE_ENTRIES:
+    _check_views(k * r, k)
+    if kappa + 1 > MAX_TABLE_ENTRIES.bit_length() - 1:  # 2^(kappa+1) entries
         raise ValueError(f"kappa={kappa}: 2^{kappa + 1} table entries exceed {MAX_TABLE_ENTRIES}")
     n = kappa + k * r
 
@@ -531,29 +550,37 @@ def shared_pivot_code(kappa: int, r: int, k: int) -> tuple[Code, NonAdaptiveDeco
 def parse_code_spec(spec: str) -> tuple[Code, NonAdaptiveDecoder]:
     """Build a code from "name:key=val,..." as used by the CLI.
 
-    Known names: identity, repetition, hadamard, shared-pivot.
+    Known names and their arguments are in _CODES; each argument must
+    be given exactly once, and no other.
     """
     name, _, arg_text = spec.partition(":")
     name = name.strip().lower().replace("_", "-")
+    if name not in _CODES:
+        raise ValueError(f"unknown code {name!r}")
+    build, params = _CODES[name]
     args: dict[str, int] = {}
-    if arg_text:
-        for pair in arg_text.split(","):
-            key, _, val = pair.partition("=")
-            if not val:
-                raise ValueError(f"malformed code argument {pair!r}")
-            args[key.strip()] = int(val)
-    try:
-        if name == "identity":
-            return identity_code(args["k"])
-        if name == "repetition":
-            return repetition_code(args["k"], args["r"])
-        if name == "hadamard":
-            return hadamard_code(args["m"])
-        if name == "shared-pivot":
-            return shared_pivot_code(args["kappa"], args["r"], args["k"])
-    except KeyError as missing:
-        raise ValueError(f"code {name!r} is missing argument {missing}") from None
-    raise ValueError(f"unknown code {name!r}")
+    for pair in arg_text.split(",") if arg_text else ():
+        key, _, val = pair.partition("=")
+        key = key.strip()
+        if not val:
+            raise ValueError(f"malformed code argument {pair!r}")
+        if key not in params:
+            raise ValueError(f"code {name!r} takes no argument {key!r}")
+        if key in args:
+            raise ValueError(f"code {name!r} got argument {key!r} twice")
+        args[key] = int(val)
+    for key in params:
+        if key not in args:
+            raise ValueError(f"code {name!r} is missing argument {key!r}")
+    return build(*(args[key] for key in params))
+
+
+_CODES = {
+    "identity": (identity_code, ("k",)),
+    "repetition": (repetition_code, ("k", "r")),
+    "hadamard": (hadamard_code, ("m",)),
+    "shared-pivot": (shared_pivot_code, ("kappa", "r", "k")),
+}
 
 
 def corrupt(word: Sequence[int], coords: Iterable[int]) -> tuple[int, ...]:

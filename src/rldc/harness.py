@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .daisy import (
     DaisyLevel,
@@ -28,6 +28,7 @@ from .exact import PowerBound, floor_power_bound
 from .global_decoder import (
     DECODED,
     IndexDecodePackage,
+    SampleBytes,
     build_decode_packages,
     complete_views,
     kernel_assignment,
@@ -117,7 +118,7 @@ class ClaimReport:
 
 def random_set_system(n: int, set_count: int, set_size: int, rng: Random) -> SetSystem:
     """set_count uniformly random distinct-element sets of exactly set_size."""
-    universe = range(n)
+    universe = list(range(n))  # rng.sample draws the same sets, faster than from a range
     return SetSystem(
         n, tuple(tuple(sorted(rng.sample(universe, set_size))) for _ in range(set_count))
     )
@@ -340,17 +341,18 @@ class GlobalTrialStats:
 
 def _audit_index(
     pkg: IndexDecodePackage,
-    sampled_values: Mapping[int, int],
+    sample: SampleBytes,
     word: Sequence[int],
     true_bit: int,
     kernel_cap: int,
 ) -> tuple[bool, int]:
     """(correct-assignment completeness holds, count of unanimous-wrong
-    assignments) for one index and sample."""
+    assignments) for one index and sample; the completion is the one the
+    decoder built for them."""
     kernel = pkg.kernel_order
     if len(kernel) > kernel_cap:
         return True, 0
-    completion = complete_views(pkg, sampled_values)
+    completion = complete_views(pkg, sample)
     if not completion:
         return True, 0
 
@@ -400,7 +402,7 @@ def run_global_trials(
                 stats.label(t, "wrong-bit", pkg.index)
             if audit:
                 complete, wrong_events = _audit_index(
-                    pkg, run.reads, word, x[pkg.index], kernel_cap
+                    pkg, run.sample, word, x[pkg.index], kernel_cap
                 )
                 if not complete:
                     stats.completeness_violations += 1

@@ -153,6 +153,27 @@ def test_oversized_tables_are_usage_errors(argv, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("hadamard:m=3,x=1", "takes no argument 'x'"),
+        ("hadamard:m=3,m=4", "got argument 'm' twice"),
+        ("identity:k=100000000", "exceed the budget"),
+        ("repetition:k=100000,r=100000", "exceed the budget"),
+        ("hadamard:m=17", "exceed the budget"),
+    ],
+)
+def test_bad_code_specs_are_usage_errors(spec, message, capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--code", spec, "--trials", "1"])
+    assert time.perf_counter() - start < 10
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("rldc: error:") and message in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("claims", [["nope"], ["wrapup", "nope"]])
 def test_verify_unknown_claim_is_usage_error(claims, capsys):
     with pytest.raises(SystemExit) as exc:

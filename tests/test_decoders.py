@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rldc.decoders import (
+    MAX_VIEWS,
     REJECT,
     AdaptiveDecoder,
     ExplicitViews,
@@ -118,9 +119,44 @@ def test_hadamard_views_are_unordered_pairs():
         assert union == set(range(8))
 
 
+def _inner_product_word(m, x):
+    """Position a holds <a, x> mod 2, bit j of a being a_j."""
+    return tuple(sum(x[j] & (a >> j) for j in range(m)) & 1 for a in range(1 << m))
+
+
+def test_hadamard_encode_matches_inner_products():
+    for m in range(1, 7):
+        code, _ = hadamard_code(m)
+        for x in all_messages(m):
+            assert code.encode(x) == _inner_product_word(m, x)
+    code, _ = hadamard_code(14)
+    rng = random.Random(14)
+    for _ in range(5):
+        x = tuple(rng.randrange(2) for _ in range(14))
+        assert code.encode(x) == _inner_product_word(14, x)
+
+
 def test_hadamard_guard():
     with pytest.raises(ValueError):
         hadamard_code(21)
+    with pytest.raises(ValueError, match="exceed the budget"):
+        hadamard_code(17)  # 17 * 2^16 views
+    with pytest.raises(ValueError, match="exceed the budget"):
+        hadamard_code(10**12)  # refused without computing 2^(m-1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: identity_code(MAX_VIEWS // 5 + 1),
+        lambda: repetition_code(1, MAX_VIEWS - 3),
+        lambda: repetition_code(100_000, 100_000),
+        lambda: shared_pivot_code(1, MAX_VIEWS // 4, 4),
+    ],
+)
+def test_view_budget(build):
+    with pytest.raises(ValueError, match="exceed the budget"):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +339,12 @@ def test_parse_code_spec_errors():
         parse_code_spec("hadamard")
     with pytest.raises(ValueError):
         parse_code_spec("hadamard:m")
+    with pytest.raises(ValueError, match="takes no argument 'x'"):
+        parse_code_spec("hadamard:m=3,x=1")
+    with pytest.raises(ValueError, match="'m' twice"):
+        parse_code_spec("hadamard:m=3,m=4")
+    with pytest.raises(ValueError, match="missing argument 'r'"):
+        parse_code_spec("repetition:k=3")
 
 
 def test_view_table_validation():

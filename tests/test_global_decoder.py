@@ -2,7 +2,9 @@ import functools
 import math
 import random
 import statistics
+from collections import Counter
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,10 @@ from rldc.global_decoder import (
     NO_CONSENSUS,
     IndexDecodePackage,
     IndexOutcome,
+    SampleBytes,
     build_decode_packages,
     build_index_package,
+    complete_views,
     decode_index,
     default_extraction_scale,
     default_sampling_probability,
@@ -35,6 +39,26 @@ from rldc.global_decoder import (
     sample_coordinates,
 )
 from rldc.harness import _audit_index, run_global_trials
+
+
+def petals(pkg):
+    """Each member's petal: its view's coordinates outside the kernel."""
+    return {m: frozenset(pkg.views[m].coords) - pkg.daisy.kernel for m in pkg.daisy.members}
+
+
+def sample_of(coords):
+    """SampleBytes for a sample whose every read bit is 0."""
+    return SampleBytes.of(dict.fromkeys(coords, 0))
+
+
+def queried_members(pkg, sample):
+    """The members of the lanes the compiled filter keeps, group by group."""
+    members = []
+    for group, full in zip(pkg.groups, fully_queried_petals(pkg, sample)):
+        size = group.hi - group.lo
+        occupied = group.lanes.to_bytes(size, "little")
+        members += compress(group.members, compress(full.to_bytes(size, "little"), occupied))
+    return tuple(members)
 
 
 def test_sample_extremes():
@@ -71,12 +95,12 @@ def test_fully_queried_petals_star():
     _, dec = shared_pivot_code(1, 7, 1)
     pkg = build_index_package(dec, 0)
     assert pkg.kernel_order == (0,)
-    everything = frozenset(range(8))
-    assert fully_queried_petals(pkg, everything) == pkg.daisy.members
-    assert fully_queried_petals(pkg, frozenset()) == ()
+    everything = sample_of(range(8))
+    assert queried_members(pkg, everything) == pkg.daisy.members
+    assert queried_members(pkg, sample_of(())) == ()
     # copies live at coords 1..7; sampling {1, 3} captures exactly two petals
-    got = fully_queried_petals(pkg, frozenset({1, 3}))
-    assert tuple(sorted(next(iter(pkg.petals[m])) for m in got)) == (1, 3)
+    got = queried_members(pkg, sample_of({1, 3}))
+    assert tuple(sorted(next(iter(petals(pkg)[m])) for m in got)) == (1, 3)
 
 
 def test_empty_petals_never_queried():
@@ -91,8 +115,8 @@ def test_empty_petals_never_queried():
     # threshold sqrt(2): only the degree-2 element 0 enters the kernel
     pkg = build_index_package(dec, 0, scale=Fraction(1))
     assert pkg.kernel_order == (0,)
-    assert pkg.petals[0] == frozenset()
-    assert 0 not in fully_queried_petals(pkg, frozenset({0, 1}))
+    assert petals(pkg)[0] == frozenset()
+    assert 0 not in queried_members(pkg, sample_of({0, 1}))
 
 
 def test_decode_index_hadamard_empty_kernel():
@@ -100,7 +124,7 @@ def test_decode_index_hadamard_empty_kernel():
     x = (1, 0, 1, 1, 0)
     w = code.encode(x)
     pkgs = build_decode_packages(dec)
-    sampled = {j: w[j] for j in range(code.n)}  # everything sampled
+    sampled = SampleBytes.of({j: w[j] for j in range(code.n)})  # everything sampled
     for pkg in pkgs:
         assert pkg.kernel_order == ()
         out = decode_index(pkg, sampled, kernel_cap=20)
@@ -111,7 +135,7 @@ def test_decode_index_hadamard_empty_kernel():
 def test_decode_index_no_petal_returns_no_consensus():
     _, dec = hadamard_code(3)
     pkg = build_index_package(dec, 0)
-    out = decode_index(pkg, {}, kernel_cap=20)
+    out = decode_index(pkg, SampleBytes.of({}), kernel_cap=20)
     assert out.status == NO_CONSENSUS and out.fully_queried == 0
 
 
@@ -119,7 +143,7 @@ def test_decode_index_kernel_cap():
     _, dec = shared_pivot_code(3, 4, 2)
     pkg = build_index_package(dec, 0)
     assert len(pkg.kernel_order) == 3
-    out = decode_index(pkg, {}, kernel_cap=2)
+    out = decode_index(pkg, SampleBytes.of({}), kernel_cap=2)
     assert out.status == KERNEL_TOO_LARGE
 
 
@@ -131,8 +155,8 @@ def test_decode_index_shared_pivot_assignments():
     sampled = {j: w[j] for j in range(code.n)}
     for pkg in pkgs:
         assert pkg.kernel_order == (0, 1)  # the pivot block
-        assert all(len(p) == 1 for p in pkg.petals.values())
-        out = decode_index(pkg, sampled, kernel_cap=20)
+        assert all(len(p) == 1 for p in petals(pkg).values())
+        out = decode_index(pkg, SampleBytes.of(sampled), kernel_cap=20)
         # kappa = 00 comes first lexicographically and matches the codeword
         assert out.status == DECODED and out.bit == x[pkg.index]
         assert out.assignments_tried == 1
@@ -142,11 +166,11 @@ def test_decode_index_shared_pivot_assignments():
             outs = [
                 pkg.views[m].read_and_evaluate(
                     {
-                        c: sampled[c] if c in pkg.petals[m] else kappa[c]
+                        c: sampled[c] if c in petals(pkg)[m] else kappa[c]
                         for c in pkg.views[m].coords
                     }
                 )
-                for m in fully_queried_petals(pkg, frozenset(sampled))
+                for m in queried_members(pkg, SampleBytes.of(sampled))
             ]
             assert all(o is REJECT for o in outs)
 
@@ -154,16 +178,9 @@ def test_decode_index_shared_pivot_assignments():
 def test_strict_mode_two_sided():
     # One member, petal {1}, kernel {0}; predicate = XOR of the two reads.
     # kappa=0 gives unanimity on 1, kappa=1 unanimity on 0: strict refuses.
-    views = ExplicitViews([(Fraction(1), LocalView((0, 1), (0, 1, 1, 0)))])
-    dec = NonAdaptiveDecoder(k=1, n=2, locality=2, views=(views,))
-    pkg = IndexDecodePackage(
-        index=0,
-        daisy=build_index_package(dec, 0, scale=Fraction(1, 4)).daisy,
-        petals={0: frozenset({1})},
-        kernel_order=(0,),
-        views=tuple(v for _, v in views),
-    )
-    sampled = {1: 1}
+    pkg = _package((LocalView((0, 1), (0, 1, 1, 0)),), frozenset({0}), 2)
+    assert petals(pkg) == {0: frozenset({1})} and pkg.kernel_order == (0,)
+    sampled = SampleBytes.of({1: 1})
     default = decode_index(pkg, sampled, kernel_cap=5, strict=False)
     assert default.status == DECODED and default.bit == 1 and default.assignments_tried == 1
     strict = decode_index(pkg, sampled, kernel_cap=5, strict=True)
@@ -227,13 +244,44 @@ def test_trials_deterministic():
 # the completion core against the brute-force enumerator it replaced
 
 
+def reference_filter(pkg, sampled):
+    """The per-member filter the compiled groups replaced: members whose
+    petal is nonempty and inside the sampled set, in daisy order."""
+    petal = petals(pkg)
+    return tuple(m for m in pkg.daisy.members if petal[m] and petal[m] <= sampled)
+
+
+def reference_completion(pkg, sampled_values):
+    """The per-member completion the compiled groups replaced."""
+    width = len(pkg.kernel_order)
+    slot = {e: 1 << (width - 1 - j) for j, e in enumerate(pkg.kernel_order)}
+    petal = petals(pkg)
+    completion = []
+    for m in reference_filter(pkg, frozenset(sampled_values)):
+        view = pkg.views[m]
+        base, pairs = 0, []
+        for j, c in enumerate(view.coords):
+            if c not in petal[m]:
+                pairs.append((1 << j, slot[c]))
+            elif sampled_values[c]:
+                base |= 1 << j
+        completion.append((view.table, base, tuple(pairs)))
+    return completion
+
+
+def comparable(completion):
+    """Completion triples with the table compared by object."""
+    return [(id(table), base, tuple(pairs)) for table, base, pairs in completion]
+
+
 def _reference_outputs(pkg, queried, sampled_values, a):
     """Completed outputs under assignment a, built value by value."""
     width = len(pkg.kernel_order)
     kappa = {e: (a >> (width - 1 - j)) & 1 for j, e in enumerate(pkg.kernel_order)}
+    petal = petals(pkg)
     return [
         pkg.views[m].read_and_evaluate(
-            {c: sampled_values[c] if c in pkg.petals[m] else kappa[c] for c in pkg.views[m].coords}
+            {c: sampled_values[c] if c in petal[m] else kappa[c] for c in pkg.views[m].coords}
         )
         for m in queried
     ]
@@ -243,7 +291,7 @@ def reference_decode(pkg, sampled_values, kernel_cap, strict):
     kernel = pkg.kernel_order
     if len(kernel) > kernel_cap:
         return IndexOutcome(KERNEL_TOO_LARGE, None, 0, 0)
-    queried = fully_queried_petals(pkg, frozenset(sampled_values))
+    queried = reference_filter(pkg, frozenset(sampled_values))
     if not queried:
         return IndexOutcome(NO_CONSENSUS, None, 0, 0)
     unanimous = set()
@@ -264,13 +312,14 @@ def reference_audit(pkg, sampled_values, word, true_bit, kernel_cap):
     kernel = pkg.kernel_order
     if len(kernel) > kernel_cap:
         return True, 0
-    queried = fully_queried_petals(pkg, frozenset(sampled_values))
+    queried = reference_filter(pkg, frozenset(sampled_values))
     if not queried:
         return True, 0
     true_kappa = {e: word[e] for e in kernel}
+    petal = petals(pkg)
     complete = all(
         pkg.views[m].read_and_evaluate(
-            {c: sampled_values[c] if c in pkg.petals[m] else true_kappa[c] for c in pkg.views[m].coords}
+            {c: sampled_values[c] if c in petal[m] else true_kappa[c] for c in pkg.views[m].coords}
         )
         == true_bit
         for m in queried
@@ -300,6 +349,12 @@ def pivot_cases(draw):
     return pkg, word, x[pkg.index], draw(st.sets(st.integers(0, code.n - 1)))
 
 
+def _package(views, kernel, n):
+    members = tuple(range(len(views)))
+    daisy = HeavyDaisy(1, members, kernel, 3, PowerBound(Fraction(1), n, Fraction(0)), Fraction(1))
+    return IndexDecodePackage.of(0, daisy, views)
+
+
 @st.composite
 def explicit_cases(draw):
     """Random views with REJECT in their tables and an arbitrary kernel; a
@@ -317,16 +372,40 @@ def explicit_cases(draw):
         for coords in coord_sets
     )
     kernel = frozenset(draw(st.sets(st.integers(0, n - 1), max_size=4)))
-    members = tuple(range(len(views)))
-    pkg = IndexDecodePackage(
-        index=0,
-        daisy=HeavyDaisy(1, members, kernel, 3, PowerBound(Fraction(1), n, Fraction(0)), Fraction(1)),
-        petals={m: frozenset(views[m].coords) - kernel for m in members},
-        kernel_order=tuple(sorted(kernel)),
-        views=views,
-    )
     word = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    return pkg, word, draw(st.integers(0, 1)), draw(st.sets(st.integers(0, n - 1)))
+    return _package(views, kernel, n), word, draw(st.integers(0, 1)), draw(st.sets(st.integers(0, n - 1)))
+
+
+@st.composite
+def grouped_cases(draw):
+    """Views made by shifting a few shapes (up to 10 coordinates, so petals
+    of 9 and more), with tables shared by object or drawn afresh, repeated
+    views, and a kernel that views meet at different positions or contain
+    whole (empty petals).  The sample misses only a few coordinates, so
+    large petals are fully queried too."""
+    n = draw(st.integers(2, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shared = {}
+    views = []
+    for _ in range(draw(st.integers(1, 5))):
+        shape = sorted(draw(st.sets(st.integers(0, min(n, 12) - 1), min_size=1, max_size=10)))
+        fresh = draw(st.booleans())
+        for _ in range(draw(st.integers(1, 8))):
+            shift = draw(st.integers(0, n - 1 - shape[-1]))
+            coords = tuple(c + shift for c in shape)
+            table = shared.get(len(coords))
+            if table is None or fresh:
+                table = tuple(rng.choice((0, 1, REJECT)) for _ in range(1 << len(coords)))
+                shared.setdefault(len(coords), table)
+            views.append(LocalView(coords, table))
+            if draw(st.integers(0, 3)) == 0:
+                views.append(draw(st.sampled_from((views[-1], LocalView(coords, table)))))
+    kernel = frozenset(draw(st.sets(st.integers(0, n - 1), max_size=4)))
+    if draw(st.booleans()):
+        kernel |= frozenset(draw(st.sampled_from(views)).coords)
+    missing = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    word = [rng.randrange(2) for _ in range(n)]
+    return _package(tuple(views), kernel, n), word, rng.randrange(2), set(range(n)) - missing
 
 
 # mostly the default cap, sometimes one that cuts the kernel off
@@ -338,12 +417,12 @@ def _check_against_reference(case, kernel_cap):
     pkg, word, true_bit, sample = case
     sampled_values = {j: word[j] for j in sample}
     for strict in (False, True):
-        assert decode_index(pkg, sampled_values, kernel_cap, strict) == reference_decode(
-            pkg, sampled_values, kernel_cap, strict
+        assert decode_index(pkg, SampleBytes.of(sampled_values), kernel_cap, strict) == (
+            reference_decode(pkg, sampled_values, kernel_cap, strict)
         )
-    assert _audit_index(pkg, sampled_values, word, true_bit, kernel_cap) == reference_audit(
-        pkg, sampled_values, word, true_bit, kernel_cap
-    )
+    assert _audit_index(
+        pkg, SampleBytes.of(sampled_values), word, true_bit, kernel_cap
+    ) == reference_audit(pkg, sampled_values, word, true_bit, kernel_cap)
 
 
 @settings(max_examples=300, deadline=None)
@@ -356,3 +435,65 @@ def test_completion_core_matches_reference_shared_pivot(case, kernel_cap):
 @given(explicit_cases(), kernel_caps)
 def test_completion_core_matches_reference_explicit_views(case, kernel_cap):
     _check_against_reference(case, kernel_cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_cases(), kernel_caps)
+def test_completion_core_matches_reference_grouped_views(case, kernel_cap):
+    _check_against_reference(case, kernel_cap)
+
+
+def _check_compiled_filter(pkg, sampled_values, ordered):
+    """Compiled filter members and completion triples against the per-member
+    reference: equal as multisets, and in the same order when `ordered`."""
+    sample = SampleBytes.of(sampled_values)
+    got, want = queried_members(pkg, sample), reference_filter(pkg, frozenset(sampled_values))
+    got_triples = comparable(complete_views(pkg, sample))
+    want_triples = comparable(reference_completion(pkg, sampled_values))
+    if ordered:
+        assert got == want and got_triples == want_triples
+    else:
+        assert Counter(got) == Counter(want)
+        assert Counter(got_triples) == Counter(want_triples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(explicit_cases(), grouped_cases()))
+def test_compiled_filter_matches_per_member_reference(case):
+    pkg, word, _, sample = case
+    _check_compiled_filter(pkg, {j: word[j] for j in sample}, ordered=False)
+
+
+def test_compiled_filter_keeps_repeated_views():
+    # (0,1) twice, (2,3) and (1,2) share one table: all four fully queried
+    table = (0, 1, 1, 0)
+    views = tuple(LocalView(coords, table) for coords in ((0, 1), (0, 1), (2, 3), (1, 2)))
+    pkg = _package(views, frozenset(), 4)
+    assert len(pkg.groups) == 2  # the repeat of (0,1) needs a second layer of lanes
+    sampled = {0: 1, 1: 0, 2: 1, 3: 1}
+    assert decode_index(pkg, SampleBytes.of(sampled), 20).fully_queried == 4
+    _check_compiled_filter(pkg, sampled, ordered=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _builtin_packages(spec):
+    from rldc.decoders import parse_code_spec
+
+    code, dec = parse_code_spec(spec)
+    return code, build_decode_packages(dec)
+
+
+BUILTIN_SPECS = (
+    "identity:k=5", "repetition:k=3,r=5", "hadamard:m=5", "shared-pivot:kappa=3,r=6,k=3",
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(BUILTIN_SPECS), st.data())
+def test_compiled_filter_matches_reference_in_order_on_builtin_codes(spec, data):
+    code, pkgs = _builtin_packages(spec)
+    assert all(len(pkg.groups) == 1 for pkg in pkgs)
+    word = data.draw(st.lists(st.integers(0, 1), min_size=code.n, max_size=code.n))
+    sample = data.draw(st.sets(st.integers(0, code.n - 1)))
+    for pkg in pkgs:
+        _check_compiled_filter(pkg, {j: word[j] for j in sample}, ordered=True)
