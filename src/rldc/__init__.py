@@ -23,11 +23,9 @@ from .decoders import (
     ExplicitViews,
     LocalView,
     NonAdaptiveDecoder,
-    TrackingOracle,
     TreeNode,
     hadamard_code,
     identity_code,
-    output_distribution,
     parse_code_spec,
     repetition_code,
     shared_pivot_code,
@@ -66,11 +64,9 @@ from .set_system import (
     SetSystem,
     WeightedSetSystem,
     covered_elements,
-    degree,
     system_from_json,
     system_to_json,
     verify_daisy,
-    weight_of,
 )
 
 __all__ = [n for n in dir() if not (n.startswith("_") or isinstance(globals()[n], _ModuleType))]

@@ -17,7 +17,7 @@ import sys
 from .daisy import build_daisy_sequence, extraction_report, pick_heavy_level
 from .decoders import decoder_to_json, parse_code_spec
 from .exact import parse_fraction
-from .global_decoder import default_extraction_scale
+from .global_decoder import KERNEL_CAP, default_extraction_scale
 from .harness import (
     CLAIM_IDS,
     ExperimentConfig,
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run seeded global-decoder trials")
     p.add_argument("--code", required=True)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--kmax", type=int, default=20, help="kernel enumeration cap (2^kmax assignments)")
+    p.add_argument("--kmax", type=int, default=KERNEL_CAP, help="kernel enumeration cap (2^kmax assignments)")
     p.add_argument("--p", type=float, default=None, help="override the sampling probability")
     p.add_argument("--budget", type=int, default=None, help="abort runs that sample more coordinates")
     p.add_argument("--strict", action="store_true", help="two-sided consensus rule")
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated blocklengths")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--kmax", type=int, default=20)
+    p.add_argument("--kmax", type=int, default=KERNEL_CAP)
     _add_common(p)
     p.set_defaults(func=_cmd_scaling)
 
@@ -312,16 +312,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Lower bounds of the numeric flags, by argparse dest.
+BOUNDS = (
+    ("trials", 1), ("ell", 1), ("kmax", 0), ("budget", 0), ("instances", 0), ("daisies", 0),
+    ("corpus_size", 0), ("wrapup_max", 0), ("k", 0), ("multiset_factor", 1),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if not 0 <= args.seed < 1 << 64:
             raise ValueError(f"--seed must lie in [0, 2^64), got {args.seed}")
-        for name, low in (("trials", 1), ("ell", 1), ("kmax", 0), ("budget", 0)):
+        for name, low in BOUNDS:
             value = getattr(args, name, None)
             if value is not None and value < low:
-                raise ValueError(f"--{name} must be >= {low}, got {value}")
+                raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
         return args.func(args)
     except (ValueError, OSError) as err:
         parser.exit(2, f"rldc: error: {err}\n")

@@ -1,4 +1,4 @@
-"""Local decoders (adaptive and non-adaptive), oracles, and concrete codes.
+"""Local decoders (adaptive and non-adaptive) and concrete codes.
 
 A decoder output is 0, 1, or REJECT (None): decoders may refuse to decode a
 corrupted word but must never be wrong too often inside the decoding radius,
@@ -13,6 +13,9 @@ reproducible and matches the exact distribution.
 
 An amplified coin outcome (UnanimityView) becomes one table by building a
 whole column per part and folding the columns, not one entry at a time.
+
+decoder_to_json writes the JSON that `rldc preprocess` prints; nothing reads
+it back.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .exact import format_fraction, integer_masses, parse_fraction
+from .exact import format_fraction, integer_masses
 from .set_system import SetSystem, WeightedSetSystem
 
 Symbol = int | None  # 0, 1, or REJECT
@@ -320,21 +323,6 @@ class NonAdaptiveDecoder:
         return view.read_and_evaluate(w), frozenset(view.coords)
 
 
-def output_distribution(decoder: NonAdaptiveDecoder, w, i: int) -> "dict[int | None, Fraction]":
-    """Exact output distribution of decoder(i) on oracle w over its coin space."""
-    dist: dict = {}
-    for weight, view in decoder.views[i]:
-        out = view.read_and_evaluate(w)
-        dist[out] = dist.get(out, Fraction(0)) + weight
-    return dist
-
-
-def wrong_rate(decoder: NonAdaptiveDecoder, w, i: int, true_bit: int) -> Fraction:
-    """Exact probability that decoder(i) on w outputs the wrong bit (not REJECT)."""
-    dist = output_distribution(decoder, w, i)
-    return dist.get(1 - true_bit, Fraction(0))
-
-
 def local_view_system(decoder: NonAdaptiveDecoder, i: int) -> WeightedSetSystem:
     """The index-i query distribution as a weighted set system (multiset order
     preserved, so view j of the decoder is set j of the system)."""
@@ -345,25 +333,6 @@ def local_view_system(decoder: NonAdaptiveDecoder, i: int) -> WeightedSetSystem:
     system = SetSystem(decoder.n, sets)
     masses, common = integer_masses([wt for wt, _ in view_set])
     return WeightedSetSystem(system, tuple(masses), common)
-
-
-class TrackingOracle:
-    """Read-by-index access to a word, recording every queried coordinate."""
-
-    __slots__ = ("_word", "reads")
-
-    def __init__(self, word: Sequence[int]):
-        self._word = tuple(word)
-        self.reads: set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self._word)
-
-    def __getitem__(self, j: int) -> int:
-        if j < 0 or j >= len(self._word):
-            raise IndexError(f"oracle read at {j} outside [0, {len(self._word)})")
-        self.reads.add(j)
-        return self._word[j]
 
 
 # ---------------------------------------------------------------------------
@@ -619,19 +588,3 @@ def decoder_to_json(decoder: NonAdaptiveDecoder) -> dict:
         }
         indices.append(doc)
     return {"k": decoder.k, "n": decoder.n, "locality": decoder.locality, "indices": indices}
-
-
-def decoder_from_json(doc: dict) -> NonAdaptiveDecoder:
-    views = []
-    for entry in doc["indices"]:
-        entries = []
-        for coords, weight, table in zip(entry["sets"], entry["weights"], entry["tables"]):
-            for value in table:
-                _check_symbol(value)
-            entries.append(
-                (parse_fraction(weight), LocalView(tuple(coords), tuple(table)))
-            )
-        views.append(ExplicitViews(entries))
-    return NonAdaptiveDecoder(
-        k=int(doc["k"]), n=int(doc["n"]), locality=int(doc["locality"]), views=tuple(views)
-    )

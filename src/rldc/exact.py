@@ -52,7 +52,7 @@ def integer_masses(weights: Sequence[int | Fraction]) -> tuple[list[int], int]:
 class PowerBound:
     """The exact positive value ``coeff * base ** exponent``.
 
-    Supports exact order comparisons against ints, Fractions, and other
+    `cmp` compares it exactly against ints, Fractions, and other
     PowerBounds over the same base.  Used for daisy degree thresholds
     (c * n**(i/l)) and kernel-size bounds (l * n**(1 - i/l)).
     """
@@ -89,25 +89,9 @@ class PowerBound:
             return 1  # the bound is strictly positive
         return _cmp_power_vs_fraction(self.base, self.exponent, value / self.coeff)
 
-    def __lt__(self, other) -> bool:
-        return self.cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self.cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self.cmp(other) >= 0
-
     def exceeded_by(self, value: int | Fraction) -> bool:
         """True iff value > self (the strict ">" used for kernel membership)."""
         return self.cmp(value) < 0
-
-    def at_least(self, value: int | Fraction) -> bool:
-        """True iff value <= self (the "at most t" of daisy degree checks)."""
-        return self.cmp(value) >= 0
 
     def __float__(self) -> float:
         return float(self.coeff) * self.base ** float(self.exponent)
@@ -119,10 +103,6 @@ class PowerBound:
             "exponent": format_fraction(self.exponent),
             "approx": float(self),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PowerBound":
-        return cls(parse_fraction(obj["coeff"]), int(obj["base"]), parse_fraction(obj["exponent"]))
 
 
 def _cmp_power_vs_fraction(base: int, exponent: Fraction, value: Fraction) -> int:

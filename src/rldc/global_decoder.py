@@ -10,20 +10,21 @@ local views, and outputs a bit as soon as some assignment makes all completed
 views agree on it.
 
 run_global_decoder is the one trial path: it samples, applies the query
-budget and decodes every index; its outcome carries the reads (each sampled
+budget and decodes every index; its outcome carries the sample (each sampled
 coordinate with its bit) that the audit in harness.py works from.
 
 Packages are compiled once into groups (PetalGroup): the members that share
 a table object, the offsets of their petal coordinates from the first petal
 coordinate c0, the table bits of those coordinates and the kernel pairs.  A
-group gives each c0 in [lo, hi) a one-byte lane.  A run's reads become two
+group gives each c0 in [lo, hi) a one-byte lane.  A run's sample becomes two
 byte strings (SampleBytes): flags marks the sampled coordinates, bits holds
 the bit read at each.  Per group the filter ANDs the lane mask with one flags
 slice per petal offset, and the completion ORs the matching bits slices
 together, keeps the full lanes with bytes.translate and maps each through the
 group's table of petal bits to table index: a few whole-slice integer
 operations per group, none per member.  Every built-in code has one group per
-index.  Only sampled bits are ever read: the bytes are built from the reads.
+index.  Only sampled bits are ever read: the bytes are built from the
+sampled coordinates alone.
 
 One completion core serves the decoder and the audit in harness.py:
 complete_views turns each fully queried view into its table, the table index
@@ -47,7 +48,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import sub
 from random import Random
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .daisy import HeavyDaisy, build_daisy_sequence, pick_heavy_level
 from .decoders import REJECT, Code, ExplicitViews, LocalView, NonAdaptiveDecoder, local_view_system
@@ -56,6 +57,8 @@ from .exact import PowerBound
 DECODED = "decoded"
 NO_CONSENSUS = "no_consensus"
 KERNEL_TOO_LARGE = "kernel_too_large"
+
+KERNEL_CAP = 20  # default largest kernel enumerated (2^20 assignments)
 
 
 def sample_coordinates(n: int, p: float, rng: Random) -> frozenset[int]:
@@ -131,8 +134,8 @@ class IndexDecodePackage:
 
 @dataclass(frozen=True)
 class SampleBytes:
-    """A run's reads as two byte strings indexed by coordinate: flags[j] is 1
-    where j was sampled and bits[j] is the bit read there, 0 elsewhere.
+    """A run's sample as two byte strings indexed by coordinate: flags[j] is
+    1 where j was sampled and bits[j] is the bit read there, 0 elsewhere.
     Every index and the audit share them, and `completions` keeps each
     package's completion against them."""
 
@@ -141,12 +144,13 @@ class SampleBytes:
     completions: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
-    def of(cls, reads: Mapping[int, int]) -> "SampleBytes":
-        size = max(reads, default=-1) + 1
+    def of(cls, word: Sequence[int], coords: Collection[int]) -> "SampleBytes":
+        """Read word at each sampled coordinate; nothing else of it is read."""
+        size = max(coords, default=-1) + 1
         flags, bits = bytearray(size), bytearray(size)
-        for j, b in reads.items():
+        for j in coords:
             flags[j] = 1
-            bits[j] = b
+            bits[j] = word[j]
         return cls(bytes(flags), bytes(bits))
 
 
@@ -163,18 +167,16 @@ class IndexOutcome:
 
 @dataclass(frozen=True)
 class GlobalDecodeOutcome:
-    """Per-index results plus the reads of one run: every sampled coordinate
-    with the bit read there, also when the run aborted, and the same reads
-    as SampleBytes."""
+    """Per-index results plus the sample of one run: every sampled coordinate
+    with the bit read there, also when the run aborted."""
 
     results: tuple[IndexOutcome, ...]
-    reads: Mapping[int, int]
     sample: SampleBytes
     aborted: bool
 
     @property
     def total_queries(self) -> int:
-        return len(self.reads)
+        return self.sample.flags.count(1)
 
     @property
     def message(self) -> tuple[int, ...] | None:
@@ -183,16 +185,12 @@ class GlobalDecodeOutcome:
         return tuple(r.bit for r in self.results)
 
 
-def build_index_package(
-    decoder: NonAdaptiveDecoder,
-    i: int,
-    scale: Fraction | PowerBound | None = None,
-) -> IndexDecodePackage:
-    """Extract the heavy daisy for index i and compile its petal groups."""
+def build_index_package(decoder: NonAdaptiveDecoder, i: int) -> IndexDecodePackage:
+    """Extract the heavy daisy for index i at the default extraction scale
+    and compile its petal groups."""
     weighted = local_view_system(decoder, i)
     system = weighted.system
-    if scale is None:
-        scale = default_extraction_scale(len(system.sets), system.universe_size, decoder.locality)
+    scale = default_extraction_scale(len(system.sets), system.universe_size, decoder.locality)
     levels = build_daisy_sequence(system, decoder.locality, scale)
     heavy = pick_heavy_level(levels, weighted)
     view_set = decoder.views[i]
@@ -200,10 +198,8 @@ def build_index_package(
     return IndexDecodePackage.of(i, heavy, tuple(view for _, view in view_set))
 
 
-def build_decode_packages(
-    decoder: NonAdaptiveDecoder, scale: Fraction | PowerBound | None = None
-) -> tuple[IndexDecodePackage, ...]:
-    return tuple(build_index_package(decoder, i, scale) for i in range(decoder.k))
+def build_decode_packages(decoder: NonAdaptiveDecoder) -> tuple[IndexDecodePackage, ...]:
+    return tuple(build_index_package(decoder, i) for i in range(decoder.k))
 
 
 def _petal_groups(
@@ -407,7 +403,7 @@ def run_global_decoder(
     code: Code,
     w: Sequence[int],
     rng: Random,
-    kernel_cap: int = 20,
+    kernel_cap: int = KERNEL_CAP,
     query_budget: int | None = None,
     p: float | None = None,
     strict: bool = False,
@@ -416,22 +412,21 @@ def run_global_decoder(
     """One full run: sample once, decode every index from the shared sample.
 
     This is the one trial path (harness.run_global_trials calls it per
-    trial), and its outcome carries the reads the harness audits, also as
-    the SampleBytes every index was decoded from.  A sample
-    larger than query_budget aborts the run before decoding.  The caller
-    promises w = C(x); corrupted inputs still run but only for diagnostics.
-    Pass precomputed `packages`, such as build_decode_packages(decoder,
-    scale), to reuse the deterministic daisy extraction across trials or to
-    extract at another scale.
+    trial), and its outcome carries the SampleBytes every index was decoded
+    from, which the harness audits.  A sample larger than query_budget
+    aborts the run before decoding.  The caller promises w = C(x); corrupted
+    inputs still run but only for diagnostics.  Pass precomputed `packages`
+    (build_decode_packages(decoder)) to reuse the deterministic daisy
+    extraction across trials.
     """
     if p is None:
         p = default_sampling_probability(code.n, decoder.locality)
-    reads = {j: w[j] for j in sample_coordinates(code.n, p, rng)}
-    sample = SampleBytes.of(reads)
-    if query_budget is not None and len(reads) > query_budget:
-        return GlobalDecodeOutcome((), reads, sample, True)
+    coords = sample_coordinates(code.n, p, rng)
+    sample = SampleBytes.of(w, coords)
+    if query_budget is not None and len(coords) > query_budget:
+        return GlobalDecodeOutcome((), sample, True)
 
     if packages is None:
         packages = build_decode_packages(decoder)
     results = tuple(decode_index(pkg, sample, kernel_cap, strict) for pkg in packages)
-    return GlobalDecodeOutcome(results, reads, sample, False)
+    return GlobalDecodeOutcome(results, sample, False)

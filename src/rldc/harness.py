@@ -27,6 +27,7 @@ from .decoders import Code, NonAdaptiveDecoder, parse_code_spec, random_corrupti
 from .exact import PowerBound, floor_power_bound
 from .global_decoder import (
     DECODED,
+    KERNEL_CAP,
     IndexDecodePackage,
     SampleBytes,
     build_decode_packages,
@@ -65,8 +66,6 @@ class ExperimentConfig:
 
     trials: int = 200
     seed: int = 0
-    kernel_cap: int = 20
-    claim_points: tuple[tuple[int, int], ...] = DEFAULT_POINTS
     claim_instances: int = 1000
     daisy_samples: int = 200
     wrapup_max: int = 10
@@ -365,7 +364,7 @@ def run_global_trials(
     decoder: NonAdaptiveDecoder,
     trials: int,
     master_seed: int,
-    kernel_cap: int = 20,
+    kernel_cap: int = KERNEL_CAP,
     p: float | None = None,
     query_budget: int | None = None,
     strict: bool = False,
@@ -378,7 +377,7 @@ def run_global_trials(
     message from it and hands the same stream to run_global_decoder; daisy
     packages are extracted once and shared.  With audit on, every trial also
     checks correct-assignment completeness and counts unanimous-wrong kernel
-    assignments across the full enumeration, from the run's reads.
+    assignments across the full enumeration, from the run's sample.
     """
     packages = build_decode_packages(decoder)
     stats = GlobalTrialStats(code.name, trials, master_seed)
@@ -419,18 +418,14 @@ def run_global_trials(
     return stats
 
 
-def run_decoder_claim_suite(
-    trials: int, master_seed: int, kernel_cap: int = 20
-) -> dict[str, ClaimReport]:
+def run_decoder_claim_suite(trials: int, master_seed: int) -> dict[str, ClaimReport]:
     """Completeness / soundness audits over both global-decoder paths:
     empty kernel (hadamard) and pivot-block kernel (shared-pivot)."""
     completeness = ClaimReport("completeness")
     soundness = ClaimReport("soundness")
     for spec in ("hadamard:m=10", "shared-pivot:kappa=2,r=64,k=16"):
         code, decoder = parse_code_spec(spec)
-        stats = run_global_trials(
-            code, decoder, trials, master_seed, kernel_cap=kernel_cap, audit=True
-        )
+        stats = run_global_trials(code, decoder, trials, master_seed, audit=True)
         completeness.instances += trials * code.k
         soundness.instances += trials * code.k
         completeness.violations += stats.completeness_violations
@@ -497,13 +492,13 @@ class ScalingResult:
     family: str
     rows: tuple[ScalingRow, ...]
     exponent: float | None
-    intercept: float | None
     residuals: tuple[float, ...]
     skipped: tuple[tuple[int, str], ...] = ()
 
 
-def fit_log_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float, tuple[float, ...]]:
-    """Least squares on (ln x, ln y): slope, intercept, per-point residuals."""
+def fit_log_slope(points: Sequence[tuple[float, float]]) -> tuple[float, tuple[float, ...]]:
+    """Least squares on (ln x, ln y): slope and per-point residuals.  Needs
+    positive values and at least two distinct x."""
     xs = [math.log(x) for x, _ in points]
     ys = [math.log(y) for _, y in points]
     mx = sum(xs) / len(xs)
@@ -513,7 +508,7 @@ def fit_log_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float, 
     slope = sxy / sxx
     intercept = my - slope * mx
     residuals = tuple(y - (intercept + slope * x) for x, y in zip(xs, ys))
-    return slope, intercept, residuals
+    return slope, residuals
 
 
 SCALING_FAMILIES = ("hadamard", "identity")
@@ -534,16 +529,19 @@ def scaling_study(
     trials: int,
     master_seed: int,
     p: float | None = None,
-    kernel_cap: int = 20,
+    kernel_cap: int = KERNEL_CAP,
 ) -> ScalingResult:
     """Mean query counts per blocklength with a log-log slope fit.
 
     Infeasible sizes are skipped with a recorded reason; fewer than two
-    surviving points yields raw stats and no fit.
+    surviving points, or a point with no queries, yields raw stats and no
+    fit.  A repeated size is a ValueError.
     """
     family = family.lower().replace("_", "-")
     if family not in SCALING_FAMILIES:
         raise ValueError(f"unknown scaling family {family!r}")
+    if len(set(sizes)) != len(sizes):
+        raise ValueError(f"repeated size in {list(sizes)}")
     rows = []
     skipped = []
     for n in sizes:
@@ -564,35 +562,23 @@ def scaling_study(
         rows.append(
             ScalingRow(n, trials, stats.success_rate, stats.mean_queries, stats.max_queries)
         )
-    if len(rows) >= 2:
-        slope, intercept, residuals = fit_log_slope(
-            [(row.n, row.mean_queries) for row in rows]
-        )
+    if len(rows) >= 2 and all(row.mean_queries > 0 for row in rows):
+        slope, residuals = fit_log_slope([(row.n, row.mean_queries) for row in rows])
     else:
-        slope = intercept = None
-        residuals = ()
-    return ScalingResult(family, tuple(rows), slope, intercept, residuals, tuple(skipped))
+        slope, residuals = None, ()
+    return ScalingResult(family, tuple(rows), slope, residuals, tuple(skipped))
 
 
 # ---------------------------------------------------------------------------
 # top-level verification
 
 
-def verify_claims(
-    config: ExperimentConfig,
-    tamper: Callable | None = None,
-) -> list[ClaimReport]:
-    """Run every toggled claim suite at the configured scale.
-
-    `tamper` is a fault-injection hook for the daisy suite (tests use it to
-    prove the audits catch corrupted level sequences).
-    """
+def verify_claims(config: ExperimentConfig) -> list[ClaimReport]:
+    """Run every toggled claim suite at the configured scale."""
     reports: list[ClaimReport] = []
     daisy_wanted = [c for c in ("coresub", "partition", "external") if config.wants(c)]
     if daisy_wanted:
-        daisy = run_daisy_claim_suite(
-            config.claim_points, config.claim_instances, config.seed, tamper
-        )
+        daisy = run_daisy_claim_suite(DEFAULT_POINTS, config.claim_instances, config.seed)
         # The heavy-level pigeonhole is a corollary of the partition claim;
         # its violations surface under the fixed "partition" claim id.
         daisy["partition"].violations += daisy["pigeonhole"].violations
@@ -601,9 +587,7 @@ def verify_claims(
     if config.wants("simple-daisy-bound"):
         reports.append(run_pluck_suite(config.daisy_samples, config.seed))
     if config.wants("completeness") or config.wants("soundness"):
-        decoder_reports = run_decoder_claim_suite(
-            config.trials, config.seed, config.kernel_cap
-        )
+        decoder_reports = run_decoder_claim_suite(config.trials, config.seed)
         for claim in ("completeness", "soundness"):
             if config.wants(claim):
                 reports.append(decoder_reports[claim])

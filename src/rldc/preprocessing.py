@@ -35,6 +35,8 @@ from .decoders import (
     tree_coords,
 )
 
+RETRIES = 3  # resampling attempts after the first, before reduction fails
+
 
 def flatten_adaptive(decoder: AdaptiveDecoder) -> NonAdaptiveDecoder:
     """Make every decision tree non-adaptive by querying all its labels.
@@ -145,7 +147,6 @@ def reduce_randomness(
     corpus: Sequence[tuple[Sequence[int], Sequence[int]]],
     tolerance: Fraction,
     rng: Random,
-    retries: int = 3,
 ) -> tuple[NonAdaptiveDecoder, ReductionReport]:
     """Redraw each index's coins from a uniform multiset of fixed size.
 
@@ -155,7 +156,7 @@ def reduce_randomness(
     message) must be within the decoding radius of its codeword; the report
     gives the exact worst fraction of rows whose output is neither the
     reference bit nor REJECT.  If that exceeds `tolerance`, the multisets are
-    resampled, up to `retries` extra attempts, before failing with
+    resampled, up to RETRIES extra attempts, before failing with
     ReductionFailedError carrying the final report.  Rows that could hold
     over MAX_TABLE_ENTRIES table entries in all raise ValueError up front.
     """
@@ -166,7 +167,7 @@ def reduce_randomness(
         raise ValueError(f"reduction needs {entries} table entries, over {MAX_TABLE_ENTRIES}")
     uniform = Fraction(1, multiset_size)
     report = None
-    for attempt in range(1, retries + 2):
+    for attempt in range(1, RETRIES + 2):
         views = tuple(
             ExplicitViews(
                 [
@@ -239,11 +240,10 @@ def preprocess_pipeline(
     corpus: Sequence[tuple[Sequence[int], Sequence[int]]],
     tolerance: Fraction,
     rng: Random,
-    retries: int = 3,
     literal_epsilon: bool = False,
 ) -> tuple[NonAdaptiveDecoder, ReductionReport]:
     """flatten -> amplify -> reduce, in that order."""
     flat = flatten_adaptive(decoder) if isinstance(decoder, AdaptiveDecoder) else decoder
     target = Fraction(epsilon) if epsilon is not None else epsilon_for_locality(flat, literal_epsilon)
     amplified = amplify(flat, target)
-    return reduce_randomness(amplified, multiset_size, corpus, tolerance, rng, retries)
+    return reduce_randomness(amplified, multiset_size, corpus, tolerance, rng)

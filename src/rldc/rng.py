@@ -2,8 +2,8 @@
 
 Every randomized component draws from a stream named by a purpose label (and
 any indices), derived as sha256(master_seed || 0x1f || label || ...).  Streams
-are therefore independent of execution order and thread count, and any
-reported violation can ship (seed, labels) that reproduces it exactly.
+are therefore independent of execution order, and any reported violation
+can ship (seed, labels) that reproduces it exactly.
 """
 
 from __future__ import annotations

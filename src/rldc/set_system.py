@@ -1,4 +1,4 @@
-"""Weighted set systems over a universe [n], degrees, and daisy verification.
+"""Weighted set systems over a universe [n], petal degrees, and daisy verification.
 
 A *daisy* with kernel K and degree bound t is a collection of sets in which
 every element outside K lies in at most t petals (petal = set minus kernel);
@@ -49,10 +49,6 @@ class SetSystem:
             if members[0] < 0 or members[-1] >= n:
                 raise ValueError(f"set {idx} has elements outside [0, {n})")
 
-    @classmethod
-    def from_iterables(cls, universe_size: int, sets: Iterable[Iterable[int]]) -> "SetSystem":
-        return cls(universe_size, tuple(tuple(sorted(set(s))) for s in sets))
-
     def __len__(self) -> int:
         return len(self.sets)
 
@@ -62,9 +58,6 @@ class SetSystem:
         if out and (out[0] < 0 or out[-1] >= len(self.sets)):
             raise ValueError(f"set index out of range [0, {len(self.sets)})")
         return out
-
-    def all_indices(self) -> range:
-        return range(len(self.sets))
 
 
 @dataclass(frozen=True)
@@ -109,9 +102,6 @@ class WeightedSetSystem:
     def weights(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(m, self.total) for m in self.masses)
 
-    def weight(self, index: int) -> Fraction:
-        return Fraction(self.masses[index], self.total)
-
 
 @dataclass(frozen=True)
 class DaisyCertificate:
@@ -146,30 +136,12 @@ class DaisyReport:
         }
 
 
-def degree(system: SetSystem, scope: Iterable[int] | None, u: int) -> int:
-    """Number of sets in scope containing element u (scope=None means all)."""
-    if u < 0 or u >= system.universe_size:
-        raise ValueError(f"element {u} outside universe [0, {system.universe_size})")
-    indices = system.all_indices() if scope is None else system.check_scope(scope)
-    sets = system.sets
-    return sum(1 for idx in indices if u in sets[idx])
-
-
-def covered_elements(system: SetSystem, scope: Iterable[int] | None) -> frozenset[int]:
+def covered_elements(system: SetSystem, scope: Iterable[int]) -> frozenset[int]:
     """Union of the selected sets."""
-    indices = system.all_indices() if scope is None else system.check_scope(scope)
     covered: set[int] = set()
-    for idx in indices:
+    for idx in system.check_scope(scope):
         covered.update(system.sets[idx])
     return frozenset(covered)
-
-
-def weight_of(wsystem: WeightedSetSystem, scope: Iterable[int] | None) -> Fraction:
-    """Exact total weight of the selected sets."""
-    if scope is None:
-        return Fraction(1)
-    indices = wsystem.system.check_scope(scope)
-    return Fraction(sum(wsystem.masses[idx] for idx in indices), wsystem.total)
 
 
 def petal_degrees(system: SetSystem, members: Iterable[int], kernel: frozenset[int]) -> Counter:

@@ -18,12 +18,10 @@ from rldc.decoders import (
     AdaptiveDecoder,
     TreeNode,
     hadamard_code,
-    output_distribution,
     random_corruption,
     repetition_code,
     run_tree,
     shared_pivot_code,
-    wrong_rate,
 )
 from rldc.global_decoder import default_sampling_probability
 from rldc.harness import (
@@ -43,6 +41,8 @@ from rldc.preprocessing import (
     reduce_randomness,
 )
 from rldc.rng import derive_rng
+
+from oracles import output_distribution, wrong_rate
 
 SEED = 20250808
 
@@ -188,9 +188,7 @@ def test_c06_randomness_reduction():
             wrong_rate(dec, word, i, x[i]) for word, x in corpus for i in range(code.k)
         )
         try:
-            reduced, report = reduce_randomness(
-                dec, t, corpus, 2 * epsilon, rng, retries=3
-            )
+            reduced, report = reduce_randomness(dec, t, corpus, 2 * epsilon, rng)
         except ReductionFailedError:
             continue
         passes += 1

@@ -5,7 +5,6 @@ import time
 import pytest
 
 from rldc.cli import main
-from rldc.decoders import decoder_from_json
 from rldc.harness import random_set_system
 from rldc.rng import derive_rng
 from rldc.set_system import SetSystem, WeightedSetSystem, system_to_json
@@ -13,7 +12,7 @@ from rldc.set_system import SetSystem, WeightedSetSystem, system_to_json
 
 @pytest.fixture
 def star_json(tmp_path):
-    system = SetSystem.from_iterables(8, [[0, j] for j in range(1, 8)])
+    system = SetSystem(8, tuple((0, j) for j in range(1, 8)))
     path = tmp_path / "star.json"
     path.write_text(json.dumps(system_to_json(WeightedSetSystem.uniform(system))))
     return path
@@ -77,8 +76,7 @@ def test_preprocess_round_trip(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["report"]["passed"]
     assert doc["report"]["multiset_size"] == 16
-    decoder = decoder_from_json(doc["decoder"])
-    assert len(decoder.views[0]) == 16
+    assert len(doc["decoder"]["indices"][0]["sets"]) == 16
 
 
 @pytest.mark.parametrize(
@@ -209,6 +207,22 @@ def test_scaling_csv(tmp_path):
     assert "# fitted_exponent," in text
 
 
+def test_scaling_repeated_size_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scaling", "--sizes", "4,4", "--trials", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "rldc: error: repeated size in [4, 4]\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("p", ["0", "1e-9"])
+def test_scaling_without_queries_has_no_exponent(p, capsys):
+    assert main(["scaling", "--sizes", "4,8", "--trials", "2", "--p", p]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["4,2,0.0,0.0,0", "8,2,0.0,0.0,0"]
+
+
 def test_wrapup_clean(capsys):
     rc = main(["wrapup", "--k", "5"])
     assert rc == 0
@@ -241,15 +255,23 @@ def test_missing_subcommand_is_usage_error():
         ["simulate", "--code", "hadamard:m=3", "--trials", "2", "--kmax", "-1"],
         ["scaling", "--sizes", "64,256", "--trials", "2", "--kmax", "-1"],
         ["simulate", "--code", "hadamard:m=3", "--trials", "2", "--budget", "-1"],
+        ["verify", "--instances", "-1", "--claims", "coresub"],
+        ["verify", "--daisies", "-3", "--claims", "simple-daisy-bound"],
+        ["verify", "--wrapup-max", "-1", "--claims", "wrapup"],
+        ["preprocess", "--code", "hadamard:m=3", "--corpus-size", "-4"],
+        ["preprocess", "--code", "hadamard:m=3", "--multiset-factor", "0"],
+        ["wrapup", "--k", "-3"],
     ],
 )
 def test_bad_trials_or_seed_is_usage_error(argv, star_json, capsys):
-    # also the other numeric bounds: --ell >= 1, --kmax >= 0, --budget >= 0
+    # also the other numeric bounds: --ell >= 1, --kmax >= 0, --budget >= 0,
+    # counts >= 0 and --multiset-factor >= 1, each named with its dashes
     with pytest.raises(SystemExit) as exc:
         main([arg.format(star=star_json) for arg in argv])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("rldc: error: --")
+    assert "_" not in captured.err
     assert captured.out == ""
 
 

@@ -23,7 +23,7 @@ from rldc.set_system import (
 
 
 def test_disjoint_pairs_sequence():
-    system = SetSystem.from_iterables(4, [[0, 1], [2, 3]])
+    system = SetSystem(4, ((0, 1), (2, 3)))
     levels = build_daisy_sequence(system, 2, Fraction(1, 2))
     assert levels[0].members == () and levels[0].kernel == frozenset()
     assert levels[1].members == (0, 1) and levels[1].kernel == frozenset()
@@ -31,7 +31,7 @@ def test_disjoint_pairs_sequence():
 
 def test_star_sequence_pulls_center_into_kernel():
     # deg(0) = 7 > (7/8) * sqrt(8): the hub lands in K_1, petals are singletons.
-    system = SetSystem.from_iterables(8, [[0, j] for j in range(1, 8)])
+    system = SetSystem(8, tuple((0, j) for j in range(1, 8)))
     levels = build_daisy_sequence(system, 2, Fraction(7, 8))
     assert levels[0].kernel == frozenset({0})
     assert levels[0].members == tuple(range(7))
@@ -41,7 +41,7 @@ def test_star_sequence_pulls_center_into_kernel():
 
 
 def test_single_level_singletons():
-    system = SetSystem.from_iterables(5, [[j] for j in range(5)])
+    system = SetSystem(5, tuple((j,) for j in range(5)))
     levels = build_daisy_sequence(system, 1, Fraction(1))
     assert len(levels) == 1
     assert levels[0].kernel == frozenset()
@@ -49,14 +49,14 @@ def test_single_level_singletons():
 
 
 def test_oversized_set_rejected():
-    system = SetSystem.from_iterables(4, [[0, 1, 2]])
+    system = SetSystem(4, ((0, 1, 2),))
     with pytest.raises(ValueError):
         build_daisy_sequence(system, 2, Fraction(1))
 
 
 def test_strict_threshold_boundary():
     # Threshold (1/2) * 4**(1/2) == 1 exactly: degree 1 stays out, degree 2 goes in.
-    system = SetSystem.from_iterables(4, [[0, 1], [0, 2]])
+    system = SetSystem(4, ((0, 1), (0, 2)))
     levels = build_daisy_sequence(system, 2, Fraction(1, 2))
     assert levels[0].kernel == frozenset({0})
     assert levels[0].members == (0, 1)
@@ -64,36 +64,36 @@ def test_strict_threshold_boundary():
 
 def test_pick_heavy_level_examples():
     # disjoint pairs, uniform weights: densities (0, 1) -> s = 2
-    system = SetSystem.from_iterables(4, [[0, 1], [2, 3]])
+    system = SetSystem(4, ((0, 1), (2, 3)))
     levels = build_daisy_sequence(system, 2, Fraction(1, 2))
     heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system))
     assert heavy.level == 2 and heavy.density == 1
     assert heavy.petal_bound == 2
 
     # densities (3/4, 1/4): smallest qualifying level wins -> s = 1
-    system = SetSystem.from_iterables(8, [[0], [1], [2], [3, 4]])
+    system = SetSystem(8, ((0,), (1,), (2,), (3, 4)))
     levels = build_daisy_sequence(system, 2, Fraction(1, 2))
     assert levels[0].members == (0, 1, 2) and levels[1].members == (3,)
     heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system))
     assert heavy.level == 1 and heavy.density == Fraction(3, 4)
 
     # single level carries all weight
-    system = SetSystem.from_iterables(3, [[0], [1]])
+    system = SetSystem(3, ((0,), (1,)))
     levels = build_daisy_sequence(system, 1, Fraction(2, 3))
     heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system))
     assert heavy.level == 1 and heavy.density == 1
 
 
 def test_pick_heavy_level_contract():
-    system = SetSystem.from_iterables(4, [[0, 1], [2, 3]])
+    system = SetSystem(4, ((0, 1), (2, 3)))
     levels = build_daisy_sequence(system, 2, Fraction(1, 2))
-    other = WeightedSetSystem.uniform(SetSystem.from_iterables(4, [[0, 1]]))
+    other = WeightedSetSystem.uniform(SetSystem(4, ((0, 1),)))
     with pytest.raises(ContractError):
         pick_heavy_level(levels, other)
 
 
 def test_heavy_daisy_certificate_verifies():
-    system = SetSystem.from_iterables(8, [[0, j] for j in range(1, 8)])
+    system = SetSystem(8, tuple((0, j) for j in range(1, 8)))
     levels = build_daisy_sequence(system, 2, Fraction(7, 8))
     heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system))
     assert heavy.kernel == frozenset({0})
@@ -102,13 +102,13 @@ def test_heavy_daisy_certificate_verifies():
 
 
 def test_pluck_disjoint_unchanged():
-    system = SetSystem.from_iterables(4, [[0, 1], [2, 3]])
+    system = SetSystem(4, ((0, 1), (2, 3)))
     chosen = pluck_simple_daisy(system, (0, 1), frozenset(), 2, Fraction(1))
     assert chosen == (0, 1)
 
 
 def test_pluck_star():
-    system = SetSystem.from_iterables(8, [[0, j] for j in range(1, 8)])
+    system = SetSystem(8, tuple((0, j) for j in range(1, 8)))
     chosen = pluck_simple_daisy(system, tuple(range(7)), frozenset({0}), 1, Fraction(1))
     assert chosen == tuple(range(7))
     covered = len(covered_elements(system, tuple(range(7))))
@@ -116,7 +116,7 @@ def test_pluck_star():
 
 
 def test_pluck_overlapping_members():
-    system = SetSystem.from_iterables(5, [[0, 1], [1, 2], [3, 4]])
+    system = SetSystem(5, ((0, 1), (1, 2), (3, 4)))
     members = (0, 1, 2)
     chosen = pluck_simple_daisy(system, members, frozenset(), 2, Fraction(2))
     assert 2 in chosen
@@ -141,7 +141,7 @@ def test_pluck_overlapping_members():
 
 
 def test_pluck_rejects_invalid_daisy():
-    system = SetSystem.from_iterables(3, [[0, 1], [0, 2]])
+    system = SetSystem(3, ((0, 1), (0, 2)))
     with pytest.raises(ContractError):
         pluck_simple_daisy(system, (0, 1), frozenset(), 2, Fraction(1))
 
@@ -149,7 +149,7 @@ def test_pluck_rejects_invalid_daisy():
 def test_pluck_skips_empty_petals():
     # A member hiding entirely inside the kernel contributes no petal and is
     # never selected, but disjointness still holds.
-    system = SetSystem.from_iterables(4, [[0], [0, 1], [0, 2]])
+    system = SetSystem(4, ((0,), (0, 1), (0, 2)))
     chosen = pluck_simple_daisy(system, (0, 1, 2), frozenset({0}), 1, Fraction(1))
     assert chosen == (1, 2)
 
@@ -251,7 +251,7 @@ def leveled_systems(draw):
     ell = draw(st.integers(1, 4))
     element_sets = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(ell, n))
     sets = draw(st.lists(element_sets, min_size=1, max_size=24))
-    system = SetSystem.from_iterables(n, sets)
+    system = SetSystem(n, tuple(tuple(sorted(s)) for s in sets))
     if draw(st.booleans()):
         c = default_extraction_scale(len(sets), n, ell)
     else:

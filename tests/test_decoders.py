@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -15,21 +14,18 @@ from rldc.decoders import (
     LocalView,
     NonAdaptiveDecoder,
     ProductViews,
-    TrackingOracle,
     TreeNode,
     UnanimityView,
     corrupt,
-    decoder_from_json,
-    decoder_to_json,
     hadamard_code,
     identity_code,
     local_view_system,
-    output_distribution,
     parse_code_spec,
     repetition_code,
     shared_pivot_code,
-    wrong_rate,
 )
+
+from oracles import output_distribution, wrong_rate
 
 
 def all_messages(k):
@@ -222,11 +218,21 @@ def test_relaxed_decoding_within_radius(spec):
 
 
 def test_oracle_accounting():
+    class Recorder:
+        """A word that records every coordinate read from it."""
+
+        def __init__(self, word):
+            self.word, self.reads = word, set()
+
+        def __getitem__(self, j):
+            self.reads.add(j)
+            return self.word[j]
+
     code, dec = hadamard_code(4)
     w = code.encode((1, 0, 1, 1))
     for i in range(4):
         for trial in range(10):
-            oracle = TrackingOracle(w)
+            oracle = Recorder(w)
             _, queried = dec.decode(oracle, i, random.Random(trial))
             assert len(queried) <= dec.locality
             assert oracle.reads == set(queried)
@@ -236,12 +242,6 @@ def test_decoder_index_validation():
     _, dec = identity_code(2)
     with pytest.raises(ValueError):
         dec.decode((0, 1), 2, random.Random(0))
-
-
-def test_oracle_out_of_range():
-    oracle = TrackingOracle((0, 1))
-    with pytest.raises(IndexError):
-        oracle[5]
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +321,6 @@ def test_local_view_system_orders_match():
     for set_, (wt, view) in zip(weighted.system.sets, dec.views[1]):
         assert set_ == view.coords
     assert sum(weighted.weights, Fraction(0)) == 1
-
-
-def test_decoder_json_round_trip():
-    _, dec = shared_pivot_code(1, 2, 2)
-    doc = json.loads(json.dumps(decoder_to_json(dec)))
-    back = decoder_from_json(doc)
-    assert back.k == dec.k and back.n == dec.n and back.locality == dec.locality
-    for i in range(dec.k):
-        assert back.views[i].entries == dec.views[i].entries
 
 
 def test_parse_code_spec_errors():

@@ -48,7 +48,8 @@ def petals(pkg):
 
 def sample_of(coords):
     """SampleBytes for a sample whose every read bit is 0."""
-    return SampleBytes.of(dict.fromkeys(coords, 0))
+    reads = dict.fromkeys(coords, 0)
+    return SampleBytes.of(reads, reads)
 
 
 def queried_members(pkg, sample):
@@ -112,8 +113,9 @@ def test_empty_petals_never_queried():
         ]
     )
     dec = NonAdaptiveDecoder(k=1, n=2, locality=2, views=(views,))
-    # threshold sqrt(2): only the degree-2 element 0 enters the kernel
-    pkg = build_index_package(dec, 0, scale=Fraction(1))
+    # the default scale is 1 (the ratio 2/2 is above the floor 2^(-1/2)), so
+    # the threshold is sqrt(2): only the degree-2 element 0 enters the kernel
+    pkg = build_index_package(dec, 0)
     assert pkg.kernel_order == (0,)
     assert petals(pkg)[0] == frozenset()
     assert 0 not in queried_members(pkg, sample_of({0, 1}))
@@ -124,7 +126,7 @@ def test_decode_index_hadamard_empty_kernel():
     x = (1, 0, 1, 1, 0)
     w = code.encode(x)
     pkgs = build_decode_packages(dec)
-    sampled = SampleBytes.of({j: w[j] for j in range(code.n)})  # everything sampled
+    sampled = SampleBytes.of(w, range(code.n))  # everything sampled
     for pkg in pkgs:
         assert pkg.kernel_order == ()
         out = decode_index(pkg, sampled, kernel_cap=20)
@@ -135,7 +137,7 @@ def test_decode_index_hadamard_empty_kernel():
 def test_decode_index_no_petal_returns_no_consensus():
     _, dec = hadamard_code(3)
     pkg = build_index_package(dec, 0)
-    out = decode_index(pkg, SampleBytes.of({}), kernel_cap=20)
+    out = decode_index(pkg, SampleBytes.of({}, ()), kernel_cap=20)
     assert out.status == NO_CONSENSUS and out.fully_queried == 0
 
 
@@ -143,7 +145,7 @@ def test_decode_index_kernel_cap():
     _, dec = shared_pivot_code(3, 4, 2)
     pkg = build_index_package(dec, 0)
     assert len(pkg.kernel_order) == 3
-    out = decode_index(pkg, SampleBytes.of({}), kernel_cap=2)
+    out = decode_index(pkg, SampleBytes.of({}, ()), kernel_cap=2)
     assert out.status == KERNEL_TOO_LARGE
 
 
@@ -156,7 +158,7 @@ def test_decode_index_shared_pivot_assignments():
     for pkg in pkgs:
         assert pkg.kernel_order == (0, 1)  # the pivot block
         assert all(len(p) == 1 for p in petals(pkg).values())
-        out = decode_index(pkg, SampleBytes.of(sampled), kernel_cap=20)
+        out = decode_index(pkg, SampleBytes.of(sampled, sampled), kernel_cap=20)
         # kappa = 00 comes first lexicographically and matches the codeword
         assert out.status == DECODED and out.bit == x[pkg.index]
         assert out.assignments_tried == 1
@@ -170,7 +172,7 @@ def test_decode_index_shared_pivot_assignments():
                         for c in pkg.views[m].coords
                     }
                 )
-                for m in queried_members(pkg, SampleBytes.of(sampled))
+                for m in queried_members(pkg, SampleBytes.of(sampled, sampled))
             ]
             assert all(o is REJECT for o in outs)
 
@@ -180,7 +182,7 @@ def test_strict_mode_two_sided():
     # kappa=0 gives unanimity on 1, kappa=1 unanimity on 0: strict refuses.
     pkg = _package((LocalView((0, 1), (0, 1, 1, 0)),), frozenset({0}), 2)
     assert petals(pkg) == {0: frozenset({1})} and pkg.kernel_order == (0,)
-    sampled = SampleBytes.of({1: 1})
+    sampled = SampleBytes.of({1: 1}, [1])
     default = decode_index(pkg, sampled, kernel_cap=5, strict=False)
     assert default.status == DECODED and default.bit == 1 and default.assignments_tried == 1
     strict = decode_index(pkg, sampled, kernel_cap=5, strict=True)
@@ -191,7 +193,7 @@ def test_run_identity_full_sampling():
     code, dec = identity_code(3)
     out = run_global_decoder(dec, code, code.encode((1, 0, 1)), random.Random(0), p=1.0)
     assert out.message == (1, 0, 1)
-    assert out.reads == {0: 1, 1: 0, 2: 1}
+    assert out.sample == SampleBytes.of((1, 0, 1), range(3))
     assert out.total_queries == 3 and not out.aborted
 
 
@@ -416,12 +418,13 @@ def _check_against_reference(case, kernel_cap):
     """case is (package, word, true bit, sampled coordinates)."""
     pkg, word, true_bit, sample = case
     sampled_values = {j: word[j] for j in sample}
+    sample_bytes = SampleBytes.of(word, sample)
     for strict in (False, True):
-        assert decode_index(pkg, SampleBytes.of(sampled_values), kernel_cap, strict) == (
+        assert decode_index(pkg, sample_bytes, kernel_cap, strict) == (
             reference_decode(pkg, sampled_values, kernel_cap, strict)
         )
     assert _audit_index(
-        pkg, SampleBytes.of(sampled_values), word, true_bit, kernel_cap
+        pkg, sample_bytes, word, true_bit, kernel_cap
     ) == reference_audit(pkg, sampled_values, word, true_bit, kernel_cap)
 
 
@@ -446,7 +449,7 @@ def test_completion_core_matches_reference_grouped_views(case, kernel_cap):
 def _check_compiled_filter(pkg, sampled_values, ordered):
     """Compiled filter members and completion triples against the per-member
     reference: equal as multisets, and in the same order when `ordered`."""
-    sample = SampleBytes.of(sampled_values)
+    sample = SampleBytes.of(sampled_values, sampled_values)
     got, want = queried_members(pkg, sample), reference_filter(pkg, frozenset(sampled_values))
     got_triples = comparable(complete_views(pkg, sample))
     want_triples = comparable(reference_completion(pkg, sampled_values))
@@ -471,7 +474,7 @@ def test_compiled_filter_keeps_repeated_views():
     pkg = _package(views, frozenset(), 4)
     assert len(pkg.groups) == 2  # the repeat of (0,1) needs a second layer of lanes
     sampled = {0: 1, 1: 0, 2: 1, 3: 1}
-    assert decode_index(pkg, SampleBytes.of(sampled), 20).fully_queried == 4
+    assert decode_index(pkg, SampleBytes.of(sampled, sampled), 20).fully_queried == 4
     _check_compiled_filter(pkg, sampled, ordered=False)
 
 

@@ -134,6 +134,18 @@ def test_scaling_single_point_skips_fit():
     assert result.rows[0].n == 256
 
 
+def test_scaling_rejects_repeated_size():
+    with pytest.raises(ValueError, match="repeated size"):
+        scaling_study("hadamard", [4, 4], 2, master_seed=0)
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-9])
+def test_scaling_without_queries_skips_fit(p):
+    result = scaling_study("hadamard", [4, 8], 2, master_seed=0, p=p)
+    assert [row.mean_queries for row in result.rows] == [0.0, 0.0]
+    assert result.exponent is None and result.residuals == ()
+
+
 def test_scaling_rejects_bad_family():
     with pytest.raises(ValueError):
         scaling_study("nope", [8], 1, 0)
@@ -149,7 +161,6 @@ def test_scaling_skips_infeasible_sizes():
 def test_verify_claims_small_config_clean():
     config = ExperimentConfig(
         trials=5,
-        claim_points=((64, 2),),
         claim_instances=10,
         daisy_samples=10,
         wrapup_max=4,
@@ -168,10 +179,7 @@ def test_verify_claims_small_config_clean():
 
 
 def test_verify_claims_toggles():
-    config = ExperimentConfig(
-        claim_points=((64, 2),), claim_instances=5, toggles=frozenset({"wrapup"}),
-        wrapup_max=3,
-    )
+    config = ExperimentConfig(claim_instances=5, toggles=frozenset({"wrapup"}), wrapup_max=3)
     reports = verify_claims(config)
     assert [r.claim for r in reports] == ["wrapup"]
 

@@ -12,7 +12,6 @@ from rldc.decoders import (
     NonAdaptiveDecoder,
     TreeNode,
     hadamard_code,
-    output_distribution,
     repetition_code,
     run_tree,
     tree_coords,
@@ -28,6 +27,8 @@ from rldc.preprocessing import (
     reduce_randomness,
     repetitions_for,
 )
+
+from oracles import output_distribution
 
 
 def random_tree(rng, n, depth, used=frozenset()):
@@ -169,7 +170,7 @@ def test_reduce_t1_adversarial_corpus_fails():
     w = code.encode((0,))
     corpus = [((1, 0), (0,)), ((0, 1), (0,))]
     with pytest.raises(ReductionFailedError) as err:
-        reduce_randomness(dec, 1, corpus, Fraction(1, 2), random.Random(3), retries=3)
+        reduce_randomness(dec, 1, corpus, Fraction(1, 2), random.Random(3))
     assert err.value.report.attempts == 4
     assert err.value.report.max_wrong_rate == 1
 

@@ -9,31 +9,16 @@ from rldc.set_system import (
     SetSystem,
     WeightedSetSystem,
     covered_elements,
-    degree,
+    petal_degrees,
     system_from_json,
     system_to_json,
     verify_daisy,
-    weight_of,
 )
 
 
 @pytest.fixture
 def small():
-    return SetSystem.from_iterables(3, [[0, 1], [1, 2]])
-
-
-def test_degree_examples(small):
-    assert degree(small, None, 1) == 2
-    assert degree(small, None, 0) == 1
-    assert degree(small, [], 0) == 0
-    assert degree(small, [], 2) == 0
-
-
-def test_degree_out_of_range(small):
-    with pytest.raises(ValueError):
-        degree(small, None, 3)
-    with pytest.raises(ValueError):
-        degree(small, None, -1)
+    return SetSystem(3, ((0, 1), (1, 2)))
 
 
 def test_covered_elements_examples(small):
@@ -44,47 +29,37 @@ def test_covered_elements_examples(small):
         covered_elements(small, [5])
 
 
-def test_weight_of_examples():
-    system = SetSystem.from_iterables(4, [[0], [1], [2]])
-    w = WeightedSetSystem.from_weights(
-        system, [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
-    )
-    assert weight_of(w, [1, 2]) == Fraction(1, 2)
-    assert weight_of(w, [0, 1, 2]) == 1
-    assert weight_of(w, []) == 0
-    with pytest.raises(ValueError):
-        weight_of(w, [3])
-
-
 def test_weight_complement_is_exact():
     rng = random.Random(11)
     for _ in range(50):
         count = rng.randint(1, 40)
-        system = SetSystem.from_iterables(
-            16, [[rng.randrange(16)] for _ in range(count)]
-        )
+        system = SetSystem(16, tuple((rng.randrange(16),) for _ in range(count)))
         w = WeightedSetSystem.from_masses(
             system, [rng.randint(1, 999) for _ in range(count)]
         )
         scope = [i for i in range(count) if rng.random() < 0.5]
         rest = [i for i in range(count) if i not in scope]
-        assert weight_of(w, scope) + weight_of(w, rest) == 1
+        assert sum(w.weights[i] for i in scope) + sum(w.weights[i] for i in rest) == 1
 
 
 def test_handshake_identity():
-    # Sum of degrees over a scope equals the sum of set sizes in the scope.
+    # Petal degrees with an empty kernel, summed over all elements, equal the
+    # sum of set sizes over the members.
     rng = random.Random(5)
     for _ in range(30):
         n = rng.randint(4, 16)
-        sets = [sorted(rng.sample(range(n), rng.randint(1, min(4, n)))) for _ in range(rng.randint(1, 20))]
-        system = SetSystem.from_iterables(n, sets)
+        sets = tuple(
+            tuple(sorted(rng.sample(range(n), rng.randint(1, min(4, n)))))
+            for _ in range(rng.randint(1, 20))
+        )
+        system = SetSystem(n, sets)
         scope = [i for i in range(len(sets)) if rng.random() < 0.6]
-        total = sum(degree(system, scope, u) for u in range(n))
+        total = sum(petal_degrees(system, scope, frozenset()).values())
         assert total == sum(len(system.sets[i]) for i in scope)
 
 
 def test_weights_must_sum_to_one():
-    system = SetSystem.from_iterables(2, [[0], [1]])
+    system = SetSystem(2, ((0,), (1,)))
     with pytest.raises(ValueError):
         WeightedSetSystem.from_weights(system, [Fraction(1, 2), Fraction(1, 3)])
     with pytest.raises(ValueError):
@@ -92,10 +67,10 @@ def test_weights_must_sum_to_one():
 
 
 def test_multiset_semantics_allows_duplicates():
-    system = SetSystem.from_iterables(2, [[0, 1], [0, 1], [0, 1]])
-    assert degree(system, None, 0) == 3
+    system = SetSystem(2, ((0, 1), (0, 1), (0, 1)))
+    assert petal_degrees(system, range(3), frozenset())[0] == 3
     w = WeightedSetSystem.uniform(system)
-    assert weight_of(w, [0, 2]) == Fraction(2, 3)
+    assert w.weights[0] + w.weights[2] == Fraction(2, 3)
 
 
 def test_set_validation():
@@ -110,13 +85,13 @@ def test_set_validation():
 
 
 def test_verify_daisy_examples():
-    disjoint = SetSystem.from_iterables(4, [[0, 1], [2, 3]])
+    disjoint = SetSystem(4, ((0, 1), (2, 3)))
     report = verify_daisy(
         disjoint, DaisyCertificate(frozenset({0, 1}), frozenset(), 2, Fraction(1))
     )
     assert report.ok
 
-    overlapping = SetSystem.from_iterables(3, [[0, 1], [0, 2]])
+    overlapping = SetSystem(3, ((0, 1), (0, 2)))
     report = verify_daisy(
         overlapping, DaisyCertificate(frozenset({0, 1}), frozenset(), 2, Fraction(1))
     )
@@ -130,7 +105,7 @@ def test_verify_daisy_examples():
 
 
 def test_verify_daisy_petal_bound():
-    system = SetSystem.from_iterables(4, [[0, 1, 2], [3]])
+    system = SetSystem(4, ((0, 1, 2), (3,)))
     report = verify_daisy(
         system, DaisyCertificate(frozenset({0, 1}), frozenset({0}), 1, Fraction(1))
     )
@@ -143,11 +118,11 @@ def test_verify_daisy_matches_brute_force():
     rng = random.Random(99)
     for _ in range(60):
         n = rng.randint(2, 16)
-        sets = [
-            sorted(rng.sample(range(n), rng.randint(1, min(5, n))))
+        sets = tuple(
+            tuple(sorted(rng.sample(range(n), rng.randint(1, min(5, n)))))
             for _ in range(rng.randint(1, 12))
-        ]
-        system = SetSystem.from_iterables(n, sets)
+        )
+        system = SetSystem(n, sets)
         members = frozenset(i for i in range(len(sets)) if rng.random() < 0.7)
         kernel = frozenset(u for u in range(n) if rng.random() < 0.25)
         s = rng.randint(0, 4)
@@ -172,7 +147,7 @@ def test_verify_daisy_matches_brute_force():
 
 
 def test_json_round_trip():
-    system = SetSystem.from_iterables(5, [[0, 2], [1, 3, 4], [0]])
+    system = SetSystem(5, ((0, 2), (1, 3, 4), (0,)))
     w = WeightedSetSystem.from_weights(
         system, [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]
     )
