@@ -14,12 +14,13 @@ import io
 import json
 import sys
 
-from .daisy import build_daisy_sequence, extraction_report, pick_heavy_level
+from .daisy import build_daisy_sequence, default_extraction_scale, extraction_report, pick_heavy_level
 from .decoders import decoder_to_json, parse_code_spec
 from .exact import parse_fraction
-from .global_decoder import KERNEL_CAP, default_extraction_scale
+from .global_decoder import KERNEL_CAP
 from .harness import (
     CLAIM_IDS,
+    WRAPUP_MAX_K,
     ExperimentConfig,
     make_in_radius_corpus,
     run_global_trials,
@@ -312,10 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Lower bounds of the numeric flags, by argparse dest.
+# Bounds of the numeric flags, by argparse dest: (dest, lowest, highest or None).
 BOUNDS = (
-    ("trials", 1), ("ell", 1), ("kmax", 0), ("budget", 0), ("instances", 0), ("daisies", 0),
-    ("corpus_size", 0), ("wrapup_max", 0), ("k", 0), ("multiset_factor", 1),
+    ("trials", 1, None), ("ell", 1, None), ("kmax", 0, None), ("budget", 0, None),
+    ("instances", 0, None), ("daisies", 0, None), ("corpus_size", 0, None),
+    ("wrapup_max", 0, WRAPUP_MAX_K), ("k", 0, WRAPUP_MAX_K), ("multiset_factor", 1, None),
 )
 
 
@@ -325,10 +327,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not 0 <= args.seed < 1 << 64:
             raise ValueError(f"--seed must lie in [0, 2^64), got {args.seed}")
-        for name, low in BOUNDS:
-            value = getattr(args, name, None)
+        for name, low, high in BOUNDS:
+            value, flag = getattr(args, name, None), "--" + name.replace("_", "-")
             if value is not None and value < low:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+                raise ValueError(f"{flag} must be >= {low}, got {value}")
+            if value is not None and high is not None and value > high:
+                raise ValueError(f"{flag} must be <= {high}, got {value}")
         return args.func(args)
     except (ValueError, OSError) as err:
         parser.exit(2, f"rldc: error: {err}\n")

@@ -5,7 +5,8 @@ puts every element whose residual degree exceeds c * n**(i/l) into a kernel
 K_i, collects the residual sets with at most i elements outside K_i, and
 removes them before the next level.  The levels partition the input, every
 level's outside-kernel degrees are bounded by the previous level's threshold,
-and |K_i| stays below l * n**(1 - i/l) whenever c >= |collection|/n.
+and |K_i| stays below l * n**(1 - i/l) whenever c >= |collection|/n;
+default_extraction_scale is the c used on a decoder's query distribution.
 
 pick_heavy_level then finds a level carrying at least 1/l of the query
 weight (one exists by pigeonhole), and pluck_simple_daisy greedily thins a
@@ -88,6 +89,21 @@ def _threshold(c: Fraction | PowerBound, n: int, num: int, den: int) -> PowerBou
             raise ValueError("scale parameter uses a different base than the universe")
         return c.scale_exponent(Fraction(num, den))
     return PowerBound(Fraction(c), n, Fraction(num, den))
+
+
+def default_extraction_scale(support_size: int, n: int, ell: int) -> Fraction | PowerBound:
+    """Scale parameter for daisy extraction on a decoder's query distribution.
+
+    The natural choice is support_size/n, but when the support is sparse that
+    puts the first-level threshold below 1 and every covered coordinate lands
+    in the kernel, collapsing the sequence.  Flooring the scale at n**(-1/l)
+    keeps the first threshold at >= 1 (so only coordinates shared by two or
+    more views can enter a kernel) and only raises thresholds, which preserves
+    the partition, degree-bound, and kernel-size guarantees.
+    """
+    ratio = Fraction(support_size, n)
+    floor = PowerBound(Fraction(1), n, Fraction(-1, ell))
+    return ratio if floor.cmp(ratio) < 0 else floor
 
 
 def build_daisy_sequence(

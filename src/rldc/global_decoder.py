@@ -26,13 +26,14 @@ operations per group, none per member.  Every built-in code has one group per
 index.  Only sampled bits are ever read: the bytes are built from the
 sampled coordinates alone.
 
-One completion core serves the decoder and the audit in harness.py:
-complete_views turns each fully queried view into its table, the table index
-of its sampled petal bits and a (table bit, assignment bit) pair per kernel
-coordinate, once per (package, sample), so unanimous_bit evaluates assignment
-a by OR-ing in only kernel bits.  Assignment a gives the smallest kernel
-element its most significant bit, so counting a upward walks assignments in
-lexicographic order.
+One enumeration per (index, sample) serves the decoder and the audit in
+harness.py.  complete_views turns each fully queried view into its table, the
+table index of its sampled petal bits and a (table bit, assignment bit) pair
+per kernel coordinate; unanimous_assignments evaluates assignment a over that
+by OR-ing in only kernel bits.  Assignment a gives the smallest kernel element
+its most significant bit, so counting a upward is lexicographic order.  The
+outcome keeps the completion and what the decoder scanned of it, and the
+audit resumes the scan where the decoder stopped.
 
 On a valid codeword the assignment matching the true kernel values makes
 every completed view output the true bit, and no assignment can achieve
@@ -44,15 +45,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from operator import sub
 from random import Random
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
-from .daisy import HeavyDaisy, build_daisy_sequence, pick_heavy_level
+from .daisy import HeavyDaisy, build_daisy_sequence, default_extraction_scale, pick_heavy_level
 from .decoders import REJECT, Code, ExplicitViews, LocalView, NonAdaptiveDecoder, local_view_system
-from .exact import PowerBound
 
 DECODED = "decoded"
 NO_CONSENSUS = "no_consensus"
@@ -70,21 +69,6 @@ def sample_coordinates(n: int, p: float, rng: Random) -> frozenset[int]:
 
 def default_sampling_probability(n: int, locality: int) -> float:
     return n ** (-1.0 / (2 * locality * locality))
-
-
-def default_extraction_scale(support_size: int, n: int, ell: int) -> Fraction | PowerBound:
-    """Scale parameter for daisy extraction on a decoder's query distribution.
-
-    The natural choice is support_size/n, but when the support is sparse that
-    puts the first-level threshold below 1 and every covered coordinate lands
-    in the kernel, collapsing the sequence.  Flooring the scale at n**(-1/l)
-    keeps the first threshold at >= 1 (so only coordinates shared by two or
-    more views can enter a kernel) and only raises thresholds, which preserves
-    the partition, degree-bound, and kernel-size guarantees.
-    """
-    ratio = Fraction(support_size, n)
-    floor = PowerBound(Fraction(1), n, Fraction(-1, ell))
-    return ratio if floor.cmp(ratio) < 0 else floor
 
 
 LANE_BITS = 7  # petal bits per lane byte; the byte's top bit marks a full lane
@@ -134,14 +118,11 @@ class IndexDecodePackage:
 
 @dataclass(frozen=True)
 class SampleBytes:
-    """A run's sample as two byte strings indexed by coordinate: flags[j] is
-    1 where j was sampled and bits[j] is the bit read there, 0 elsewhere.
-    Every index and the audit share them, and `completions` keeps each
-    package's completion against them."""
+    """A run's sample, shared by every index, as two byte strings indexed by
+    coordinate: flags[j] is 1 where j was sampled, bits[j] the bit read there."""
 
     flags: bytes
     bits: bytes
-    completions: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, word: Sequence[int], coords: Collection[int]) -> "SampleBytes":
@@ -156,10 +137,15 @@ class SampleBytes:
 
 @dataclass(frozen=True)
 class IndexOutcome:
+    """How one index decoded, with its completion (empty if none was made)
+    and every unanimous (assignment, bit) with assignment < assignments_tried."""
+
     status: str
     bit: int | None
     fully_queried: int
     assignments_tried: int
+    completion: tuple = field(default=(), compare=False, repr=False)
+    unanimous: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
 
     def code(self) -> str:
         return "ok" if self.status == DECODED else self.status
@@ -321,10 +307,7 @@ def complete_views(pkg: IndexDecodePackage, sample: SampleBytes) -> tuple:
     """The completion core: one (table, base index, kernel pairs) triple per
     fully queried view, empty when no petal is.  The base index holds the
     view's sampled petal bits; each kernel coordinate it reads is a
-    (table bit, assignment bit) pair.  Computed once per (package, sample)."""
-    done = sample.completions.get(pkg)
-    if done is not None:
-        return done
+    (table bit, assignment bit) pair."""
     bits = sample.bits
     completion = []
     for g, full in zip(pkg.groups, fully_queried_petals(pkg, sample)):
@@ -340,8 +323,7 @@ def complete_views(pkg: IndexDecodePackage, sample: SampleBytes) -> tuple:
             columns.append(map(index.__getitem__, lane_bytes.translate(None, b"\0")))
         bases = columns[0] if len(columns) == 1 else map(sum, zip(*columns))
         completion += zip(repeat(g.table), bases, repeat(g.pairs))
-    done = sample.completions[pkg] = tuple(completion)
-    return done
+    return tuple(completion)
 
 
 def kernel_assignment(pkg: IndexDecodePackage, word: Sequence[int]) -> int:
@@ -350,16 +332,20 @@ def kernel_assignment(pkg: IndexDecodePackage, word: Sequence[int]) -> int:
     return sum(1 << (width - 1 - j) for j, e in enumerate(pkg.kernel_order) if word[e])
 
 
-def unanimous_bit(completion: tuple, a: int) -> int | None:
-    """The bit every completed view outputs under assignment a, else None."""
-    outputs = []
-    for table, idx, pairs in completion:
-        for table_bit, assignment_bit in pairs:
-            if a & assignment_bit:
-                idx |= table_bit
-        outputs.append(table[idx])
-    first = outputs[0]
-    return first if first is not REJECT and all(out == first for out in outputs) else None
+def unanimous_assignments(completion: tuple, width: int, start: int = 0) -> Iterator[tuple[int, int]]:
+    """Yield (a, b) for each assignment a >= start of a width-bit kernel, in
+    lexicographic order, under which every view of the (nonempty)
+    completion outputs bit b.  The one loop over kernel assignments."""
+    for a in range(start, 1 << width):
+        outputs = []
+        for table, idx, pairs in completion:
+            for table_bit, assignment_bit in pairs:
+                if a & assignment_bit:
+                    idx |= table_bit
+            outputs.append(table[idx])
+        first = outputs[0]
+        if first is not REJECT and all(out == first for out in outputs):
+            yield a, first
 
 
 def decode_index(
@@ -377,25 +363,20 @@ def decode_index(
     strict mode scans all assignments and answers only when a single bit
     value ever achieves unanimity.
     """
-    kernel = pkg.kernel_order
-    if len(kernel) > kernel_cap:
+    width = len(pkg.kernel_order)
+    if width > kernel_cap:
         return IndexOutcome(KERNEL_TOO_LARGE, None, 0, 0)
 
     completion = complete_views(pkg, sample)
     if not completion:
         return IndexOutcome(NO_CONSENSUS, None, 0, 0)
 
-    unanimous: set[int] = set()
-    assignments = 1 << len(kernel)
-    for a in range(assignments):
-        bit = unanimous_bit(completion, a)
-        if bit is not None:
-            if not strict:
-                return IndexOutcome(DECODED, bit, len(completion), a + 1)
-            unanimous.add(bit)
-    if strict and len(unanimous) == 1:
-        return IndexOutcome(DECODED, unanimous.pop(), len(completion), assignments)
-    return IndexOutcome(NO_CONSENSUS, None, len(completion), assignments)
+    scan = unanimous_assignments(completion, width)
+    unanimous = tuple(scan if strict else islice(scan, 1))
+    tried = unanimous[0][0] + 1 if unanimous and not strict else 1 << width
+    bits = {bit for _, bit in unanimous}
+    status, bit = (DECODED, bits.pop()) if len(bits) == 1 else (NO_CONSENSUS, None)
+    return IndexOutcome(status, bit, len(completion), tried, completion, unanimous)
 
 
 def run_global_decoder(

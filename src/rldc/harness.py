@@ -13,6 +13,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from random import Random
 from typing import Callable, Sequence
 
@@ -29,12 +30,11 @@ from .global_decoder import (
     DECODED,
     KERNEL_CAP,
     IndexDecodePackage,
-    SampleBytes,
+    IndexOutcome,
     build_decode_packages,
-    complete_views,
     kernel_assignment,
     run_global_decoder,
-    unanimous_bit,
+    unanimous_assignments,
 )
 from .rng import derive_rng
 from .set_system import (
@@ -58,6 +58,7 @@ CLAIM_IDS = (
 
 DEFAULT_POINTS = tuple((n, ell) for n in (64, 256, 1024) for ell in (2, 3, 4))
 MAX_LABELS = 25  # violation labels kept per report; counts stay exact
+WRAPUP_MAX_K = 10  # largest k of the exhaustive wrap-up check (2^k messages)
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0 or self.seed >= 1 << 64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        if self.wrapup_max > WRAPUP_MAX_K:
+            raise ValueError(f"wrapup_max must be <= {WRAPUP_MAX_K}")
 
     def wants(self, claim: str) -> bool:
         return self.toggles is None or claim in self.toggles
@@ -314,7 +317,6 @@ class GlobalTrialStats:
     seed: int
     rows: list[TrialRow] = field(default_factory=list)
     successes: int = 0
-    aborted: int = 0
     wrong_bits: int = 0
     completeness_violations: int = 0
     soundness_violations: int = 0
@@ -339,24 +341,20 @@ class GlobalTrialStats:
 
 
 def _audit_index(
-    pkg: IndexDecodePackage,
-    sample: SampleBytes,
-    word: Sequence[int],
-    true_bit: int,
-    kernel_cap: int,
+    pkg: IndexDecodePackage, outcome: IndexOutcome, word: Sequence[int], true_bit: int
 ) -> tuple[bool, int]:
     """(correct-assignment completeness holds, count of unanimous-wrong
-    assignments) for one index and sample; the completion is the one the
-    decoder built for them."""
-    kernel = pkg.kernel_order
-    if len(kernel) > kernel_cap:
+    assignments) for one index, from the decoder's outcome: its unanimous
+    assignments, then the rest of the enumeration from where it stopped."""
+    if not outcome.completion:
         return True, 0
-    completion = complete_views(pkg, sample)
-    if not completion:
-        return True, 0
-
-    wrong = sum(unanimous_bit(completion, a) == 1 - true_bit for a in range(1 << len(kernel)))
-    return unanimous_bit(completion, kernel_assignment(pkg, word)) == true_bit, wrong
+    truth, width = kernel_assignment(pkg, word), len(pkg.kernel_order)
+    rest = unanimous_assignments(outcome.completion, width, outcome.assignments_tried)
+    complete, wrong = False, 0
+    for a, bit in chain(outcome.unanimous, rest):
+        complete |= a == truth and bit == true_bit
+        wrong += bit != true_bit
+    return complete, wrong
 
 
 def run_global_trials(
@@ -391,7 +389,6 @@ def run_global_trials(
             decoder, code, word, rng, kernel_cap, query_budget, p, strict, packages
         )
         if run.aborted:
-            stats.aborted += 1
             stats.rows.append(TrialRow(t, False, run.total_queries, ("aborted",) * code.k, 0.0))
             continue
 
@@ -400,9 +397,7 @@ def run_global_trials(
                 stats.wrong_bits += 1
                 stats.label(t, "wrong-bit", pkg.index)
             if audit:
-                complete, wrong_events = _audit_index(
-                    pkg, run.sample, word, x[pkg.index], kernel_cap
-                )
+                complete, wrong_events = _audit_index(pkg, outcome, word, x[pkg.index])
                 if not complete:
                     stats.completeness_violations += 1
                     stats.label(t, "completeness", pkg.index)
@@ -451,8 +446,8 @@ def wrapup_sanity(k: int) -> ClaimReport:
     the best strategy errs on exactly 2**k - 2**(k-1) messages.  The measured
     minimum is compared against that half exactly.
     """
-    if k < 1 or k > 10:
-        raise ValueError("exhaustive regime requires 1 <= k <= 10")
+    if k < 1 or k > WRAPUP_MAX_K:
+        raise ValueError(f"exhaustive regime requires 1 <= k <= {WRAPUP_MAX_K}")
     report = ClaimReport("wrapup")
     total = 1 << k
     for dropped in range(k):
@@ -535,13 +530,15 @@ def scaling_study(
 
     Infeasible sizes are skipped with a recorded reason; fewer than two
     surviving points, or a point with no queries, yields raw stats and no
-    fit.  A repeated size is a ValueError.
+    fit.  A repeated size or one below 1 is a ValueError.
     """
     family = family.lower().replace("_", "-")
     if family not in SCALING_FAMILIES:
         raise ValueError(f"unknown scaling family {family!r}")
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"repeated size in {list(sizes)}")
+    if any(n < 1 for n in sizes):
+        raise ValueError(f"sizes must be >= 1, got {list(sizes)}")
     rows = []
     skipped = []
     for n in sizes:

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from rldc import harness
 from rldc.cli import main
 from rldc.harness import random_set_system
 from rldc.rng import derive_rng
@@ -213,6 +214,36 @@ def test_scaling_repeated_size_is_usage_error(capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.err == "rldc: error: repeated size in [4, 4]\n"
+    assert captured.out == ""
+
+
+def test_scaling_nonpositive_size_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scaling", "--sizes", "0,4,8", "--trials", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "rldc: error: sizes must be >= 1, got [0, 4, 8]\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--claims", "coresub", "wrapup", "--wrapup-max", "11"], "--wrapup-max"),
+        (["wrapup", "--k", "11"], "--k"),
+    ],
+)
+def test_wrapup_cap_fails_before_any_work(argv, flag, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite ran before the bound check")
+
+    monkeypatch.setattr(harness, "run_daisy_claim_suite", no_work)
+    monkeypatch.setattr("rldc.cli.wrapup_sanity", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"rldc: error: {flag} must be <= {harness.WRAPUP_MAX_K}, got 11\n"
     assert captured.out == ""
 
 

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rldc.daisy import build_daisy_sequence, pick_heavy_level, pluck_simple_daisy
+from rldc.daisy import (
+    build_daisy_sequence,
+    default_extraction_scale,
+    pick_heavy_level,
+    pluck_simple_daisy,
+)
 from rldc.exact import PowerBound, floor_power_bound
-from rldc.global_decoder import default_extraction_scale
 from rldc.harness import audit_daisy_levels
 from rldc.set_system import (
     ContractError,

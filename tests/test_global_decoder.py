@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rldc.daisy import HeavyDaisy
+from rldc.daisy import HeavyDaisy, default_extraction_scale
 from rldc.decoders import (
     REJECT,
     ExplicitViews,
@@ -32,7 +32,6 @@ from rldc.global_decoder import (
     build_index_package,
     complete_views,
     decode_index,
-    default_extraction_scale,
     default_sampling_probability,
     fully_queried_petals,
     run_global_decoder,
@@ -187,6 +186,17 @@ def test_strict_mode_two_sided():
     assert default.status == DECODED and default.bit == 1 and default.assignments_tried == 1
     strict = decode_index(pkg, sampled, kernel_cap=5, strict=True)
     assert strict.status == NO_CONSENSUS and strict.assignments_tried == 2
+
+
+def test_audit_resumes_past_the_decoders_stop():
+    # the XOR package above decodes 1 at a=0 and stops; a=1 is unanimous on 0
+    pkg = _package((LocalView((0, 1), (0, 1, 1, 0)),), frozenset({0}), 2)
+    outcome = decode_index(pkg, SampleBytes.of({1: 1}, [1]), kernel_cap=5)
+    assert outcome.unanimous == ((0, 1),) and outcome.assignments_tried == 1
+    # true kernel 0, true bit 1: the wrong assignment lies past the stop
+    assert _audit_index(pkg, outcome, [0, 1], 1) == (True, 1)
+    # true kernel 1, true bit 0: the wrong assignment is the decoder's hit
+    assert _audit_index(pkg, outcome, [1, 1], 0) == (True, 1)
 
 
 def test_run_identity_full_sampling():
@@ -419,13 +429,12 @@ def _check_against_reference(case, kernel_cap):
     pkg, word, true_bit, sample = case
     sampled_values = {j: word[j] for j in sample}
     sample_bytes = SampleBytes.of(word, sample)
+    audit = reference_audit(pkg, sampled_values, word, true_bit, kernel_cap)
     for strict in (False, True):
-        assert decode_index(pkg, sample_bytes, kernel_cap, strict) == (
-            reference_decode(pkg, sampled_values, kernel_cap, strict)
-        )
-    assert _audit_index(
-        pkg, sample_bytes, word, true_bit, kernel_cap
-    ) == reference_audit(pkg, sampled_values, word, true_bit, kernel_cap)
+        outcome = decode_index(pkg, sample_bytes, kernel_cap, strict)
+        assert outcome == reference_decode(pkg, sampled_values, kernel_cap, strict)
+        # the audit resumes this outcome's scan, in either mode
+        assert _audit_index(pkg, outcome, word, true_bit) == audit
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,6 +8,7 @@ from rldc.daisy import build_daisy_sequence
 from rldc import harness
 from rldc.harness import (
     MAX_LABELS,
+    WRAPUP_MAX_K,
     ExperimentConfig,
     GlobalTrialStats,
     audit_daisy_levels,
@@ -139,6 +140,11 @@ def test_scaling_rejects_repeated_size():
         scaling_study("hadamard", [4, 4], 2, master_seed=0)
 
 
+def test_scaling_rejects_nonpositive_size():
+    with pytest.raises(ValueError, match="sizes must be >= 1"):
+        scaling_study("hadamard", [0, 4, 8], 2, master_seed=0)
+
+
 @pytest.mark.parametrize("p", [0.0, 1e-9])
 def test_scaling_without_queries_skips_fit(p):
     result = scaling_study("hadamard", [4, 8], 2, master_seed=0, p=p)
@@ -189,6 +195,9 @@ def test_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(seed=-1)
+    with pytest.raises(ValueError, match="wrapup_max"):
+        ExperimentConfig(wrapup_max=WRAPUP_MAX_K + 1)
+    assert ExperimentConfig(wrapup_max=WRAPUP_MAX_K).wrapup_max == WRAPUP_MAX_K
 
 
 def test_global_trials_report_structure():
