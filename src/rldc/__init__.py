@@ -59,7 +59,6 @@ from .preprocessing import (
 )
 from .set_system import (
     ContractError,
-    DaisyCertificate,
     DaisyReport,
     SetSystem,
     WeightedSetSystem,

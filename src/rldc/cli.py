@@ -38,10 +38,13 @@ from .rng import derive_rng
 from .set_system import system_from_json
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed (u64)")
+def _add_common(parser: argparse.ArgumentParser, seed: bool = True, fmt: bool = True) -> None:
+    """--out on every subcommand; --seed and --format only where they are read."""
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="master seed (u64)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
+    if fmt:
+        parser.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--ell", type=int, required=True, help="level count (max set size)")
     p.add_argument("--c", dest="scale", default=None, help="threshold scale (rational; default |T|/n floored at n^(-1/ell))")
-    _add_common(p)
+    _add_common(p, seed=False, fmt=False)
     p.set_defaults(func=_cmd_extract_daisy)
 
     p = sub.add_parser("preprocess", help="flatten, amplify, and reduce a decoder's randomness")
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiset-factor", type=int, default=4)
     p.add_argument("--corpus-size", type=int, default=50)
     p.add_argument("--tolerance", default=None, help="validation tolerance (rational; default 2*epsilon)")
-    _add_common(p)
+    _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("simulate", help="run seeded global-decoder trials")
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--daisies", type=int, default=200, help="random daisies for the pluck suite")
     p.add_argument("--trials", type=int, default=200, help="global-decoder trials per code")
     p.add_argument("--wrapup-max", type=int, default=10)
-    p.add_argument("--claims", nargs="*", choices=CLAIM_IDS, default=None, help="subset of claim ids to run")
+    p.add_argument("--claims", nargs="+", choices=CLAIM_IDS, default=None, help="subset of claim ids to run")
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -307,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wrapup", help="exhaustive (k-1)-query impossibility check")
     p.add_argument("--k", type=int, default=8)
-    _add_common(p)
+    _add_common(p, seed=False, fmt=False)
     p.set_defaults(func=_cmd_wrapup)
 
     return parser
@@ -315,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Bounds of the numeric flags, by argparse dest: (dest, lowest, highest or None).
 BOUNDS = (
-    ("trials", 1, None), ("ell", 1, None), ("kmax", 0, None), ("budget", 0, None),
-    ("instances", 0, None), ("daisies", 0, None), ("corpus_size", 0, None),
+    ("seed", 0, (1 << 64) - 1), ("trials", 1, None), ("ell", 1, None), ("kmax", 0, None),
+    ("budget", 0, None), ("instances", 0, None), ("daisies", 0, None), ("corpus_size", 0, None),
     ("wrapup_max", 0, WRAPUP_MAX_K), ("k", 0, WRAPUP_MAX_K), ("multiset_factor", 1, None),
 )
 
@@ -325,8 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0 <= args.seed < 1 << 64:
-            raise ValueError(f"--seed must lie in [0, 2^64), got {args.seed}")
         for name, low, high in BOUNDS:
             value, flag = getattr(args, name, None), "--" + name.replace("_", "-")
             if value is not None and value < low:
@@ -334,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None and high is not None and value > high:
                 raise ValueError(f"{flag} must be <= {high}, got {value}")
         return args.func(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, OverflowError) as err:
         parser.exit(2, f"rldc: error: {err}\n")
 
 

@@ -13,7 +13,9 @@ weight (one exists by pigeonhole), and pluck_simple_daisy greedily thins a
 t-daisy down to pairwise-disjoint petals while keeping a guaranteed fraction
 of the covered elements.
 
-All threshold comparisons are exact integer arithmetic; see exact.py.
+A scale c is a PowerBound (a rational one is converted once, at entry) and
+level i's threshold is c * n**(i/l).  Integer degrees are compared with its
+floor, and a daisy is passed as its parts with an integer degree_cap.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from itertools import chain
 from .exact import PowerBound, floor_power_bound
 from .set_system import (
     ContractError,
-    DaisyCertificate,
     SetSystem,
     WeightedSetSystem,
     covered_elements,
@@ -54,7 +55,7 @@ class DaisyLevel:
 
 @dataclass(frozen=True)
 class HeavyDaisy:
-    """A level holding >= 1/l of the weight, packaged as a daisy certificate."""
+    """A level holding >= 1/l of the weight, with its petal and degree bounds."""
 
     level: int
     members: tuple[int, ...]
@@ -62,14 +63,6 @@ class HeavyDaisy:
     petal_bound: int
     degree_bound: PowerBound
     density: Fraction
-
-    def certificate(self) -> DaisyCertificate:
-        return DaisyCertificate(
-            member_indices=frozenset(self.members),
-            kernel=self.kernel,
-            petal_bound=self.petal_bound,
-            degree_bound=self.degree_bound,
-        )
 
     def to_json(self) -> dict:
         return {
@@ -82,16 +75,7 @@ class HeavyDaisy:
         }
 
 
-def _threshold(c: Fraction | PowerBound, n: int, num: int, den: int) -> PowerBound:
-    """The exact bound c * n**(num/den)."""
-    if isinstance(c, PowerBound):
-        if c.base != n:
-            raise ValueError("scale parameter uses a different base than the universe")
-        return c.scale_exponent(Fraction(num, den))
-    return PowerBound(Fraction(c), n, Fraction(num, den))
-
-
-def default_extraction_scale(support_size: int, n: int, ell: int) -> Fraction | PowerBound:
+def default_extraction_scale(support_size: int, n: int, ell: int) -> PowerBound:
     """Scale parameter for daisy extraction on a decoder's query distribution.
 
     The natural choice is support_size/n, but when the support is sparse that
@@ -103,36 +87,36 @@ def default_extraction_scale(support_size: int, n: int, ell: int) -> Fraction | 
     """
     ratio = Fraction(support_size, n)
     floor = PowerBound(Fraction(1), n, Fraction(-1, ell))
-    return ratio if floor.cmp(ratio) < 0 else floor
+    return PowerBound(ratio, n, 0) if floor.cmp(ratio) < 0 else floor
 
 
 def build_daisy_sequence(
-    system: SetSystem, ell: int, c: Fraction | PowerBound
+    system: SetSystem, ell: int, c: PowerBound | Fraction
 ) -> tuple[DaisyLevel, ...]:
     """Run the level construction on a system whose sets have size <= ell.
 
     Residual collection T_1 is the whole system; at level i the kernel is
     K_i = {j : deg over T_i of j > c * n**(i/ell)}, the members are the
     residual sets with at most i elements outside K_i, and T_{i+1} drops
-    them.  The ell member tuples always partition the input.
+    them.  The ell member tuples always partition the input.  A rational
+    scale c is read as PowerBound(c, n, 0).
     """
+    n = system.universe_size
     if ell < 1:
         raise ValueError(f"level count must be >= 1, got {ell}")
-    if isinstance(c, PowerBound):
-        if c.cmp(0) <= 0:
-            raise ValueError("scale parameter must be positive")
-    elif c <= 0:
-        raise ValueError(f"scale parameter must be positive, got {c}")
+    if not isinstance(c, PowerBound):
+        c = PowerBound(c, n, 0)
+    if c.base != n:
+        raise ValueError("scale parameter uses a different base than the universe")
     for idx, members in enumerate(system.sets):
         if len(members) > ell:
             raise ValueError(f"set {idx} has {len(members)} > {ell} elements")
 
-    n = system.universe_size
     sets = system.sets
     residual = list(range(len(sets)))
     levels = []
     for i in range(1, ell + 1):
-        threshold = _threshold(c, n, i, ell)
+        threshold = c.scale_exponent(Fraction(i, ell))
         # "deg > threshold" == "deg > floor(threshold)" for integer degrees.
         cap = floor_power_bound(threshold)
 
@@ -199,7 +183,7 @@ def pluck_simple_daisy(
     members: tuple[int, ...] | frozenset[int],
     kernel: frozenset[int],
     petal_bound: int,
-    degree_bound: Fraction | PowerBound,
+    degree_cap: int,
 ) -> tuple[int, ...]:
     """Thin a valid t-daisy to members with pairwise-disjoint petals.
 
@@ -208,11 +192,10 @@ def pluck_simple_daisy(
     smallest containing set and discards every set whose petal meets the kept
     petal.  The survivors form a 1-daisy with the same kernel, of size at
     least (covered - |kernel|) when petal_bound == 1 and at least
-    (covered - |kernel|) / (t * s**2) otherwise.
+    (covered - |kernel|) / (t * s**2) otherwise, where t = degree_cap.
     """
     member_tuple = system.check_scope(members)
-    cert = DaisyCertificate(frozenset(member_tuple), kernel, petal_bound, degree_bound)
-    report = verify_daisy(system, cert)
+    report = verify_daisy(system, member_tuple, kernel, petal_bound, degree_cap)
     if not report.ok:
         raise ContractError(f"input is not a valid daisy: {report.to_json()}")
 
@@ -245,11 +228,13 @@ def extraction_report(
     system: SetSystem, levels: tuple[DaisyLevel, ...], heavy: HeavyDaisy
 ) -> dict:
     """JSON summary of an extraction: levels, chosen level, verification."""
+    cap = floor_power_bound(heavy.degree_bound)
+    report = verify_daisy(system, heavy.members, heavy.kernel, heavy.petal_bound, cap)
     return {
         "n": system.universe_size,
         "set_count": len(system.sets),
         "levels": [lvl.to_json() for lvl in levels],
         "heavy": heavy.to_json(),
         "covered_by_heavy": len(covered_elements(system, heavy.members)),
-        "verification": verify_daisy(system, heavy.certificate()).to_json(),
+        "verification": report.to_json(),
     }

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
@@ -378,25 +378,6 @@ _PARITY2 = (0, 1, 1, 0)
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
-def identity_code(k: int) -> tuple[Code, NonAdaptiveDecoder]:
-    """n = k, each bit read directly; the degenerate baseline."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_views(k, k)
-    code = Code(
-        name=f"identity:k={k}",
-        k=k,
-        n=k,
-        encoder=lambda msg: msg,
-        relative_distance=Fraction(1, k),
-        decoding_radius=Fraction(1, 4 * k),
-    )
-    views = tuple(
-        ExplicitViews([(Fraction(1), LocalView((i,), _READ_BIT))]) for i in range(k)
-    )
-    return code, NonAdaptiveDecoder(k=k, n=k, locality=1, views=views)
-
-
 def repetition_code(k: int, r: int) -> tuple[Code, NonAdaptiveDecoder]:
     """Each message bit repeated r times; the decoder reads one uniform copy."""
     if k < 1 or r < 1:
@@ -422,6 +403,12 @@ def repetition_code(k: int, r: int) -> tuple[Code, NonAdaptiveDecoder]:
         for i in range(k)
     )
     return code, NonAdaptiveDecoder(k=k, n=n, locality=1, views=views)
+
+
+def identity_code(k: int) -> tuple[Code, NonAdaptiveDecoder]:
+    """n = k, each bit read directly; the degenerate baseline (repetition r = 1)."""
+    code, decoder = repetition_code(k, 1)
+    return replace(code, name=f"identity:k={k}"), decoder
 
 
 def hadamard_code(m: int) -> tuple[Code, NonAdaptiveDecoder]:

@@ -89,10 +89,6 @@ class PowerBound:
             return 1  # the bound is strictly positive
         return _cmp_power_vs_fraction(self.base, self.exponent, value / self.coeff)
 
-    def exceeded_by(self, value: int | Fraction) -> bool:
-        """True iff value > self (the strict ">" used for kernel membership)."""
-        return self.cmp(value) < 0
-
     def __float__(self) -> float:
         return float(self.coeff) * self.base ** float(self.exponent)
 

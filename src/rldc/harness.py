@@ -38,7 +38,6 @@ from .global_decoder import (
 )
 from .rng import derive_rng
 from .set_system import (
-    DaisyCertificate,
     SetSystem,
     WeightedSetSystem,
     covered_elements,
@@ -277,16 +276,12 @@ def run_pluck_suite(samples: int, master_seed: int) -> ClaimReport:
         rng = derive_rng(master_seed, *labels)
         system, kernel, s, t = random_daisy_instance(rng)
         members = tuple(range(len(system.sets)))
-        assert verify_daisy(
-            system, DaisyCertificate(frozenset(members), kernel, s, Fraction(t))
-        ).ok, "generator produced an invalid daisy"
+        assert verify_daisy(system, members, kernel, s, t).ok, "generator produced an invalid daisy"
 
-        chosen = pluck_simple_daisy(system, members, kernel, s, Fraction(t))
+        chosen = pluck_simple_daisy(system, members, kernel, s, t)
         report.instances += 1
 
-        simple = verify_daisy(
-            system, DaisyCertificate(frozenset(chosen), kernel, s, Fraction(1))
-        )
+        simple = verify_daisy(system, chosen, kernel, s, 1)
         covered = len(covered_elements(system, members))
         needed = covered - len(kernel)
         got = len(chosen) if s == 1 else len(chosen) * t * s * s

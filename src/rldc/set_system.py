@@ -1,9 +1,11 @@
 """Weighted set systems over a universe [n], petal degrees, and daisy verification.
 
-A *daisy* with kernel K and degree bound t is a collection of sets in which
-every element outside K lies in at most t petals (petal = set minus kernel);
-t = 1 means the petals are pairwise disjoint ("simple daisy").  These systems
-carry the query distributions of non-adaptive local decoders, so:
+A *daisy* is passed as its parts (members, kernel K, petal_bound s,
+degree_cap t): every petal (set minus K) has at most s elements and every
+element outside K lies in at most t petals; t = 1 is a "simple daisy".  The
+cap t is an integer, as degrees are: "degree > c * n**(i/l)" is exactly
+"degree > floor(c * n**(i/l))".  These systems carry the query distributions
+of non-adaptive local decoders, so:
 
 - set identity is positional (index into the stored list) and duplicates are
   allowed with multiplicity, giving multiset semantics;
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import PowerBound, format_fraction, integer_masses, parse_fraction
+from .exact import format_fraction, integer_masses, parse_fraction
 
 
 class ContractError(RuntimeError):
@@ -104,22 +106,8 @@ class WeightedSetSystem:
 
 
 @dataclass(frozen=True)
-class DaisyCertificate:
-    """A claimed (t, s)-daisy: members of a parent system, kernel, bounds.
-
-    degree_bound may be an exact PowerBound since level thresholds of the
-    form c * n**(i/l) are irrational in general.
-    """
-
-    member_indices: frozenset[int]
-    kernel: frozenset[int]
-    petal_bound: int
-    degree_bound: Fraction | PowerBound
-
-
-@dataclass(frozen=True)
 class DaisyReport:
-    """Outcome of verify_daisy: empty iff the certificate is a valid daisy."""
+    """Outcome of verify_daisy: empty iff the parts form a valid daisy."""
 
     degree_violations: tuple[tuple[int, int], ...] = field(default=())
     petal_violations: tuple[tuple[int, int], ...] = field(default=())
@@ -150,30 +138,28 @@ def petal_degrees(system: SetSystem, members: Iterable[int], kernel: frozenset[i
     return Counter([e for idx in members for e in sets[idx] if e not in kernel])
 
 
-def verify_daisy(system: SetSystem, cert: DaisyCertificate) -> DaisyReport:
-    """Check a daisy certificate, reporting every violating element and member.
+def verify_daisy(
+    system: SetSystem, members: Iterable[int], kernel: frozenset[int], petal_bound: int,
+    degree_cap: int,
+) -> DaisyReport:
+    """Check a claimed daisy, reporting every violating element and member.
 
     The report lists each element outside the kernel whose petal degree
-    exceeds degree_bound, and each member whose petal exceeds petal_bound.
-    A simple daisy is the degree_bound = 1 case.
+    exceeds degree_cap, and each member whose petal exceeds petal_bound.
+    A simple daisy is the degree_cap = 1 case.
     """
-    members = system.check_scope(cert.member_indices)
-    for e in cert.kernel:
+    members = system.check_scope(members)
+    for e in kernel:
         if e < 0 or e >= system.universe_size:
             raise ValueError(f"kernel element {e} outside universe")
 
-    kernel = cert.kernel
-    bound = cert.degree_bound
     counts = petal_degrees(system, members, kernel)
-    if isinstance(bound, PowerBound):
-        degree_bad = tuple(sorted((e, d) for e, d in counts.items() if bound.exceeded_by(d)))
-    else:
-        degree_bad = tuple(sorted((e, d) for e, d in counts.items() if d > bound))
+    degree_bad = tuple(sorted((e, d) for e, d in counts.items() if d > degree_cap))
 
     petal_bad = []
     for idx in members:
         size = sum(1 for e in system.sets[idx] if e not in kernel)
-        if size > cert.petal_bound:
+        if size > petal_bound:
             petal_bad.append((idx, size))
     return DaisyReport(degree_bad, tuple(petal_bad))
 
@@ -200,7 +186,7 @@ def system_from_json(doc: dict) -> WeightedSetSystem:
             raise ValueError(f"set-system JSON has no field {name!r}")
         try:
             return convert(doc[name])
-        except (TypeError, ValueError, AttributeError) as err:
+        except (TypeError, ValueError, AttributeError, OverflowError) as err:
             raise ValueError(f"set-system JSON field {name!r} is ill-typed: {err}") from None
 
     system = SetSystem(

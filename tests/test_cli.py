@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rldc import harness
 from rldc.cli import main
@@ -281,7 +285,7 @@ def test_missing_subcommand_is_usage_error():
         ["simulate", "--code", "hadamard:m=3", "--trials", "0"],
         ["scaling", "--sizes", "64,256", "--trials", "0"],
         ["simulate", "--code", "hadamard:m=3", "--trials", "1", "--seed", "-5"],
-        ["wrapup", "--k", "2", "--seed", str(1 << 64)],
+        ["verify", "--claims", "wrapup", "--wrapup-max", "2", "--seed", str(1 << 64)],
         ["extract-daisy", "--in", "{star}", "--ell", "0"],
         ["simulate", "--code", "hadamard:m=3", "--trials", "2", "--kmax", "-1"],
         ["scaling", "--sizes", "64,256", "--trials", "2", "--kmax", "-1"],
@@ -307,7 +311,29 @@ def test_bad_trials_or_seed_is_usage_error(argv, star_json, capsys):
 
 
 def test_largest_seed_accepted():
-    assert main(["wrapup", "--k", "2", "--seed", str((1 << 64) - 1)]) == 0
+    argv = ["verify", "--claims", "wrapup", "--wrapup-max", "2", "--seed", str((1 << 64) - 1)]
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["wrapup", "--k", "2", "--format", "csv"], "unrecognized arguments: --format csv"),
+        (["wrapup", "--k", "2", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["extract-daisy", "--in", "x.json", "--ell", "2", "--seed", "1"], "unrecognized arguments"),
+        (["preprocess", "--code", "hadamard:m=3", "--format", "json"], "unrecognized arguments"),
+        (["verify", "--claims"], "--claims: expected at least one argument"),
+    ],
+)
+def test_flag_a_subcommand_does_not_read_is_usage_error(argv, message, capsys):
+    # --seed and --format exist only where they change the output, and
+    # --claims with no ids would otherwise mean every suite at full scale
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -333,6 +359,27 @@ def test_malformed_system_json_is_usage_error(doc, field, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ('{"n": 1e400, "sets": [[0, 1]]}', ["--ell", "2"], "field 'n' is ill-typed"),
+        ('{"n": 8, "sets": [[0, 1], [0, 2]]}', ["--ell", "2", "--c", "1e999"], "too large"),
+        (json.dumps({"n": 10**700, "sets": [[0], [1]]}), ["--ell", "1"], "too large"),
+        (json.dumps({"n": 10**700, "sets": [[0], [1]]}), ["--ell", "2"], "too large"),
+    ],
+)
+def test_overflowing_input_is_usage_error(text, argv, message, tmp_path, capsys):
+    # an infinite n, and thresholds whose float approximation overflows
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["extract-daisy", "--in", str(path), *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("rldc: error:") and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["preprocess", "--code", "hadamard:m=3", "--epsilon", "1/0"],
@@ -347,3 +394,136 @@ def test_zero_denominator_is_usage_error(argv, star_json, capsys):
     captured = capsys.readouterr()
     assert captured.err == "rldc: error: zero denominator in '1/0'\n"
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every argument vector ends in exit 0, 1 or 2, never a traceback
+
+FUZZ_FILES = {
+    "star": json.dumps({"n": 8, "sets": [[0, j] for j in range(1, 8)]}),
+    "weighted": json.dumps({"n": 4, "sets": [[0, 1], [2, 3]], "weights": ["1/3", "2/3"]}),
+    "inf": '{"n": 1e400, "sets": [[0, 1]]}',
+    "huge": json.dumps({"n": 10**700, "sets": [[0], [1]]}),
+    "nan": '{"n": NaN, "sets": [[0, 1]]}',
+    "list": "[[0, 1]]",
+    "badweights": '{"n": 4, "sets": [[0, 1]], "weights": ["1/2"]}',
+    "outside": '{"n": 2, "sets": [[0, 5]]}',
+    "infset": '{"n": 4, "sets": [[0, 1e400]]}',
+    "nested": '{"n": 4, "sets": [[[0]]]}',
+    "negweights": '{"n": 4, "sets": [[0], [1]], "weights": ["-1/2", "3/2"]}',
+    "text": "not json",
+}
+CODES = (
+    "hadamard:m=2", "hadamard:m=4", "identity:k=3", "repetition:k=2,r=3",
+    "shared-pivot:kappa=2,r=4,k=4", "shared-pivot:kappa=4,r=0,k=4", "hadamard:m=0",
+    "identity:k=-1", "hadamard", "hadamard:m=", "hadamard:m=x", "hadamard:m=3,x=1",
+    "bogus:z=1", "", ":",
+)
+# a tiny epsilon is valid but amplifies for seconds, so the pool stops at 1/16
+RATIONALS = (None, "1/4", "1/16", "1", "0", "-1/4", "2", "1/0", "x", "1e999", "nan")
+COUNTS = ("-1", "0", "1", "2", "x")  # never the full-scale defaults
+SEEDS = (None, "0", "7", "-1", str((1 << 64) - 1), str(1 << 64))
+OUTS = (None, "{missing}")
+FLAG = (None, True)
+
+COMMANDS = {
+    "extract-daisy": {
+        "--in": ["{%s}" % name for name in FUZZ_FILES] + ["{missing}"],
+        "--ell": ("0", "1", "2", "3", "x"),
+        "--c": RATIONALS,
+        "--out": OUTS,
+    },
+    "preprocess": {
+        "--code": CODES,
+        "--epsilon": RATIONALS,
+        "--epsilon-mode": (None, "final", "original", "other"),
+        "--multiset-factor": (None, "0", "1", "2"),
+        "--corpus-size": COUNTS,
+        "--tolerance": RATIONALS,
+        "--seed": SEEDS,
+        "--out": OUTS,
+    },
+    "simulate": {
+        "--code": CODES,
+        "--trials": COUNTS,
+        "--kmax": (None, "-1", "0", "3"),
+        "--p": (None, "0", "0.5", "1", "-0.5", "2", "nan", "inf", "x"),
+        "--budget": (None, "-1", "0", "5"),
+        "--strict": FLAG,
+        "--no-audit": FLAG,
+        "--timing": FLAG,
+        "--seed": SEEDS,
+        "--format": (None, "csv", "json", "xml"),
+        "--out": OUTS,
+    },
+    "verify": {
+        "--instances": COUNTS,
+        "--daisies": COUNTS,
+        "--trials": COUNTS,
+        "--wrapup-max": ("-1", "0", "2", "3", "11"),
+        "--claims": [(claim,) for claim in harness.CLAIM_IDS]
+        + [("coresub", "simple-daisy-bound", "completeness"), ("soundness", "wrapup"), ("nope",)],
+        "--seed": SEEDS,
+        "--format": (None, "csv", "json"),
+        "--out": OUTS,
+    },
+    "scaling": {
+        "--family": (None, "hadamard", "identity", "bogus"),
+        "--sizes": ("4,16", "4", "16,4", "0,4", "4,4", "-4", "x", "", "4,,16"),
+        "--trials": COUNTS,
+        "--p": (None, "0", "0.5", "2", "nan"),
+        "--kmax": (None, "-1", "0", "3"),
+        "--seed": SEEDS,
+        "--format": (None, "csv", "json"),
+        "--out": OUTS,
+    },
+    "wrapup": {"--k": ("-1", "0", "2", "3", "11"), "--out": OUTS},
+}
+
+
+def _argv_strategy(command, pools):
+    """[command, flag, value, ...] with one drawn value per flag; a drawn None
+    leaves the flag out, True gives a bare switch and a tuple several values."""
+
+    def argv(drawn):
+        out = [command]
+        for flag, value in zip(pools, drawn):
+            if value is True:
+                out.append(flag)
+            elif isinstance(value, tuple):
+                out += [flag, *value]
+            elif value is not None:
+                out += [flag, value]
+        return out
+
+    return st.tuples(*(st.sampled_from(list(values)) for values in pools.values())).map(argv)
+
+
+ARGV = st.one_of(*(_argv_strategy(cmd, pools) for cmd, pools in COMMANDS.items()))
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {"missing": str(root / "no-such-dir" / "file.json")}
+    for name, text in FUZZ_FILES.items():
+        (root / f"{name}.json").write_text(text)
+        paths[name] = str(root / f"{name}.json")
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=ARGV)
+@example(argv=["extract-daisy", "--in", "{inf}", "--ell", "2"])
+@example(argv=["extract-daisy", "--in", "{star}", "--ell", "2", "--c", "1e999"])
+@example(argv=["extract-daisy", "--in", "{huge}", "--ell", "1"])
+@example(argv=["extract-daisy", "--in", "{huge}", "--ell", "2"])
+def test_cli_fuzz_exits_with_a_documented_code(argv, fuzz_paths):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([arg.format(**fuzz_paths) for arg in argv])
+        except SystemExit as stop:
+            code = stop.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

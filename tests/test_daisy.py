@@ -17,7 +17,6 @@ from rldc.exact import PowerBound, floor_power_bound
 from rldc.harness import audit_daisy_levels
 from rldc.set_system import (
     ContractError,
-    DaisyCertificate,
     SetSystem,
     WeightedSetSystem,
     covered_elements,
@@ -102,18 +101,19 @@ def test_heavy_daisy_certificate_verifies():
     heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system))
     assert heavy.kernel == frozenset({0})
     assert isinstance(heavy.degree_bound, PowerBound)
-    assert verify_daisy(system, heavy.certificate()).ok
+    cap = floor_power_bound(heavy.degree_bound)
+    assert verify_daisy(system, heavy.members, heavy.kernel, heavy.petal_bound, cap).ok
 
 
 def test_pluck_disjoint_unchanged():
     system = SetSystem(4, ((0, 1), (2, 3)))
-    chosen = pluck_simple_daisy(system, (0, 1), frozenset(), 2, Fraction(1))
+    chosen = pluck_simple_daisy(system, (0, 1), frozenset(), 2, 1)
     assert chosen == (0, 1)
 
 
 def test_pluck_star():
     system = SetSystem(8, tuple((0, j) for j in range(1, 8)))
-    chosen = pluck_simple_daisy(system, tuple(range(7)), frozenset({0}), 1, Fraction(1))
+    chosen = pluck_simple_daisy(system, tuple(range(7)), frozenset({0}), 1, 1)
     assert chosen == tuple(range(7))
     covered = len(covered_elements(system, tuple(range(7))))
     assert len(chosen) >= covered - 1
@@ -122,7 +122,7 @@ def test_pluck_star():
 def test_pluck_overlapping_members():
     system = SetSystem(5, ((0, 1), (1, 2), (3, 4)))
     members = (0, 1, 2)
-    chosen = pluck_simple_daisy(system, members, frozenset(), 2, Fraction(2))
+    chosen = pluck_simple_daisy(system, members, frozenset(), 2, 2)
     assert 2 in chosen
     assert sum(1 for idx in (0, 1) if idx in chosen) == 1
 
@@ -147,14 +147,14 @@ def test_pluck_overlapping_members():
 def test_pluck_rejects_invalid_daisy():
     system = SetSystem(3, ((0, 1), (0, 2)))
     with pytest.raises(ContractError):
-        pluck_simple_daisy(system, (0, 1), frozenset(), 2, Fraction(1))
+        pluck_simple_daisy(system, (0, 1), frozenset(), 2, 1)
 
 
 def test_pluck_skips_empty_petals():
     # A member hiding entirely inside the kernel contributes no petal and is
     # never selected, but disjointness still holds.
     system = SetSystem(4, ((0,), (0, 1), (0, 2)))
-    chosen = pluck_simple_daisy(system, (0, 1, 2), frozenset({0}), 1, Fraction(1))
+    chosen = pluck_simple_daisy(system, (0, 1, 2), frozenset({0}), 1, 1)
     assert chosen == (1, 2)
 
 
@@ -175,12 +175,9 @@ def test_sequence_guarantees_random_systems(n, ell):
             # kernel bound, exact
             bound = PowerBound(Fraction(ell), n, Fraction(ell - i, ell))
             assert bound.cmp(len(lvl.kernel)) > 0
-            # degree bound via the certificate of the level
-            cert = DaisyCertificate(
-                frozenset(lvl.members), lvl.kernel, i,
-                levels[max(1, i - 1) - 1].threshold,
-            )
-            assert verify_daisy(system, cert).ok
+            # degree bound: the level max(1, i-1) threshold, floored
+            cap = floor_power_bound(levels[max(1, i - 1) - 1].threshold)
+            assert verify_daisy(system, lvl.members, lvl.kernel, i, cap).ok
 
         # heavy level + pluck output is a simple daisy inside the members
         weighted = WeightedSetSystem.from_masses(
@@ -189,13 +186,11 @@ def test_sequence_guarantees_random_systems(n, ell):
         heavy = pick_heavy_level(levels, weighted)
         assert heavy.density >= Fraction(1, ell)
         chosen = pluck_simple_daisy(
-            system, heavy.members, heavy.kernel, heavy.petal_bound, heavy.degree_bound
+            system, heavy.members, heavy.kernel, heavy.petal_bound,
+            floor_power_bound(heavy.degree_bound),
         )
         assert set(chosen) <= set(heavy.members)
-        assert verify_daisy(
-            system,
-            DaisyCertificate(frozenset(chosen), heavy.kernel, heavy.petal_bound, Fraction(1)),
-        ).ok
+        assert verify_daisy(system, chosen, heavy.kernel, heavy.petal_bound, 1).ok
 
 
 def test_ell_one_edge_config():
@@ -207,11 +202,10 @@ def test_ell_one_edge_config():
     heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system))
     assert heavy.level == 1
     chosen = pluck_simple_daisy(
-        system, heavy.members, heavy.kernel, heavy.petal_bound, heavy.degree_bound
+        system, heavy.members, heavy.kernel, heavy.petal_bound,
+        floor_power_bound(heavy.degree_bound),
     )
-    assert verify_daisy(
-        system, DaisyCertificate(frozenset(chosen), heavy.kernel, 1, Fraction(1))
-    ).ok
+    assert verify_daisy(system, chosen, heavy.kernel, 1, 1).ok
 
 
 def per_set_levels(system, ell, c):

@@ -30,8 +30,8 @@ def test_exact_boundary_equality():
     b = PowerBound(Fraction(1, 2), 1024, Fraction(1, 2))
     assert b.cmp(16) == 0
     assert b.cmp(Fraction(16)) == 0
-    assert not b.exceeded_by(16)  # strict >
-    assert b.exceeded_by(17)
+    assert not b.cmp(16) < 0  # strict >
+    assert b.cmp(17) < 0
 
 
 def test_irrational_threshold_ordering():
@@ -39,8 +39,8 @@ def test_irrational_threshold_ordering():
     b = PowerBound(Fraction(1), 8, Fraction(1, 2))
     assert b.cmp(2) > 0
     assert b.cmp(3) < 0
-    assert not b.exceeded_by(2)
-    assert b.exceeded_by(3)
+    assert not b.cmp(2) < 0
+    assert b.cmp(3) < 0
 
 
 def test_negative_exponent():

@@ -88,7 +88,7 @@ def test_default_extraction_scale_floor():
     scale = default_extraction_scale(64, 1026, 3)
     assert isinstance(scale, PowerBound)
     assert scale.cmp(Fraction(64, 1026)) > 0
-    assert default_extraction_scale(512, 1024, 2) == Fraction(1, 2)
+    assert default_extraction_scale(512, 1024, 2) == PowerBound(Fraction(1, 2), 1024, 0)
 
 
 def test_fully_queried_petals_star():

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from rldc.set_system import (
-    DaisyCertificate,
     SetSystem,
     WeightedSetSystem,
     covered_elements,
@@ -86,29 +85,21 @@ def test_set_validation():
 
 def test_verify_daisy_examples():
     disjoint = SetSystem(4, ((0, 1), (2, 3)))
-    report = verify_daisy(
-        disjoint, DaisyCertificate(frozenset({0, 1}), frozenset(), 2, Fraction(1))
-    )
+    report = verify_daisy(disjoint, (0, 1), frozenset(), 2, 1)
     assert report.ok
 
     overlapping = SetSystem(3, ((0, 1), (0, 2)))
-    report = verify_daisy(
-        overlapping, DaisyCertificate(frozenset({0, 1}), frozenset(), 2, Fraction(1))
-    )
+    report = verify_daisy(overlapping, (0, 1), frozenset(), 2, 1)
     assert not report.ok
     assert report.degree_violations == ((0, 2),)
 
-    report = verify_daisy(
-        overlapping, DaisyCertificate(frozenset({0, 1}), frozenset({0}), 1, Fraction(1))
-    )
+    report = verify_daisy(overlapping, (0, 1), frozenset({0}), 1, 1)
     assert report.ok  # kernel absorbs the intersection
 
 
 def test_verify_daisy_petal_bound():
     system = SetSystem(4, ((0, 1, 2), (3,)))
-    report = verify_daisy(
-        system, DaisyCertificate(frozenset({0, 1}), frozenset({0}), 1, Fraction(1))
-    )
+    report = verify_daisy(system, (0, 1), frozenset({0}), 1, 1)
     assert report.petal_violations == ((0, 2),)
     assert report.degree_violations == ()
 
@@ -126,8 +117,8 @@ def test_verify_daisy_matches_brute_force():
         members = frozenset(i for i in range(len(sets)) if rng.random() < 0.7)
         kernel = frozenset(u for u in range(n) if rng.random() < 0.25)
         s = rng.randint(0, 4)
-        t = Fraction(rng.randint(0, 3))
-        report = verify_daisy(system, DaisyCertificate(members, kernel, s, t))
+        t = rng.randint(0, 3)
+        report = verify_daisy(system, members, kernel, s, t)
 
         brute_degree = []
         for u in range(n):
