@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .daisy import build_daisy_sequence, default_extraction_scale, extraction_report, pick_heavy_level
@@ -334,7 +335,12 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"{flag} must be >= {low}, got {value}")
             if value is not None and high is not None and value > high:
                 raise ValueError(f"{flag} must be <= {high}, got {value}")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:  # the reader closed stdout; silence the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, OverflowError) as err:
         parser.exit(2, f"rldc: error: {err}\n")
 

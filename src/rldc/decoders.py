@@ -11,8 +11,9 @@ checked as integer masses over their least common denominator
 (exact.integer_masses); sampling draws those masses, so a seeded run is
 reproducible and matches the exact distribution.
 
-An amplified coin outcome (UnanimityView) becomes one table by building a
-whole column per part and folding the columns, not one entry at a time.
+table_masks evaluates a table on a set of points at once, as bit masks; with
+it an amplified coin outcome (UnanimityView) becomes one table, and
+preprocessing checks a whole corpus, in whole-integer operations.
 
 decoder_to_json writes the JSON that `rldc preprocess` prints; nothing reads
 it back.
@@ -24,6 +25,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -34,6 +36,7 @@ Symbol = int | None  # 0, 1, or REJECT
 REJECT = None
 
 _SYMBOLS = (0, 1, None)
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 # Most table entries one step may build (a shared-pivot table; all reduced rows),
 # set from the measured time and memory of `rldc preprocess` (CHANGES.md).
@@ -209,22 +212,43 @@ class UnanimityView:
     def materialize(self) -> LocalView:
         """Collapse to a concrete truth table over the merged query set.
 
-        Column by column: a part's table indices over all merged indices start
-        as [0] and double per merged coordinate, the new half OR-ing in the
-        part's bit for it (a plain copy if the part skips it).  The columns
-        fold pairwise; REJECT is None, so a REJECT or disagreement is REJECT.
-        With no parts the table is (REJECT,).
+        The points are the 2^w table indices, and merged coordinate q's
+        literal is the mask of indices with bit q set.  The parts' table_masks
+        AND together; an index in neither mask (a REJECT or a disagreement)
+        is REJECT.  With no parts the table is (REJECT,).
         """
-        table = None
+        size = 1 << len(self.coords)
+        full = (1 << size) - 1
+        ones = zeros = full if self.parts else 0
+        literal, period = {}, 1  # period: a bit at the start of each 2^(q+1)-index block
+        for q, c in reversed(list(enumerate(self.coords))):  # 2^q clear, 2^q set, ...
+            literal[c] = period * (((1 << (1 << q)) - 1) << (1 << q))
+            period |= period << (1 << q)
         for part in self.parts:
-            bit = {c: 1 << j for j, c in enumerate(part.coords)}
-            idx = [0]
-            for c in self.coords:
-                b = bit.get(c, 0)
-                idx += [v | b for v in idx] if b else idx
-            col = [part.table[v] for v in idx]
-            table = col if table is None else [a if a == b else REJECT for a, b in zip(table, col)]
-        return LocalView(self.coords, tuple(table or (REJECT,)))
+            part_ones, part_zeros = table_masks(part.table, [literal[c] for c in part.coords], full)
+            ones, zeros = ones & part_ones, zeros & part_zeros
+        # spread each mask to a byte per index (to_bytes "little" puts index 0
+        # first), then 2 for a one, 1 for a zero and 0 for REJECT
+        spec = f"0{size}b"
+        ones, zeros = (int.from_bytes(format(m, spec).encode().translate(_BIT_BYTES)) for m in (ones, zeros))
+        table = itemgetter(*(ones << 1 | zeros).to_bytes(size, "little"))((REJECT, 0, 1))
+        return LocalView(self.coords, table if size > 1 else (table,))
+
+
+def table_masks(table, literals: Sequence[int], full: int) -> tuple[int, int]:
+    """(ones, zeros): the points within `full` where the table reads 1 and 0,
+    given literals[j], the points whose coordinate j reads 1.  Each non-REJECT
+    entry adds the AND of each literal or its complement, as its index says."""
+    pairs = [(full ^ literal, literal) for literal in literals]
+    masks = [0, 0]  # the points where the table reads 0, and 1
+    for idx, out in enumerate(table):
+        if out is not REJECT:
+            cell = full
+            for pair in pairs:
+                cell &= pair[idx & 1]
+                idx >>= 1
+            masks[out] |= cell
+    return masks[1], masks[0]
 
 
 class ExplicitViews:

@@ -25,17 +25,22 @@ from typing import Sequence
 
 from .decoders import (
     MAX_TABLE_ENTRIES,
-    REJECT,
     AdaptiveDecoder,
     ExplicitViews,
     LocalView,
     NonAdaptiveDecoder,
     ProductViews,
+    UnanimityView,
     run_tree,
+    table_masks,
     tree_coords,
 )
 
 RETRIES = 3  # resampling attempts after the first, before reduction fails
+
+# Most parts (base views) one reduction attempt may sample, k x multiset x R:
+# about 4.5 us each, so an attempt at the budget takes about 5 s (CHANGES.md).
+MAX_SAMPLED_PARTS = 1 << 20
 
 
 def flatten_adaptive(decoder: AdaptiveDecoder) -> NonAdaptiveDecoder:
@@ -126,10 +131,6 @@ class ReductionReport:
         }
 
 
-def _concrete(view) -> LocalView:
-    return view if isinstance(view, LocalView) else view.materialize()
-
-
 class ReductionFailedError(RuntimeError):
     """Raised when every resampling attempt exceeded the tolerance."""
 
@@ -148,65 +149,63 @@ def reduce_randomness(
     tolerance: Fraction,
     rng: Random,
 ) -> tuple[NonAdaptiveDecoder, ReductionReport]:
-    """Redraw each index's coins from a uniform multiset of fixed size.
+    """Redraw each index's coins from a uniform multiset of `multiset_size` rows.
 
-    Per index, samples a multiset of `multiset_size` coin outcomes (views)
-    and builds a decoder that draws uniformly from it, so the coin space has
-    exactly `multiset_size` rows.  Each corpus entry (oracle word, reference
-    message) must be within the decoding radius of its codeword; the report
-    gives the exact worst fraction of rows whose output is neither the
-    reference bit nor REJECT.  If that exceeds `tolerance`, the multisets are
-    resampled, up to RETRIES extra attempts, before failing with
-    ReductionFailedError carrying the final report.  Rows that could hold
-    over MAX_TABLE_ENTRIES table entries in all raise ValueError up front.
+    Each corpus entry (oracle word, reference message) must be within the
+    decoding radius of its codeword; the report gives the exact worst fraction
+    of rows whose output is neither the reference bit nor REJECT.  Over
+    `tolerance`, the multisets are resampled up to RETRIES more times, and then
+    ReductionFailedError carries the final report.  Over MAX_TABLE_ENTRIES table
+    entries or MAX_SAMPLED_PARTS sampled parts (k x multiset x R) in all, it
+    raises ValueError before sampling.
+
+    The corpus is checked as bit masks over its words: bit t of column c is
+    word t at c, and an index's truth mask holds the words whose reference bit
+    is 1.  Each distinct part's table_masks are built once; a row ANDs its
+    parts' masks, and its wrong words are `ones & ~truth | zeros & truth`.
     """
     if multiset_size < 1:
         raise ValueError("multiset size must be >= 1")
     entries = sum(multiset_size << views.max_view_size() for views in decoder.views)
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(f"reduction needs {entries} table entries, over {MAX_TABLE_ENTRIES}")
+    parts = multiset_size * sum(v.times if isinstance(v, ProductViews) else 1 for v in decoder.views)
+    if parts > MAX_SAMPLED_PARTS:
+        raise ValueError(f"reduction samples {parts} parts, over {MAX_SAMPLED_PARTS}")
     uniform = Fraction(1, multiset_size)
-    report = None
+    full = (1 << len(corpus)) - 1
+    columns = [sum(1 << t for t, (w, _) in enumerate(corpus) if w[c]) for c in range(decoder.n)]
+    truths = [sum(1 << t for t, (_, x) in enumerate(corpus) if x[i]) for i in range(decoder.k)]
+    masks = {}  # part -> its table_masks over the corpus
     for attempt in range(1, RETRIES + 2):
-        views = tuple(
-            ExplicitViews(
-                [
-                    (uniform, _concrete(decoder.views[i].sample(rng)))
-                    for _ in range(multiset_size)
-                ]
-            )
-            for i in range(decoder.k)
-        )
-        reduced = NonAdaptiveDecoder(
-            k=decoder.k, n=decoder.n, locality=decoder.locality, views=views
-        )
-
-        entry_rates = []
-        for word, message in corpus:
-            entry_worst = Fraction(0)
-            for i in range(decoder.k):
-                true_bit = message[i]
-                wrong = sum(
-                    1
-                    for _, view in views[i]
-                    if view.read_and_evaluate(word) not in (true_bit, REJECT)
-                )
-                rate = Fraction(wrong, multiset_size)
-                if rate > entry_worst:
-                    entry_worst = rate
-            entry_rates.append(entry_worst)
-        worst = max(entry_rates, default=Fraction(0))
-        passed = worst <= tolerance
+        views, worst = [], [0] * len(corpus)
+        for view_set, truth in zip(decoder.views, truths):
+            rows = [view_set.sample(rng) for _ in range(multiset_size)]
+            concrete = [row.materialize() if isinstance(row, UnanimityView) else row for row in rows]
+            views.append(ExplicitViews([(uniform, view) for view in concrete]))
+            counts = [0] * len(corpus)
+            for row in rows:
+                row_parts = row.parts if isinstance(row, UnanimityView) else (row,)
+                if not row_parts:  # REJECT is never wrong; an AND over no parts is full
+                    continue
+                ones = zeros = full
+                for part in row_parts:
+                    if part not in masks:
+                        masks[part] = table_masks(part.table, [columns[c] for c in part.coords], full)
+                    part_ones, part_zeros = masks[part]
+                    ones, zeros = ones & part_ones, zeros & part_zeros
+                wrong = ones & ~truth | zeros & truth
+                while wrong:
+                    counts[(wrong & -wrong).bit_length() - 1] += 1
+                    wrong &= wrong - 1
+            worst = list(map(max, worst, counts))
+        entry_rates = tuple(Fraction(count, multiset_size) for count in worst)
+        max_wrong_rate = max(entry_rates, default=Fraction(0))
+        passed = max_wrong_rate <= tolerance
         report = ReductionReport(
-            multiset_size=multiset_size,
-            validation_corpus_size=len(corpus),
-            max_wrong_rate=worst,
-            passed=passed,
-            attempts=attempt,
-            entry_rates=tuple(entry_rates),
-        )
+            multiset_size, len(corpus), max_wrong_rate, passed, attempt, entry_rates)
         if passed:
-            return reduced, report
+            return NonAdaptiveDecoder(decoder.k, decoder.n, decoder.locality, tuple(views)), report
     raise ReductionFailedError(report)
 
 

@@ -2,12 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rldc
 from rldc import harness
 from rldc.cli import main
 from rldc.harness import random_set_system
@@ -270,6 +274,41 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--code", "bogus:z=1", "--trials", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wrapup", "--k", "2"],  # small: fails at the final flush
+        ["preprocess", "--code", "shared-pivot:kappa=2,r=4,k=4"],  # fails mid-stream
+    ],
+)
+def test_closed_stdout_exits_1_without_an_error_line(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rldc.__file__)))
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "rldc.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1
+    assert run.stderr == b""
+
+
+def test_preprocess_over_the_parts_budget_exits_2_at_once(capsys):
+    # shared-pivot views share coordinates, so only the parts budget stops R = 6641
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["preprocess", "--code", "shared-pivot:kappa=2,r=4,k=4", "--corpus-size", "2",
+              "--epsilon", "1e-1999"])
+    assert time.perf_counter() - start < 2
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "rldc: error: reduction samples 1912608 parts, over 1048576\n"
+    assert captured.out == ""
 
 
 def test_missing_subcommand_is_usage_error():

@@ -25,7 +25,7 @@ from rldc.decoders import (
     shared_pivot_code,
 )
 
-from oracles import output_distribution, wrong_rate
+from oracles import column_fold, output_distribution, wrong_rate
 
 
 def all_messages(k):
@@ -387,6 +387,26 @@ def test_materialize_product_samples(spec, times, seed):
     rng = random.Random(seed)
     for views in dec.views:
         assert_materializes(ProductViews(views, times).sample(rng))
+
+
+@st.composite
+def mixed_unanimity_views(draw):
+    """0-5 parts, each over the shared coordinates [0, 4), its own disjoint
+    block of [10k, 10k+3), or none, with REJECT in the tables."""
+    parts = []
+    for k in range(draw(st.integers(0, 5))):
+        pool = draw(st.sampled_from([range(4), range(10 * (k + 1), 10 * (k + 1) + 3), range(0)]))
+        coords = tuple(sorted(draw(st.sets(st.sampled_from(pool), max_size=3)) if pool else ()))
+        size = 1 << len(coords)
+        table = draw(st.lists(st.sampled_from((0, 1, REJECT)), min_size=size, max_size=size))
+        parts.append(LocalView(coords, tuple(table)))
+    return UnanimityView.of(parts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mixed_unanimity_views())
+def test_materialize_matches_column_fold(view):
+    assert view.materialize() == column_fold(view)
 
 
 def test_materialize_without_parts_rejects():

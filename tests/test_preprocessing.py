@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,17 @@ from rldc.decoders import (
     LocalView,
     NonAdaptiveDecoder,
     TreeNode,
+    UnanimityView,
     hadamard_code,
+    parse_code_spec,
     repetition_code,
     run_tree,
+    shared_pivot_code,
     tree_coords,
 )
 from rldc.harness import make_in_radius_corpus
 from rldc.preprocessing import (
+    MAX_SAMPLED_PARTS,
     ReductionFailedError,
     amplify,
     epsilon_for_locality,
@@ -28,7 +33,7 @@ from rldc.preprocessing import (
     repetitions_for,
 )
 
-from oracles import output_distribution
+from oracles import output_distribution, reduce_by_words
 
 
 def random_tree(rng, n, depth, used=frozenset()):
@@ -193,6 +198,82 @@ def test_reduce_refuses_oversized_tables_before_sampling():
     with pytest.raises(ValueError, match="1610612736 table entries"):
         reduce_randomness(amp, 4 * dec.n, [], Fraction(1), rng)
     assert rng.getstate() == state
+
+
+def test_reduce_refuses_too_many_parts_before_sampling():
+    code, dec = shared_pivot_code(2, 4, 4)  # 4 indices, multiset 72
+    reps = MAX_SAMPLED_PARTS // (4 * 72) + 1
+    amp = amplify(dec, Fraction(1, 1 << reps))
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"samples {4 * 72 * reps} parts, over {MAX_SAMPLED_PARTS}"):
+        reduce_randomness(amp, 72, [], Fraction(1), rng)
+    assert rng.getstate() == state
+
+
+def _random_corpus(code, size, rng):
+    """Arbitrary words and messages, far outside the radius: many wrong rows."""
+    return [
+        (tuple(rng.randrange(2) for _ in range(code.n)), tuple(rng.randrange(2) for _ in range(code.k)))
+        for _ in range(size)
+    ]
+
+
+def _assert_reduces_like_words(decoder, multiset_size, corpus, tolerance, seed):
+    def run(reduce):
+        try:
+            reduced, report = reduce(decoder, multiset_size, corpus, tolerance, random.Random(seed))
+        except ReductionFailedError as failure:
+            return None, failure.report
+        return [list(views) for views in reduced.views], report
+
+    expected = run(reduce_by_words)
+    assert run(reduce_randomness) == expected
+    return expected[1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "spec, epsilon",
+    [
+        ("hadamard:m=4", Fraction(1, 16)),  # amplified, R = 4
+        ("shared-pivot:kappa=2,r=8,k=4", Fraction(1, 8)),  # amplified, REJECT tables
+        ("hadamard:m=4", None),  # R = 1: rows are plain LocalViews
+    ],
+)
+@pytest.mark.parametrize("corpus_kind", ["in-radius", "random", "empty"])
+def test_reduce_matches_word_by_word_reference(spec, epsilon, corpus_kind, seed):
+    code, dec = parse_code_spec(spec)
+    decoder = amplify(dec, epsilon) if epsilon else dec
+    rng = random.Random(1000 + seed)
+    corpus = {
+        "in-radius": lambda: make_in_radius_corpus(code, 12, rng),
+        "random": lambda: _random_corpus(code, 12, rng),
+        "empty": lambda: [],
+    }[corpus_kind]()
+    report = _assert_reduces_like_words(decoder, 2 * code.n, corpus, Fraction(1), seed)
+    assert report.passed and report.attempts == 1
+    assert report.max_wrong_rate > 0 or corpus_kind != "random"
+
+
+def test_reduce_rows_without_parts_are_never_wrong():
+    # coin outcomes given as unanimity views, one of them with no parts (REJECT)
+    code, dec = hadamard_code(3)
+    base = [view for _, view in dec.views[0]]
+    rows = [UnanimityView.of([]), UnanimityView.of(base[:2]), UnanimityView.of(base[3:])]
+    views = ExplicitViews([(Fraction(1, 3), row) for row in rows])
+    decoder = NonAdaptiveDecoder(k=1, n=code.n, locality=4, views=(views,))
+    corpus = _random_corpus(replace(code, k=1), 16, random.Random(2))
+    report = _assert_reduces_like_words(decoder, 9, corpus, Fraction(1), 4)
+    assert 0 < report.max_wrong_rate < 1
+
+
+@pytest.mark.parametrize("spec", ["hadamard:m=4", "shared-pivot:kappa=2,r=8,k=4"])
+def test_failed_reduction_report_matches_word_by_word_reference(spec):
+    code, dec = parse_code_spec(spec)
+    corpus = _random_corpus(code, 12, random.Random(7))
+    report = _assert_reduces_like_words(amplify(dec, Fraction(1, 8)), code.n, corpus, Fraction(0), 3)
+    assert not report.passed and report.attempts == 4 and report.max_wrong_rate > 0
 
 
 def test_reduce_coin_space_size_exact():
