@@ -11,9 +11,8 @@ checked as integer masses over their least common denominator
 (exact.integer_masses); sampling draws those masses, so a seeded run is
 reproducible and matches the exact distribution.
 
-table_masks evaluates a table on a set of points at once, as bit masks; with
-it an amplified coin outcome (UnanimityView) becomes one table, and
-preprocessing checks a whole corpus, in whole-integer operations.
+table_masks evaluates a table on a set of points at once as bit masks: it makes
+an amplified coin outcome (UnanimityView) one table and checks a whole corpus.
 
 decoder_to_json writes the JSON that `rldc preprocess` prints; nothing reads
 it back.
@@ -227,27 +226,33 @@ class UnanimityView:
         for part in self.parts:
             part_ones, part_zeros = table_masks(part.table, [literal[c] for c in part.coords], full)
             ones, zeros = ones & part_ones, zeros & part_zeros
-        # spread each mask to a byte per index (to_bytes "little" puts index 0
-        # first), then 2 for a one, 1 for a zero and 0 for REJECT
+        # a byte per index, index 0 first: 2 for a one, 1 for a zero, 0 for REJECT
         spec = f"0{size}b"
-        ones, zeros = (int.from_bytes(format(m, spec).encode().translate(_BIT_BYTES)) for m in (ones, zeros))
+        ones, zeros = (int.from_bytes(format(m, spec).encode().translate(_BIT_BYTES), "big") for m in (ones, zeros))
         table = itemgetter(*(ones << 1 | zeros).to_bytes(size, "little"))((REJECT, 0, 1))
         return LocalView(self.coords, table if size > 1 else (table,))
 
 
 def table_masks(table, literals: Sequence[int], full: int) -> tuple[int, int]:
     """(ones, zeros): the points within `full` where the table reads 1 and 0,
-    given literals[j], the points whose coordinate j reads 1.  Each non-REJECT
-    entry adds the AND of each literal or its complement, as its index says."""
+    given literals[j], the points whose coordinate j reads 1: the OR over the
+    non-REJECT entries of the AND of each literal or its complement.  cells[j]
+    keeps the AND over coordinates j and up for the last entry's index, so a
+    dense table costs about two ANDs per entry and any entry at most len(literals)."""
     pairs = [(full ^ literal, literal) for literal in literals]
+    cells = [full]
+    for complement, _ in reversed(pairs):
+        cells.insert(0, cells[0] & complement)
     masks = [0, 0]  # the points where the table reads 0, and 1
+    last = 0
     for idx, out in enumerate(table):
         if out is not REJECT:
-            cell = full
-            for pair in pairs:
-                cell &= pair[idx & 1]
-                idx >>= 1
-            masks[out] |= cell
+            j = (idx ^ last).bit_length()
+            while j:
+                j -= 1
+                cells[j] = cells[j + 1] & pairs[j][idx >> j & 1]
+            masks[out] |= cells[0]
+            last = idx
     return masks[1], masks[0]
 
 

@@ -157,12 +157,9 @@ def reduce_randomness(
     `tolerance`, the multisets are resampled up to RETRIES more times, and then
     ReductionFailedError carries the final report.  Over MAX_TABLE_ENTRIES table
     entries or MAX_SAMPLED_PARTS sampled parts (k x multiset x R) in all, it
-    raises ValueError before sampling.
-
-    The corpus is checked as bit masks over its words: bit t of column c is
-    word t at c, and an index's truth mask holds the words whose reference bit
-    is 1.  Each distinct part's table_masks are built once; a row ANDs its
-    parts' masks, and its wrong words are `ones & ~truth | zeros & truth`.
+    raises ValueError before sampling.  The corpus is checked as bit masks: bit
+    t of column c is word t at c, and a row's wrong words are `ones & ~truth |
+    zeros & truth` over its parts' table_masks (each built once).
     """
     if multiset_size < 1:
         raise ValueError("multiset size must be >= 1")
@@ -192,8 +189,7 @@ def reduce_randomness(
                 for part in row_parts:
                     if part not in masks:
                         masks[part] = table_masks(part.table, [columns[c] for c in part.coords], full)
-                    part_ones, part_zeros = masks[part]
-                    ones, zeros = ones & part_ones, zeros & part_zeros
+                    ones, zeros = ones & masks[part][0], zeros & masks[part][1]
                 wrong = ones & ~truth | zeros & truth
                 while wrong:
                     counts[(wrong & -wrong).bit_length() - 1] += 1
@@ -202,8 +198,7 @@ def reduce_randomness(
         entry_rates = tuple(Fraction(count, multiset_size) for count in worst)
         max_wrong_rate = max(entry_rates, default=Fraction(0))
         passed = max_wrong_rate <= tolerance
-        report = ReductionReport(
-            multiset_size, len(corpus), max_wrong_rate, passed, attempt, entry_rates)
+        report = ReductionReport(multiset_size, len(corpus), max_wrong_rate, passed, attempt, entry_rates)
         if passed:
             return NonAdaptiveDecoder(decoder.k, decoder.n, decoder.locality, tuple(views)), report
     raise ReductionFailedError(report)

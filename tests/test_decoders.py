@@ -23,6 +23,7 @@ from rldc.decoders import (
     parse_code_spec,
     repetition_code,
     shared_pivot_code,
+    table_masks,
 )
 
 from oracles import column_fold, output_distribution, wrong_rate
@@ -407,6 +408,20 @@ def mixed_unanimity_views(draw):
 @given(mixed_unanimity_views())
 def test_materialize_matches_column_fold(view):
     assert view.materialize() == column_fold(view)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda p: st.tuples(
+    st.lists(st.sampled_from((0, 1, REJECT)), min_size=1 << p, max_size=1 << p),
+    st.lists(st.integers(0, 2**40 - 1), min_size=p, max_size=p),
+)))
+def test_table_masks_read_each_point(case):
+    # dense, sparse and all-REJECT tables up to 8 coordinates, point by point
+    table, literals = case
+    ones, zeros = table_masks(table, literals, 2**40 - 1)
+    for t in range(40):
+        out = table[sum((literal >> t & 1) << j for j, literal in enumerate(literals))]
+        assert (ones >> t & 1, zeros >> t & 1) == (out == 1, out == 0)
 
 
 def test_materialize_without_parts_rejects():
