@@ -43,7 +43,6 @@ from .global_decoder import (
 )
 from .harness import (
     ClaimReport,
-    ExperimentConfig,
     run_global_trials,
     scaling_study,
     verify_claims,

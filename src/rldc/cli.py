@@ -15,37 +15,31 @@ import json
 import os
 import sys
 
-from .daisy import build_daisy_sequence, default_extraction_scale, extraction_report, pick_heavy_level
+from .daisy import build_daisy_sequence, extraction_report, pick_heavy_level
 from .decoders import decoder_to_json, parse_code_spec
 from .exact import parse_fraction
 from .global_decoder import KERNEL_CAP
 from .harness import (
     CLAIM_IDS,
     WRAPUP_MAX_K,
-    ExperimentConfig,
     make_in_radius_corpus,
     run_global_trials,
     scaling_study,
     verify_claims,
     wrapup_sanity,
 )
-from .preprocessing import (
-    ReductionFailedError,
-    epsilon_for_locality,
-    preprocess_pipeline,
-    randomness_complexity,
-)
+from .preprocessing import ReductionFailedError, preprocess_pipeline, randomness_complexity
 from .rng import derive_rng
 from .set_system import system_from_json
 
 
-def _add_common(parser: argparse.ArgumentParser, seed: bool = True, fmt: bool = True) -> None:
-    """--out on every subcommand; --seed and --format only where they are read."""
+def _add_common(parser: argparse.ArgumentParser, seed: bool = True, fmt: str | None = None) -> None:
+    """--out on every subcommand; --seed and --format (default fmt) only where they are read."""
     if seed:
         parser.add_argument("--seed", type=int, default=0, help="master seed (u64)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     if fmt:
-        parser.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
+        parser.add_argument("--format", choices=("csv", "json"), default=fmt, dest="fmt")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -79,15 +73,10 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 def _cmd_extract_daisy(args) -> int:
     with open(args.infile) as fh:
         weighted = system_from_json(json.load(fh))
-    system = weighted.system
-    scale = (
-        parse_fraction(args.scale)
-        if args.scale is not None
-        else default_extraction_scale(len(system.sets), system.universe_size, args.ell)
-    )
-    levels = build_daisy_sequence(system, args.ell, scale)
+    scale = parse_fraction(args.scale) if args.scale is not None else None
+    levels = build_daisy_sequence(weighted.system, args.ell, scale)
     heavy = pick_heavy_level(levels, weighted)
-    report = extraction_report(system, levels, heavy)
+    report = extraction_report(weighted.system, levels, heavy)
     _emit_json(report, args.out)
     return 0 if report["verification"]["ok"] else 1
 
@@ -96,22 +85,12 @@ def _cmd_preprocess(args) -> int:
     code, decoder = parse_code_spec(args.code)
     rng = derive_rng(args.seed, "preprocess")
     corpus = make_in_radius_corpus(code, args.corpus_size, rng)
-    literal = args.epsilon_mode == "original"
-    epsilon = (
-        parse_fraction(args.epsilon)
-        if args.epsilon
-        else epsilon_for_locality(decoder, literal)
-    )
-    tolerance = parse_fraction(args.tolerance) if args.tolerance else 2 * epsilon
+    epsilon = parse_fraction(args.epsilon) if args.epsilon else None  # unset: the pipeline's default
+    tolerance = parse_fraction(args.tolerance) if args.tolerance else None
     try:
         reduced, report = preprocess_pipeline(
-            decoder,
-            epsilon,
-            args.multiset_factor * code.n,
-            corpus,
-            tolerance,
-            rng,
-            literal_epsilon=literal,
+            decoder, epsilon, args.multiset_factor * code.n, corpus, tolerance, rng,
+            literal_epsilon=args.epsilon_mode == "original",
         )
     except ReductionFailedError as failure:
         _emit_json({"report": failure.report.to_json(), "decoder": None}, args.out)
@@ -139,8 +118,7 @@ def _cmd_simulate(args) -> int:
         audit=not args.no_audit,
         timing=args.timing,
     )
-    fmt = args.fmt or "csv"
-    if fmt == "csv":
+    if args.fmt == "csv":
         header = ["trial", "success", "queries", "per_index"]
         if args.timing:
             header.append("wall_time_ms")
@@ -180,17 +158,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = ExperimentConfig(
-        seed=args.seed,
-        trials=args.trials,
-        claim_instances=args.instances,
-        daisy_samples=args.daisies,
-        wrapup_max=args.wrapup_max,
-        toggles=frozenset(args.claims) if args.claims else None,
+    reports = verify_claims(
+        claims=args.claims, seed=args.seed, instances=args.instances, daisies=args.daisies,
+        trials=args.trials, wrapup_max=args.wrapup_max,
     )
-    reports = verify_claims(config)
-    fmt = args.fmt or "json"
-    if fmt == "json":
+    if args.fmt == "json":
         _emit_json([r.to_json() for r in reports], args.out)
     else:
         rows = [
@@ -207,8 +179,7 @@ def _cmd_scaling(args) -> int:
     result = scaling_study(
         args.family, sizes, args.trials, args.seed, p=args.p, kernel_cap=args.kmax
     )
-    fmt = args.fmt or "csv"
-    if fmt == "csv":
+    if args.fmt == "csv":
         rows = [
             [row.n, row.trials, repr(row.success_rate), repr(row.mean_queries), row.max_queries]
             for row in result.rows
@@ -266,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--ell", type=int, required=True, help="level count (max set size)")
     p.add_argument("--c", dest="scale", default=None, help="threshold scale (rational; default |T|/n floored at n^(-1/ell))")
-    _add_common(p, seed=False, fmt=False)
+    _add_common(p, seed=False)
     p.set_defaults(func=_cmd_extract_daisy)
 
     p = sub.add_parser("preprocess", help="flatten, amplify, and reduce a decoder's randomness")
@@ -276,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiset-factor", type=int, default=4)
     p.add_argument("--corpus-size", type=int, default=50)
     p.add_argument("--tolerance", default=None, help="validation tolerance (rational; default 2*epsilon)")
-    _add_common(p, fmt=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("simulate", help="run seeded global-decoder trials")
@@ -288,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="two-sided consensus rule")
     p.add_argument("--no-audit", action="store_true")
     p.add_argument("--timing", action="store_true", help="include wall_time_ms (breaks byte-identical output)")
-    _add_common(p)
+    _add_common(p, fmt="csv")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run the claim-verification suites")
@@ -297,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200, help="global-decoder trials per code")
     p.add_argument("--wrapup-max", type=int, default=10)
     p.add_argument("--claims", nargs="+", choices=CLAIM_IDS, default=None, help="subset of claim ids to run")
-    _add_common(p)
+    _add_common(p, fmt="json")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("scaling", help="query-count scaling study with a log-log fit")
@@ -306,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--kmax", type=int, default=KERNEL_CAP)
-    _add_common(p)
+    _add_common(p, fmt="csv")
     p.set_defaults(func=_cmd_scaling)
 
     p = sub.add_parser("wrapup", help="exhaustive (k-1)-query impossibility check")
     p.add_argument("--k", type=int, default=8)
-    _add_common(p, seed=False, fmt=False)
+    _add_common(p, seed=False)
     p.set_defaults(func=_cmd_wrapup)
 
     return parser

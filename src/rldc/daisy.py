@@ -5,8 +5,8 @@ puts every element whose residual degree exceeds c * n**(i/l) into a kernel
 K_i, collects the residual sets with at most i elements outside K_i, and
 removes them before the next level.  The levels partition the input, every
 level's outside-kernel degrees are bounded by the previous level's threshold,
-and |K_i| stays below l * n**(1 - i/l) whenever c >= |collection|/n;
-default_extraction_scale is the c used on a decoder's query distribution.
+and |K_i| stays below l * n**(1 - i/l) whenever c >= |collection|/n; it
+defaults to default_extraction_scale, max(|collection|/n, n**(-1/l)).
 
 pick_heavy_level then finds a level carrying at least 1/l of the query
 weight (one exists by pigeonhole), and pluck_simple_daisy greedily thins a
@@ -91,7 +91,7 @@ def default_extraction_scale(support_size: int, n: int, ell: int) -> PowerBound:
 
 
 def build_daisy_sequence(
-    system: SetSystem, ell: int, c: PowerBound | Fraction
+    system: SetSystem, ell: int, c: PowerBound | Fraction | None = None
 ) -> tuple[DaisyLevel, ...]:
     """Run the level construction on a system whose sets have size <= ell.
 
@@ -99,12 +99,14 @@ def build_daisy_sequence(
     K_i = {j : deg over T_i of j > c * n**(i/ell)}, the members are the
     residual sets with at most i elements outside K_i, and T_{i+1} drops
     them.  The ell member tuples always partition the input.  A rational
-    scale c is read as PowerBound(c, n, 0).
+    scale c is read as PowerBound(c, n, 0), and None as default_extraction_scale.
     """
     n = system.universe_size
     if ell < 1:
         raise ValueError(f"level count must be >= 1, got {ell}")
-    if not isinstance(c, PowerBound):
+    if c is None:
+        c = default_extraction_scale(len(system.sets), n, ell)
+    elif not isinstance(c, PowerBound):
         c = PowerBound(c, n, 0)
     if c.base != n:
         raise ValueError("scale parameter uses a different base than the universe")

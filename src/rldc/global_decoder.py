@@ -50,7 +50,7 @@ from operator import sub
 from random import Random
 from typing import Collection, Iterator, Mapping, Sequence
 
-from .daisy import HeavyDaisy, build_daisy_sequence, default_extraction_scale, pick_heavy_level
+from .daisy import HeavyDaisy, build_daisy_sequence, pick_heavy_level
 from .decoders import REJECT, Code, ExplicitViews, LocalView, NonAdaptiveDecoder, local_view_system
 
 DECODED = "decoded"
@@ -175,9 +175,7 @@ def build_index_package(decoder: NonAdaptiveDecoder, i: int) -> IndexDecodePacka
     """Extract the heavy daisy for index i at the default extraction scale
     and compile its petal groups."""
     weighted = local_view_system(decoder, i)
-    system = weighted.system
-    scale = default_extraction_scale(len(system.sets), system.universe_size, decoder.locality)
-    levels = build_daisy_sequence(system, decoder.locality, scale)
+    levels = build_daisy_sequence(weighted.system, decoder.locality)
     heavy = pick_heavy_level(levels, weighted)
     view_set = decoder.views[i]
     assert isinstance(view_set, ExplicitViews)

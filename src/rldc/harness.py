@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from .daisy import (
     DaisyLevel,
@@ -58,29 +58,6 @@ CLAIM_IDS = (
 DEFAULT_POINTS = tuple((n, ell) for n in (64, 256, 1024) for ell in (2, 3, 4))
 MAX_LABELS = 25  # violation labels kept per report; counts stay exact
 WRAPUP_MAX_K = 10  # largest k of the exhaustive wrap-up check (2^k messages)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Knobs of `verify_claims`, the claim-verification entry point."""
-
-    trials: int = 200
-    seed: int = 0
-    claim_instances: int = 1000
-    daisy_samples: int = 200
-    wrapup_max: int = 10
-    toggles: frozenset[str] | None = None
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0 or self.seed >= 1 << 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.wrapup_max > WRAPUP_MAX_K:
-            raise ValueError(f"wrapup_max must be <= {WRAPUP_MAX_K}")
-
-    def wants(self, claim: str) -> bool:
-        return self.toggles is None or claim in self.toggles
 
 
 @dataclass
@@ -383,11 +360,7 @@ def run_global_trials(
         run = run_global_decoder(
             decoder, code, word, rng, kernel_cap, query_budget, p, strict, packages
         )
-        if run.aborted:
-            stats.rows.append(TrialRow(t, False, run.total_queries, ("aborted",) * code.k, 0.0))
-            continue
-
-        for pkg, outcome in zip(packages, run.results):
+        for pkg, outcome in zip(packages, run.results):  # an aborted run has no results
             if outcome.status == DECODED and outcome.bit != x[pkg.index]:
                 stats.wrong_bits += 1
                 stats.label(t, "wrong-bit", pkg.index)
@@ -403,7 +376,7 @@ def run_global_trials(
         ok = run.message == x
         wall = (time.perf_counter() - start) * 1000 if timing else 0.0
         stats.successes += ok
-        statuses = tuple(r.code() for r in run.results)
+        statuses = ("aborted",) * code.k if run.aborted else tuple(r.code() for r in run.results)
         stats.rows.append(TrialRow(t, ok, run.total_queries, statuses, wall))
     return stats
 
@@ -565,27 +538,39 @@ def scaling_study(
 # top-level verification
 
 
-def verify_claims(config: ExperimentConfig) -> list[ClaimReport]:
-    """Run every toggled claim suite at the configured scale."""
+def verify_claims(
+    *, claims: Collection[str] | None, seed: int, instances: int, daisies: int, trials: int, wrapup_max: int
+) -> list[ClaimReport]:
+    """Run the claim suites in `claims` (all when None): the daisy suites on
+    `instances` systems per point, the pluck suite on `daisies` daisies, the
+    decoder audits over `trials` trials per code and the wrap-up check up to
+    k = wrapup_max.  Bad arguments raise ValueError before any suite runs."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if seed < 0 or seed >= 1 << 64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    if wrapup_max > WRAPUP_MAX_K:
+        raise ValueError(f"wrapup_max must be <= {WRAPUP_MAX_K}")
+    claims = CLAIM_IDS if claims is None else claims
     reports: list[ClaimReport] = []
-    daisy_wanted = [c for c in ("coresub", "partition", "external") if config.wants(c)]
+    daisy_wanted = [c for c in ("coresub", "partition", "external") if c in claims]
     if daisy_wanted:
-        daisy = run_daisy_claim_suite(DEFAULT_POINTS, config.claim_instances, config.seed)
+        daisy = run_daisy_claim_suite(DEFAULT_POINTS, instances, seed)
         # The heavy-level pigeonhole is a corollary of the partition claim;
         # its violations surface under the fixed "partition" claim id.
         daisy["partition"].violations += daisy["pigeonhole"].violations
         daisy["partition"].violation_seeds.extend(daisy["pigeonhole"].violation_seeds)
         reports.extend(daisy[c] for c in daisy_wanted)
-    if config.wants("simple-daisy-bound"):
-        reports.append(run_pluck_suite(config.daisy_samples, config.seed))
-    if config.wants("completeness") or config.wants("soundness"):
-        decoder_reports = run_decoder_claim_suite(config.trials, config.seed)
+    if "simple-daisy-bound" in claims:
+        reports.append(run_pluck_suite(daisies, seed))
+    if "completeness" in claims or "soundness" in claims:
+        decoder_reports = run_decoder_claim_suite(trials, seed)
         for claim in ("completeness", "soundness"):
-            if config.wants(claim):
+            if claim in claims:
                 reports.append(decoder_reports[claim])
-    if config.wants("wrapup"):
+    if "wrapup" in claims:
         merged = ClaimReport("wrapup")
-        for k in range(1, config.wrapup_max + 1):
+        for k in range(1, wrapup_max + 1):
             single = wrapup_sanity(k)
             merged.instances += single.instances
             merged.violations += single.violations

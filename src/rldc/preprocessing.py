@@ -95,7 +95,7 @@ def amplify(decoder: NonAdaptiveDecoder, epsilon: Fraction) -> NonAdaptiveDecode
         base = decoder.views[i]
         if not isinstance(base, ExplicitViews):
             raise TypeError("amplify expects an explicit coin space; reduce first")
-        views.append(ProductViews(base, reps) if reps > 1 else base)
+        views.append(ProductViews(base, reps))
     return NonAdaptiveDecoder(
         k=decoder.k,
         n=decoder.n,
@@ -217,13 +217,14 @@ def epsilon_for_locality(decoder: NonAdaptiveDecoder, literal: bool = False) -> 
     default solves eps = 1/locality'**2 by one fixed-point pass: start from
     the pre-amplification locality, compute R, and re-target against the
     resulting locality.  `literal=True` instead returns 1/locality**2 for the
-    decoder as given.
+    decoder as given.  Below locality 2 neither lies in (0, 1/3]: ValueError.
     """
     base = decoder.locality
+    if base < 2:
+        raise ValueError(f"the default target error is undefined at locality {base}; give epsilon")
     if literal:
         return Fraction(1, base * base)
-    reps = repetitions_for(Fraction(1, base * base))
-    final = base * max(reps, 1)
+    final = base * repetitions_for(Fraction(1, base * base))
     return Fraction(1, final * final)
 
 
@@ -232,12 +233,14 @@ def preprocess_pipeline(
     epsilon: Fraction | None,
     multiset_size: int,
     corpus: Sequence[tuple[Sequence[int], Sequence[int]]],
-    tolerance: Fraction,
+    tolerance: Fraction | None,
     rng: Random,
     literal_epsilon: bool = False,
 ) -> tuple[NonAdaptiveDecoder, ReductionReport]:
-    """flatten -> amplify -> reduce, in that order."""
+    """flatten -> amplify -> reduce, in that order.  epsilon None targets
+    epsilon_for_locality(flattened decoder, literal_epsilon), and tolerance
+    None is twice the target."""
     flat = flatten_adaptive(decoder) if isinstance(decoder, AdaptiveDecoder) else decoder
     target = Fraction(epsilon) if epsilon is not None else epsilon_for_locality(flat, literal_epsilon)
-    amplified = amplify(flat, target)
-    return reduce_randomness(amplified, multiset_size, corpus, tolerance, rng)
+    tolerance = 2 * target if tolerance is None else tolerance
+    return reduce_randomness(amplify(flat, target), multiset_size, corpus, tolerance, rng)

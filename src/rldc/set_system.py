@@ -177,22 +177,34 @@ def system_to_json(obj: SetSystem | WeightedSetSystem) -> dict:
     return {"n": obj.universe_size, "sets": [list(s) for s in obj.sets]}
 
 
+def _expect(value, kind: type):
+    if type(value) is not kind:  # exactly: JSON true loads as a bool, a subclass of int
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def system_from_json(doc: dict) -> WeightedSetSystem:
     """Inverse of system_to_json; uniform weights when the field is absent.
-    A missing or ill-typed field raises ValueError naming it."""
+    n and elements must be JSON integers (no bools), sets lists of lists and
+    weights a list of integers or "a/b" strings; ValueError names a bad field."""
 
     def read(name, convert):
         if not isinstance(doc, dict) or name not in doc:
             raise ValueError(f"set-system JSON has no field {name!r}")
         try:
             return convert(doc[name])
-        except (TypeError, ValueError, AttributeError, OverflowError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"set-system JSON field {name!r} is ill-typed: {err}") from None
 
     system = SetSystem(
-        read("n", int), read("sets", lambda v: tuple(tuple(sorted(int(e) for e in s)) for s in v))
+        read("n", lambda v: _expect(v, int)),
+        read("sets", lambda v: tuple(
+            tuple(sorted(_expect(e, int) for e in _expect(s, list))) for s in _expect(v, list)
+        )),
     )
     if "weights" in doc:
-        weights = read("weights", lambda v: [parse_fraction(w) for w in v])
+        weights = read("weights", lambda v: [
+            parse_fraction(w if type(w) is str else _expect(w, int)) for w in _expect(v, list)
+        ])
         return WeightedSetSystem.from_weights(system, weights)
     return WeightedSetSystem.uniform(system)

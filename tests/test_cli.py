@@ -1,5 +1,5 @@
 import contextlib
-import hashlib
+import glob
 import io
 import json
 import os
@@ -10,12 +10,11 @@ import time
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from pinned import PINS, run_pin, write_pin_input
 
 import rldc
 from rldc import harness
 from rldc.cli import main
-from rldc.harness import random_set_system
-from rldc.rng import derive_rng
 from rldc.set_system import SetSystem, WeightedSetSystem, system_to_json
 
 
@@ -74,6 +73,15 @@ def test_simulate_json_format(tmp_path):
     assert len(doc["rows"]) == 4
 
 
+def test_timing_measures_aborted_trials(capsys):
+    # every trial of this run samples more than the budget and aborts
+    argv = ["simulate", "--code", "hadamard:m=8", "--trials", "4", "--budget", "40", "--timing"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 4
+    assert all(row[3].startswith("aborted") and float(row[4]) > 0 for row in rows)
+
+
 def test_preprocess_round_trip(tmp_path):
     out = tmp_path / "pre.json"
     rc = main(
@@ -88,58 +96,50 @@ def test_preprocess_round_trip(tmp_path):
     assert len(doc["decoder"]["indices"][0]["sets"]) == 16
 
 
-@pytest.mark.parametrize(
-    "seed, digest",
-    [
-        ("0", "292b8ae5c6bffebfc2528fc514209409264e7870040bfc9abf9d00292d8d5c1b"),
-        ("7", "eda11b9389ead91b0491f7cb5d3f2bf24abb4036ffc325f5f471a0035f8a0588"),
-    ],
-)
-def test_preprocess_shared_pivot_pinned(seed, digest, capsys):
-    # amplified shared-pivot views carry REJECT entries through materialize
-    assert main(["preprocess", "--code", "shared-pivot:kappa=2,r=8,k=4", "--seed", seed]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+@pytest.mark.parametrize("argv, digest", PINS, ids=[" ".join(argv) for argv, _ in PINS])
+def test_pinned_output(argv, digest, tmp_path):
+    assert run_pin(argv, write_pin_input(str(tmp_path))) == (0, digest)
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (["--code", "hadamard:m=8", "--budget", "128", "--seed", "0"],
-         "f13d8f3cb9fd20ed1cb41a55f050231862ead88512c0fad14b7041509ed0a19e"),
-        (["--code", "hadamard:m=8", "--budget", "128", "--seed", "7"],
-         "9c7a99cc9312a665578976ab706b1b7143379ab98526169d9b6983f36238ed50"),
-        (["--code", "shared-pivot:kappa=2,r=64,k=16", "--strict", "--seed", "0"],
-         "acaa4487532682b279ef616fbb2ec05f32a5c61cc069df22b3feb526da912f23"),
-        (["--code", "shared-pivot:kappa=2,r=64,k=16", "--strict", "--seed", "7"],
-         "ba196e012be16c99a907053b3ae46145fab25ec24491337a4fb28f90795e1feb"),
-    ],
-)
-def test_simulate_pinned(argv, digest, capsys):
-    # the budget runs abort about half their trials; the strict runs audit
-    assert main(["simulate", "--trials", "20", "--format", "json"] + argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+def _other_interpreters():
+    """The oldest and the newest Python >= 3.10 found as python3.10 ... python3.13
+    on PATH or under $PYENV_ROOT/versions/*/bin, other than the running one;
+    a candidate that fails to start (a pyenv shim without that version) is
+    dropped."""
+    names = [f"python3.{minor}" for minor in range(10, 14)]
+    dirs = os.environ.get("PATH", "").split(os.pathsep)
+    pyenv = os.environ.get("PYENV_ROOT", os.path.expanduser("~/.pyenv"))
+    dirs += sorted(glob.glob(os.path.join(pyenv, "versions", "*", "bin")))
+    found, running = {}, os.path.realpath(sys.executable)
+    for path in (os.path.join(d, name) for d in dirs if d for name in names):
+        if not os.access(path, os.X_OK):
+            continue
+        try:
+            probe = subprocess.run(
+                [path, "-c", "import os, sys; print(os.path.realpath(sys.executable), *sys.version_info[:3])"],
+                capture_output=True, text=True, timeout=30,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        fields = probe.stdout.split()
+        if probe.returncode == 0 and len(fields) == 4 and fields[0] != running:
+            found[fields[0]] = tuple(map(int, fields[1:]))
+    if not found:
+        return []
+    ordered = sorted(found, key=found.get)
+    return sorted({ordered[0], ordered[-1]}, key=found.get)
 
 
-def test_extract_daisy_pinned(tmp_path, capsys):
-    # 256 random 3-sets over [256]: kernels, levels and petal degrees at scale
-    system = random_set_system(256, 256, 3, derive_rng(0, "pin"))
-    path = tmp_path / "pin.json"
-    path.write_text(json.dumps(system_to_json(WeightedSetSystem.uniform(system))))
-    assert main(["extract-daisy", "--in", str(path), "--ell", "3"]) == 0
-    assert (
-        hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        == "682d7469f2edba9c4f99a6583495cd8fbaf9975603b39882896082cef6cddbb5"
-    )
-
-
-def test_simulate_hadamard_extraction_pinned(capsys):
-    # 12 view systems of 2048 pairs each go through the exact weight checks
-    argv = ["simulate", "--code", "hadamard:m=12", "--trials", "5", "--no-audit", "--format", "json"]
-    assert main(argv) == 0
-    assert (
-        hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        == "31f15768a4d88b3c5a613e5e66a56ecafd5af1142e8062e671150f98f82cd321"
-    )
+def test_pinned_table_under_other_interpreters():
+    # the table is stdlib-only, so interpreters without pytest can run it
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other Python 3.10-3.13 interpreter starts here")
+    script = os.path.join(os.path.dirname(__file__), "pinned.py")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rldc.__file__)))
+    for python in interpreters:
+        run = subprocess.run([python, script], capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 0, (python, run.stdout, run.stderr)
 
 
 @pytest.mark.parametrize(
@@ -150,6 +150,8 @@ def test_simulate_hadamard_extraction_pinned(capsys):
         # shared-pivot views share coordinates, so only the parts budget stops R = 6641
         (["preprocess", "--code", "shared-pivot:kappa=2,r=4,k=4", "--corpus-size", "2", "--epsilon", "1e-1999"],
          "samples 1912608 parts, over 1048576"),
+        # no default target error exists at locality 1, whatever the table size
+        (["preprocess", "--code", "identity:k=4"], "undefined at locality 1; give epsilon"),
     ],
 )
 def test_oversized_tables_are_usage_errors(argv, message, capsys):
@@ -375,6 +377,13 @@ def test_flag_a_subcommand_does_not_read_is_usage_error(argv, message, capsys):
         ({"n": 4, "sets": [[0, 1]], "weights": [None]}, "'weights'"),
         ([[0, 1]], "'n'"),
         ({"n": 4, "sets": [[0, 1]], "weights": ["1/0"]}, "'weights'"),
+        # JSON types are not coerced: no floats, bools or strings for integers
+        ({"n": 2.7, "sets": [[0, 1]]}, "'n'"),
+        ({"n": 4, "sets": [[0.9, 1]]}, "'sets'"),
+        ({"n": 4, "sets": [[True, 2]]}, "'sets'"),
+        ({"n": 4, "sets": [["1", 2]]}, "'sets'"),
+        ({"n": 4, "sets": "01"}, "'sets'"),
+        ({"n": 4, "sets": [[0, 1]], "weights": [True]}, "'weights'"),
     ],
 )
 def test_malformed_system_json_is_usage_error(doc, field, tmp_path, capsys):

@@ -9,7 +9,7 @@ from rldc import harness
 from rldc.harness import (
     MAX_LABELS,
     WRAPUP_MAX_K,
-    ExperimentConfig,
+    ClaimReport,
     GlobalTrialStats,
     audit_daisy_levels,
     make_in_radius_corpus,
@@ -161,14 +161,11 @@ def test_scaling_skips_infeasible_sizes():
     assert "power-of-two" in result.skipped[0][1]
 
 
+SMALL = dict(claims=None, seed=0, instances=10, daisies=10, trials=5, wrapup_max=4)
+
+
 def test_verify_claims_small_config_clean():
-    config = ExperimentConfig(
-        trials=5,
-        claim_instances=10,
-        daisy_samples=10,
-        wrapup_max=4,
-    )
-    reports = verify_claims(config)
+    reports = verify_claims(**SMALL)
     assert [r.claim for r in reports] == [
         "coresub",
         "partition",
@@ -182,19 +179,27 @@ def test_verify_claims_small_config_clean():
 
 
 def test_verify_claims_toggles():
-    config = ExperimentConfig(claim_instances=5, toggles=frozenset({"wrapup"}), wrapup_max=3)
-    reports = verify_claims(config)
+    reports = verify_claims(**SMALL | dict(instances=5, claims=["wrapup"], wrapup_max=3))
     assert [r.claim for r in reports] == ["wrapup"]
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
+    # each bad argument fails before any suite runs; the largest wrapup_max passes
+    def no_work(*args, **kwargs):
+        raise AssertionError("a suite ran before the argument checks")
+
+    wrapup_ks = []
+    monkeypatch.setattr(harness, "run_daisy_claim_suite", no_work)
+    monkeypatch.setattr(harness, "wrapup_sanity", lambda k: wrapup_ks.append(k) or ClaimReport("wrapup"))
     with pytest.raises(ValueError):
-        ExperimentConfig(trials=0)
+        verify_claims(**SMALL | dict(trials=0))
     with pytest.raises(ValueError):
-        ExperimentConfig(seed=-1)
+        verify_claims(**SMALL | dict(seed=-1))
     with pytest.raises(ValueError, match="wrapup_max"):
-        ExperimentConfig(wrapup_max=WRAPUP_MAX_K + 1)
-    assert ExperimentConfig(wrapup_max=WRAPUP_MAX_K).wrapup_max == WRAPUP_MAX_K
+        verify_claims(**SMALL | dict(wrapup_max=WRAPUP_MAX_K + 1))
+    assert wrapup_ks == []
+    verify_claims(**SMALL | dict(claims=["wrapup"], wrapup_max=WRAPUP_MAX_K))
+    assert wrapup_ks == list(range(1, WRAPUP_MAX_K + 1))
 
 
 def test_global_trials_report_structure():

@@ -20,6 +20,7 @@ from rldc.decoders import (
     shared_pivot_code,
     tree_coords,
 )
+from rldc import preprocessing
 from rldc.harness import make_in_radius_corpus
 from rldc.preprocessing import (
     MAX_SAMPLED_PARTS,
@@ -292,6 +293,30 @@ def test_epsilon_targets():
     assert epsilon_for_locality(dec, literal=True) == Fraction(1, 4)
     # fixed point: R0 = ceil(log2(4)) = 2, locality' = 4, eps = 1/16
     assert epsilon_for_locality(dec) == Fraction(1, 16)
+    # at locality 1 neither target lies in (0, 1/3]
+    _, dec = repetition_code(2, 3)
+    for literal in (False, True):
+        with pytest.raises(ValueError, match="undefined at locality 1; give epsilon"):
+            epsilon_for_locality(dec, literal)
+
+
+@pytest.mark.parametrize(
+    "epsilon, tolerance, literal, locality, passed_tolerance",
+    [
+        (None, None, False, 8, Fraction(1, 8)),  # 1/16 by the fixed point: R = 4
+        (None, None, True, 4, Fraction(1, 2)),  # 1/4 literally: R = 2
+        (Fraction(1, 64), None, True, 12, Fraction(1, 32)),  # an explicit epsilon wins
+        (None, Fraction(1, 3), False, 8, Fraction(1, 3)),
+    ],
+)
+def test_pipeline_resolves_its_defaults(epsilon, tolerance, literal, locality, passed_tolerance, monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        preprocessing, "reduce_randomness", lambda dec, m, corpus, tol, rng: seen.append((dec.locality, tol))
+    )
+    _, dec = hadamard_code(3)  # locality 2
+    preprocess_pipeline(dec, epsilon, 4, [], tolerance, random.Random(0), literal_epsilon=literal)
+    assert seen == [(locality, passed_tolerance)]
 
 
 def test_pipeline_flatten_amplify_reduce():
