@@ -85,8 +85,8 @@ def _cmd_preprocess(args) -> int:
     code, decoder = parse_code_spec(args.code)
     rng = derive_rng(args.seed, "preprocess")
     corpus = make_in_radius_corpus(code, args.corpus_size, rng)
-    epsilon = parse_fraction(args.epsilon) if args.epsilon else None  # unset: the pipeline's default
-    tolerance = parse_fraction(args.tolerance) if args.tolerance else None
+    epsilon = parse_fraction(args.epsilon) if args.epsilon is not None else None  # unset: the pipeline's default
+    tolerance = parse_fraction(args.tolerance) if args.tolerance is not None else None
     try:
         reduced, report = preprocess_pipeline(
             decoder, epsilon, args.multiset_factor * code.n, corpus, tolerance, rng,
@@ -242,8 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="flatten, amplify, and reduce a decoder's randomness")
     p.add_argument("--code", required=True)
-    p.add_argument("--epsilon", default=None, help="target error (rational); default 1/locality'^2")
-    p.add_argument("--epsilon-mode", choices=("final", "original"), default="final")
+    target = p.add_mutually_exclusive_group()  # the mode only picks the default target
+    target.add_argument("--epsilon", default=None, help="target error (rational); default 1/locality'^2")
+    target.add_argument(
+        "--epsilon-mode", choices=("final", "original"), default=None,
+        help="default target: 1/locality^2 after (final, the default) or before (original) amplification",
+    )
     p.add_argument("--multiset-factor", type=int, default=4)
     p.add_argument("--corpus-size", type=int, default=50)
     p.add_argument("--tolerance", default=None, help="validation tolerance (rational; default 2*epsilon)")

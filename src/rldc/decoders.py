@@ -13,6 +13,8 @@ reproducible and matches the exact distribution.
 
 table_masks evaluates a table on a set of points at once as bit masks: it makes
 an amplified coin outcome (UnanimityView) one table and checks a whole corpus.
+That table depends only on the outcome's shape (unanimity_table), so a batch
+of outcomes can share one table per shape.
 
 decoder_to_json writes the JSON that `rldc preprocess` prints; nothing reads
 it back.
@@ -208,29 +210,52 @@ class UnanimityView:
                 return REJECT
         return verdict
 
-    def materialize(self) -> LocalView:
+    def materialize(self, tables: "dict | None" = None) -> LocalView:
         """Collapse to a concrete truth table over the merged query set.
 
-        The points are the 2^w table indices, and merged coordinate q's
-        literal is the mask of indices with bit q set.  The parts' table_masks
-        AND together; an index in neither mask (a REJECT or a disagreement)
-        is REJECT.  With no parts the table is (REJECT,).
+        The table depends only on the view's shape: the merged width and,
+        per part, its table and the positions of its coordinates among the
+        merged ones (unanimity_table).  A `tables` dict shared across calls
+        memoizes it by shape, so views of one shape share one table tuple;
+        shapes compare by value (equal tables in distinct tuples match), with
+        the parts sorted by position only (tables hold REJECT, None).  Keep
+        the dict to one batch of views: its keys hold every part table seen.
         """
-        size = 1 << len(self.coords)
-        full = (1 << size) - 1
-        ones = zeros = full if self.parts else 0
-        literal, period = {}, 1  # period: a bit at the start of each 2^(q+1)-index block
-        for q, c in reversed(list(enumerate(self.coords))):  # 2^q clear, 2^q set, ...
-            literal[c] = period * (((1 << (1 << q)) - 1) << (1 << q))
-            period |= period << (1 << q)
-        for part in self.parts:
-            part_ones, part_zeros = table_masks(part.table, [literal[c] for c in part.coords], full)
-            ones, zeros = ones & part_ones, zeros & part_zeros
-        # a byte per index, index 0 first: 2 for a one, 1 for a zero, 0 for REJECT
-        spec = f"0{size}b"
-        ones, zeros = (int.from_bytes(format(m, spec).encode().translate(_BIT_BYTES), "big") for m in (ones, zeros))
-        table = itemgetter(*(ones << 1 | zeros).to_bytes(size, "little"))((REJECT, 0, 1))
-        return LocalView(self.coords, table if size > 1 else (table,))
+        if tables is None:
+            tables = {}
+        position = {c: q for q, c in enumerate(self.coords)}
+        parts = ((part.table, tuple(map(position.__getitem__, part.coords))) for part in self.parts)
+        shape = (len(self.coords), tuple(sorted(parts, key=itemgetter(1))))
+        table = tables.get(shape)
+        if table is None:
+            table = tables[shape] = unanimity_table(*shape)
+        return LocalView(self.coords, table)
+
+
+def unanimity_table(width: int, parts: "Sequence[tuple[tuple, tuple[int, ...]]]") -> tuple:
+    """The unanimity table over `width` merged coordinates of parts given as
+    (table, positions of its coordinates among the merged ones).
+
+    The points are the 2^width table indices, and merged coordinate q's
+    literal is the mask of indices with bit q set.  The parts' table_masks
+    AND together; an index in neither mask (a REJECT or a disagreement) is
+    REJECT.  With no parts the table is (REJECT,).
+    """
+    size = 1 << width
+    full = (1 << size) - 1
+    ones = zeros = full if parts else 0
+    literals, period = [0] * width, 1  # period: a bit at the start of each 2^(q+1)-index block
+    for q in reversed(range(width)):  # 2^q clear, 2^q set, ...
+        literals[q] = period * (((1 << (1 << q)) - 1) << (1 << q))
+        period |= period << (1 << q)
+    for table, positions in parts:
+        part_ones, part_zeros = table_masks(table, [literals[q] for q in positions], full)
+        ones, zeros = ones & part_ones, zeros & part_zeros
+    # a byte per index, index 0 first: 2 for a one, 1 for a zero, 0 for REJECT
+    spec = f"0{size}b"
+    ones, zeros = (int.from_bytes(format(m, spec).encode().translate(_BIT_BYTES), "big") for m in (ones, zeros))
+    table = itemgetter(*(ones << 1 | zeros).to_bytes(size, "little"))((REJECT, 0, 1))
+    return table if size > 1 else (table,)
 
 
 def table_masks(table, literals: Sequence[int], full: int) -> tuple[int, int]:
@@ -589,18 +614,27 @@ def decoder_to_json(decoder: NonAdaptiveDecoder) -> dict:
     """One weighted set system per index plus the predicate truth tables.
 
     REJECT serialises as JSON null.  Lazy (product) view lists must be
-    reduced to explicit lists first.
+    reduced to explicit lists first.  Views that share a table tuple (as
+    reduce_randomness's rows of one shape do) share its list in the document,
+    so it costs one list per distinct table; json.dump prints each use in full.
     """
+    lists = {}  # id(table) -> its list; the decoder keeps every table alive meanwhile
     indices = []
     for i in range(decoder.k):
         view_set = decoder.views[i]
         if not isinstance(view_set, ExplicitViews):
             raise TypeError("serialise explicit decoders only; reduce the coin space first")
+        tables = []
+        for _, view in view_set:
+            table = lists.get(id(view.table))
+            if table is None:
+                table = lists[id(view.table)] = list(view.table)
+            tables.append(table)
         doc = {
             "n": decoder.n,
             "sets": [list(view.coords) for _, view in view_set],
             "weights": [format_fraction(wt) for wt, _ in view_set],
-            "tables": [list(view.table) for _, view in view_set],
+            "tables": tables,
         }
         indices.append(doc)
     return {"k": decoder.k, "n": decoder.n, "locality": decoder.locality, "indices": indices}

@@ -159,7 +159,9 @@ def reduce_randomness(
     entries or MAX_SAMPLED_PARTS sampled parts (k x multiset x R) in all, it
     raises ValueError before sampling.  The corpus is checked as bit masks: bit
     t of column c is word t at c, and a row's wrong words are `ones & ~truth |
-    zeros & truth` over its parts' table_masks (each built once).
+    zeros & truth` over its parts' table_masks (each built once).  Amplified
+    rows materialize through one shape memo per call, so each distinct row
+    shape builds its table once and every row of that shape shares the tuple.
     """
     if multiset_size < 1:
         raise ValueError("multiset size must be >= 1")
@@ -174,11 +176,12 @@ def reduce_randomness(
     columns = [sum(1 << t for t, (w, _) in enumerate(corpus) if w[c]) for c in range(decoder.n)]
     truths = [sum(1 << t for t, (_, x) in enumerate(corpus) if x[i]) for i in range(decoder.k)]
     masks = {}  # part -> its table_masks over the corpus
+    tables = {}  # row shape -> its materialized table, shared by every row of that shape
     for attempt in range(1, RETRIES + 2):
         views, worst = [], [0] * len(corpus)
         for view_set, truth in zip(decoder.views, truths):
             rows = [view_set.sample(rng) for _ in range(multiset_size)]
-            concrete = [row.materialize() if isinstance(row, UnanimityView) else row for row in rows]
+            concrete = [row.materialize(tables) if isinstance(row, UnanimityView) else row for row in rows]
             views.append(ExplicitViews([(uniform, view) for view in concrete]))
             counts = [0] * len(corpus)
             for row in rows:
@@ -187,9 +190,10 @@ def reduce_randomness(
                     continue
                 ones = zeros = full
                 for part in row_parts:
-                    if part not in masks:
-                        masks[part] = table_masks(part.table, [columns[c] for c in part.coords], full)
-                    ones, zeros = ones & masks[part][0], zeros & masks[part][1]
+                    part_masks = masks.get(part)
+                    if part_masks is None:
+                        part_masks = masks[part] = table_masks(part.table, [columns[c] for c in part.coords], full)
+                    ones, zeros = ones & part_masks[0], zeros & part_masks[1]
                 wrong = ones & ~truth | zeros & truth
                 while wrong:
                     counts[(wrong & -wrong).bit_length() - 1] += 1

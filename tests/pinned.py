@@ -36,6 +36,9 @@ PINS = (
      "e676b6f20a1efc7e832c4416cce2b7d8d9ecc9dc311886e4f4689633eebb0150"),
     (("preprocess", "--code", "shared-pivot:kappa=2,r=4,k=4", "--epsilon", "1/64", "--seed", "5"),
      "28fe4a95a317c752feb3c3f670a8e6fddd4f159939dbb2b5447a24a25b24fbf9"),
+    # the benchmark's preprocess pin: rows of one shape share a table through decoder_to_json
+    (("preprocess", "--code", "hadamard:m=6", "--seed", "0"),
+     "8a1b64c619565bc5bada5963793c5cc6e7a29778c64986b97e0da8d7e53299b0"),
     # the budget runs abort about half their trials; the strict runs audit
     (("simulate", "--trials", "20", "--format", "json", "--code", "hadamard:m=8", "--budget", "128",
       "--seed", "0"),

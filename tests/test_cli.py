@@ -354,11 +354,16 @@ def test_largest_seed_accepted():
         (["extract-daisy", "--in", "x.json", "--ell", "2", "--seed", "1"], "unrecognized arguments"),
         (["preprocess", "--code", "hadamard:m=3", "--format", "json"], "unrecognized arguments"),
         (["verify", "--claims"], "--claims: expected at least one argument"),
+        (["preprocess", "--code", "hadamard:m=4", "--epsilon", "1/8", "--epsilon-mode", "original"],
+         "argument --epsilon-mode: not allowed with argument --epsilon"),
+        (["preprocess", "--code", "hadamard:m=4", "--epsilon-mode", "final", "--epsilon", "1/8"],
+         "argument --epsilon: not allowed with argument --epsilon-mode"),
     ],
 )
 def test_flag_a_subcommand_does_not_read_is_usage_error(argv, message, capsys):
-    # --seed and --format exist only where they change the output, and
-    # --claims with no ids would otherwise mean every suite at full scale
+    # --seed and --format exist only where they change the output, --claims
+    # with no ids would otherwise mean every suite at full scale, and
+    # --epsilon-mode only picks the default target, so it excludes --epsilon
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -431,6 +436,24 @@ def test_zero_denominator_is_usage_error(argv, star_json, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.err == "rldc: error: zero denominator in '1/0'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preprocess", "--code", "hadamard:m=4", "--epsilon", "", "--seed", "2"],
+        ["preprocess", "--code", "hadamard:m=4", "--tolerance", "", "--seed", "2"],
+        ["extract-daisy", "--in", "{star}", "--ell", "2", "--c", ""],
+    ],
+)
+def test_empty_rational_is_usage_error(argv, star_json, capsys):
+    # an empty rational flag is a bad literal on every subcommand, not unset
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(star=star_json) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "rldc: error: Invalid literal for Fraction: ''\n"
     assert captured.out == ""
 
 

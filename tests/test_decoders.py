@@ -424,6 +424,44 @@ def test_table_masks_read_each_point(case):
         assert (ones >> t & 1, zeros >> t & 1) == (out == 1, out == 0)
 
 
+@st.composite
+def product_rows(draw):
+    """Rows sampled from 1-4 runs of 3-5 random views over [0, 6) with REJECT
+    in the tables: the first view's table again (a fresh tuple) at other
+    coordinates, and a twin at its coordinates with its own table; then a row
+    repeating a part beside that twin, and the empty view."""
+    def coords(low=0, high=3):
+        return tuple(sorted(draw(st.sets(st.integers(0, 5), min_size=low, max_size=high))))
+
+    def view(at):
+        size = 1 << len(at)
+        return LocalView(at, tuple(draw(st.lists(st.sampled_from((0, 1, REJECT)), min_size=size, max_size=size))))
+
+    base = [view(coords()) for _ in range(draw(st.integers(1, 3)))]
+    width = len(base[0].coords)
+    base.append(LocalView(coords(width, width), tuple(list(base[0].table))))
+    base.append(view(base[0].coords))
+    product = ProductViews(ExplicitViews([(Fraction(1, len(base)), v) for v in base]), draw(st.integers(1, 4)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [product.sample(rng) for _ in range(draw(st.integers(1, 12)))]
+    return rows + [UnanimityView.of([base[0], base[-1], base[0]]), UnanimityView.of([])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_rows())
+def test_shape_memo_matches_materialize(rows):
+    tables = {}
+    for row in rows:
+        shared = row.materialize(tables)
+        assert shared == row.materialize()
+        assert any(shared.table is table for table in tables.values())
+        # equal part tables in distinct tuple objects: the same shape, one entry
+        known = len(tables)
+        copy = UnanimityView(tuple(LocalView(p.coords, tuple(list(p.table))) for p in row.parts), row.coords)
+        assert copy.materialize(tables).table is shared.table
+        assert len(tables) == known
+
+
 def test_materialize_without_parts_rejects():
     assert UnanimityView.of([]).materialize() == LocalView((), (REJECT,))
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from rldc.decoders import (
     NonAdaptiveDecoder,
     TreeNode,
     UnanimityView,
+    decoder_to_json,
     hadamard_code,
     parse_code_spec,
     repetition_code,
@@ -210,6 +212,38 @@ def test_reduce_refuses_too_many_parts_before_sampling():
     with pytest.raises(ValueError, match=f"samples {4 * 72 * reps} parts, over {MAX_SAMPLED_PARTS}"):
         reduce_randomness(amp, 72, [], Fraction(1), rng)
     assert rng.getstate() == state
+
+
+def _hadamard_xor_trees(m):
+    """Hadamard m as an adaptive decoder: read r, then r ^ e_i, output the XOR."""
+    trees = []
+    for i in range(m):
+        e = 1 << i
+        trees.append(tuple(
+            (Fraction(2, 1 << m), TreeNode(r, TreeNode(r ^ e, 0, 1), TreeNode(r ^ e, 1, 0)))
+            for r in range(1 << m) if not r & e
+        ))
+    return AdaptiveDecoder(k=m, n=1 << m, locality=2, trees=tuple(trees))
+
+
+def test_reduced_rows_share_one_table_per_shape():
+    code, _ = hadamard_code(6)
+    flat = flatten_adaptive(_hadamard_xor_trees(6))
+    # flattening gives every view its own table tuple: the memo must key by value
+    assert len({id(view.table) for views in flat.views for _, view in views}) == 6 * 32
+    rng = random.Random(4)
+    corpus = make_in_radius_corpus(code, 20, rng)
+    reduced, report = reduce_randomness(amplify(flat, Fraction(1, 16)), 4 * code.n, corpus, Fraction(1, 8), rng)
+    assert report.passed
+    tables = {id(view.table) for views in reduced.views for _, view in views}
+    assert len(tables) * 20 < 6 * 4 * code.n  # 1536 rows of a few dozen shapes
+    doc = decoder_to_json(reduced)
+    assert len({id(table) for index in doc["indices"] for table in index["tables"]}) == len(tables)
+    fresh = replace(reduced, views=tuple(
+        ExplicitViews([(wt, LocalView(view.coords, tuple(list(view.table)))) for wt, view in views])
+        for views in reduced.views
+    ))
+    assert json.dumps(decoder_to_json(fresh), indent=2, sort_keys=True) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _random_corpus(code, size, rng):
