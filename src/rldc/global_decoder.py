@@ -1,7 +1,9 @@
 """Sample-based global decoding of an entire message from a valid codeword.
 
 One binomial coordinate sample Q (each coordinate kept with probability p,
-default n**(-1/(2*locality**2))) is reused across all k message indices.  Per
+default n**(-1/(2*locality**2))) is reused across all k message indices.  It
+is drawn as 2n words of the Mersenne Twister at once, the words that one
+rng.random() per coordinate would use, and gives the same set.  Per
 index, a heavy daisy extracted from the decoder's query distribution supplies
 petals; members whose petal is nonempty and fully inside Q become usable
 partial views.  Since the kernel is typically unsampled, the decoder
@@ -35,6 +37,12 @@ its most significant bit, so counting a upward is lexicographic order.  The
 outcome keeps the completion and what the decoder scanned of it, and the
 audit resumes the scan where the decoder stopped.
 
+An empty kernel (2-query codes such as Hadamard) has one assignment and
+needs no completion: views with equal lane bytes output the same, so the
+index decodes iff the distinct lane bytes of its groups, mapped through the
+index and the table, give exactly one non-REJECT bit.  The outcome then
+keeps no completion, and the audit has nothing past the decoder's stop.
+
 On a valid codeword the assignment matching the true kernel values makes
 every completed view output the true bit, and no assignment can achieve
 unanimity on the wrong bit as long as one good petal is sampled; corrupted
@@ -43,10 +51,11 @@ inputs carry no guarantee and are accepted for diagnostics only.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from operator import sub
+from itertools import compress, islice, repeat
+from operator import getitem, sub
 from random import Random
 from typing import Collection, Iterator, Mapping, Sequence
 
@@ -61,10 +70,30 @@ KERNEL_CAP = 20  # default largest kernel enumerated (2^20 assignments)
 
 
 def sample_coordinates(n: int, p: float, rng: Random) -> frozenset[int]:
-    """Keep each coordinate of [0, n) independently with probability p."""
+    """Keep each coordinate of [0, n) independently with probability p.
+
+    The same set as keeping j when the j-th rng.random() < p, and rng ends
+    in the same state: random() is X / 2^53 with X = (w0 >> 5) << 26 | w1 >> 6
+    for the next two 32-bit words w0, w1, and getrandbits(64 n) draws those
+    2n words in that order, least significant first.  So j is kept iff
+    X < T = ceil(p * 2^53).  The top byte of X, X >> 45, is the top byte of
+    w0 (byte 8j + 3); it settles every coordinate but those whose top byte
+    equals T >> 45, and only those get the exact check.
+    """
     if not 0 <= p <= 1:
         raise ValueError(f"sampling probability must lie in [0, 1], got {p}")
-    return frozenset(j for j in range(n) if rng.random() < p)
+    threshold = math.ceil(p * 2**53)
+    top = threshold >> 45
+    raw = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+    # top byte below T's: kept (1); equal: a tie (2), zeroed if X >= T; above: dropped (0)
+    marks = bytearray(raw[3::8].translate((b"\1" * top + b"\2").ljust(256, b"\0")[:256]))
+    j = marks.find(2)
+    while j >= 0:
+        draw = int.from_bytes(raw[8 * j:8 * j + 8], "little")
+        if (draw & 0xFFFFFFFF) >> 5 << 26 | draw >> 38 >= threshold:
+            marks[j] = 0
+        j = marks.find(2, j + 1)
+    return frozenset(compress(range(n), marks))
 
 
 def default_sampling_probability(n: int, locality: int) -> float:
@@ -137,8 +166,9 @@ class SampleBytes:
 
 @dataclass(frozen=True)
 class IndexOutcome:
-    """How one index decoded, with its completion (empty if none was made)
-    and every unanimous (assignment, bit) with assignment < assignments_tried."""
+    """How one index decoded, with its completion (empty if none was made,
+    and for an empty kernel, which is decided from distinct lane bytes) and
+    every unanimous (assignment, bit) with assignment < assignments_tried."""
 
     status: str
     bit: int | None
@@ -301,27 +331,56 @@ def fully_queried_petals(pkg: IndexDecodePackage, sample: SampleBytes) -> tuple[
     return tuple(fulls)
 
 
+def _full_lane_bytes(g: PetalGroup, full: int, bits: bytes) -> list[bytes]:
+    """Per index table of g, one byte per full lane in lane order: 0x80 | the
+    bits read at that table's (up to 7) petal positions."""
+    keep, flag = full * 0x7F, full << LANE_BITS
+    lanes = []
+    for q in range(len(g.index)):
+        packed = 0
+        for t, d in enumerate(g.offsets[q * LANE_BITS:(q + 1) * LANE_BITS]):
+            packed |= int.from_bytes(bits[g.lo + d:g.hi + d], "little") << t
+        lanes.append((packed & keep | flag).to_bytes(g.hi - g.lo, "little").translate(None, b"\0"))
+    return lanes
+
+
 def complete_views(pkg: IndexDecodePackage, sample: SampleBytes) -> tuple:
     """The completion core: one (table, base index, kernel pairs) triple per
     fully queried view, empty when no petal is.  The base index holds the
     view's sampled petal bits; each kernel coordinate it reads is a
     (table bit, assignment bit) pair."""
-    bits = sample.bits
     completion = []
     for g, full in zip(pkg.groups, fully_queried_petals(pkg, sample)):
         if not full:
             continue
-        keep, flag = full * 0x7F, full << LANE_BITS
-        columns = []
-        for q, index in enumerate(g.index):
-            packed = 0
-            for t, d in enumerate(g.offsets[q * LANE_BITS:(q + 1) * LANE_BITS]):
-                packed |= int.from_bytes(bits[g.lo + d:g.hi + d], "little") << t
-            lane_bytes = (packed & keep | flag).to_bytes(g.hi - g.lo, "little")
-            columns.append(map(index.__getitem__, lane_bytes.translate(None, b"\0")))
+        lanes = _full_lane_bytes(g, full, sample.bits)
+        columns = [map(index.__getitem__, column) for index, column in zip(g.index, lanes)]
         bases = columns[0] if len(columns) == 1 else map(sum, zip(*columns))
         completion += zip(repeat(g.table), bases, repeat(g.pairs))
     return tuple(completion)
+
+
+def _decode_without_kernel(pkg: IndexDecodePackage, sample: SampleBytes) -> IndexOutcome:
+    """decode_index for an empty kernel: its one assignment is unanimous iff
+    the fully queried views output one non-REJECT bit, and views with equal
+    lane bytes output the same, so only the distinct lane bytes are read."""
+    outputs, queried = set(), 0
+    for g, full in zip(pkg.groups, fully_queried_petals(pkg, sample)):
+        if not full:
+            continue
+        queried += full.bit_count()
+        lanes = _full_lane_bytes(g, full, sample.bits)
+        if len(lanes) == 1:
+            bases = map(g.index[0].__getitem__, set(lanes[0]))
+        else:
+            bases = (sum(map(getitem, g.index, key)) for key in set(zip(*lanes)))
+        outputs.update(map(g.table.__getitem__, bases))
+    if not queried:
+        return IndexOutcome(NO_CONSENSUS, None, 0, 0)
+    if len(outputs) == 1 and REJECT not in outputs:
+        bit = outputs.pop()
+        return IndexOutcome(DECODED, bit, queried, 1, unanimous=((0, bit),))
+    return IndexOutcome(NO_CONSENSUS, None, queried, 1)
 
 
 def kernel_assignment(pkg: IndexDecodePackage, word: Sequence[int]) -> int:
@@ -359,11 +418,15 @@ def decode_index(
     completed views unanimously outputs b.  The default
     rule returns at the first unanimous assignment in lexicographic order;
     strict mode scans all assignments and answers only when a single bit
-    value ever achieves unanimity.
+    value ever achieves unanimity.  An empty kernel is decided from the
+    distinct lane bytes of the fully queried views, with no completion kept;
+    both modes agree there, since there is one assignment.
     """
     width = len(pkg.kernel_order)
     if width > kernel_cap:
         return IndexOutcome(KERNEL_TOO_LARGE, None, 0, 0)
+    if not width:
+        return _decode_without_kernel(pkg, sample)
 
     completion = complete_views(pkg, sample)
     if not completion:

@@ -318,7 +318,7 @@ def _audit_index(
     """(correct-assignment completeness holds, count of unanimous-wrong
     assignments) for one index, from the decoder's outcome: its unanimous
     assignments, then the rest of the enumeration from where it stopped."""
-    if not outcome.completion:
+    if not outcome.fully_queried:
         return True, 0
     truth, width = kernel_assignment(pkg, word), len(pkg.kernel_order)
     rest = unanimous_assignments(outcome.completion, width, outcome.assignments_tried)

@@ -58,6 +58,11 @@ PINS = (
     # 12 view systems of 2048 pairs each go through the exact weight checks
     (("simulate", "--code", "hadamard:m=12", "--trials", "5", "--no-audit", "--format", "json"),
      "31f15768a4d88b3c5a613e5e66a56ecafd5af1142e8062e671150f98f82cd321"),
+    # empty kernels: strict mode with the audit at an explicit p, and one-view indices
+    (("simulate", "--code", "hadamard:m=10", "--strict", "--p", "0.5", "--trials", "20", "--format", "json"),
+     "40831252c51d9d54f6ab87fb7c132326ddab161b9c3a44bd97ca397375e59aaf"),
+    (("simulate", "--code", "identity:k=64", "--trials", "20", "--format", "json"),
+     "2c1bcc2fe3a750701cf43ec418ae280a96f835e1f284e370094acc3034441c44"),
 )
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import glob
 import io
 import json
@@ -101,6 +102,7 @@ def test_pinned_output(argv, digest, tmp_path):
     assert run_pin(argv, write_pin_input(str(tmp_path))) == (0, digest)
 
 
+@functools.lru_cache(maxsize=None)
 def _other_interpreters():
     """The oldest and the newest Python >= 3.10 found as python3.10 ... python3.13
     on PATH or under $PYENV_ROOT/versions/*/bin, other than the running one;
@@ -130,16 +132,26 @@ def _other_interpreters():
     return sorted({ordered[0], ordered[-1]}, key=found.get)
 
 
-def test_pinned_table_under_other_interpreters():
-    # the table is stdlib-only, so interpreters without pytest can run it
+def _run_under_other_interpreters(name):
+    """Run the stdlib-only script tests/<name> under each other interpreter."""
     interpreters = _other_interpreters()
     if not interpreters:
         pytest.skip("no other Python 3.10-3.13 interpreter starts here")
-    script = os.path.join(os.path.dirname(__file__), "pinned.py")
+    script = os.path.join(os.path.dirname(__file__), name)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rldc.__file__)))
     for python in interpreters:
         run = subprocess.run([python, script], capture_output=True, text=True, env=env, timeout=300)
         assert run.returncode == 0, (python, run.stdout, run.stderr)
+
+
+def test_pinned_table_under_other_interpreters():
+    # the table is stdlib-only, so interpreters without pytest can run it
+    _run_under_other_interpreters("pinned.py")
+
+
+def test_sample_draws_under_other_interpreters():
+    # the sampler leans on how CPython builds random() from its words
+    _run_under_other_interpreters("sample_draws.py")
 
 
 @pytest.mark.parametrize(

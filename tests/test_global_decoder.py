@@ -9,6 +9,7 @@ from itertools import compress
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sample_draws import EDGE_PROBABILITIES, MAX_N, drawn_probabilities, same_draws
 
 from rldc.daisy import HeavyDaisy, default_extraction_scale
 from rldc.decoders import (
@@ -72,6 +73,25 @@ def test_sample_concentration():
     sigma = math.sqrt(n * 0.25)
     assert all(abs(s - 5000) <= 4 * sigma for s in sizes)
     assert abs(statistics.mean(sizes) - 5000) <= sigma
+
+
+@st.composite
+def draw_cases(draw):
+    """(n, p, seed) with p at an edge, anywhere in [0, 1], or at a value the
+    stream draws for some coordinate, or one of that value's neighbours."""
+    n, seed = draw(st.integers(0, MAX_N)), draw(st.integers(0, 2**64 - 1))
+    if n and draw(st.booleans()):
+        p = draw(st.sampled_from(drawn_probabilities(seed, draw(st.integers(0, n - 1)))))
+    else:
+        p = draw(st.one_of(st.sampled_from(EDGE_PROBABILITIES), st.floats(0, 1)))
+    return n, p, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw_cases())
+def test_sample_matches_the_random_loop_draw_for_draw(case):
+    # the same set as one rng.random() < p per coordinate, and the same next draw
+    assert same_draws(*case)
 
 
 def test_sample_validation():
@@ -197,6 +217,17 @@ def test_audit_resumes_past_the_decoders_stop():
     assert _audit_index(pkg, outcome, [0, 1], 1) == (True, 1)
     # true kernel 1, true bit 0: the wrong assignment is the decoder's hit
     assert _audit_index(pkg, outcome, [1, 1], 0) == (True, 1)
+
+
+def test_audit_flags_an_empty_kernel_decoding_the_wrong_bit():
+    code, dec = hadamard_code(5)
+    pkg = build_index_package(dec, 2)
+    assert pkg.kernel_order == ()
+    x = (1, 0, 1, 1, 0)
+    word = code.encode((1, 0, 0, 1, 0))  # index 2 flipped: every view reads the wrong bit
+    outcome = decode_index(pkg, SampleBytes.of(word, range(code.n)), kernel_cap=20)
+    assert outcome.status == DECODED and outcome.bit == 0 and outcome.unanimous == ((0, 0),)
+    assert _audit_index(pkg, outcome, word, x[2]) == (False, 1)
 
 
 def test_run_identity_full_sampling():
@@ -368,9 +399,9 @@ def _package(views, kernel, n):
 
 
 @st.composite
-def explicit_cases(draw):
-    """Random views with REJECT in their tables and an arbitrary kernel; a
-    member lying inside the kernel has an empty petal."""
+def explicit_cases(draw, empty_kernel=False):
+    """Random views with REJECT in their tables and an arbitrary kernel (or
+    none); a member lying inside the kernel has an empty petal."""
     n = draw(st.integers(2, 7))
     coord_sets = draw(
         st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=3), min_size=1, max_size=6)
@@ -383,17 +414,17 @@ def explicit_cases(draw):
         )
         for coords in coord_sets
     )
-    kernel = frozenset(draw(st.sets(st.integers(0, n - 1), max_size=4)))
+    kernel = frozenset() if empty_kernel else frozenset(draw(st.sets(st.integers(0, n - 1), max_size=4)))
     word = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     return _package(views, kernel, n), word, draw(st.integers(0, 1)), draw(st.sets(st.integers(0, n - 1)))
 
 
 @st.composite
-def grouped_cases(draw):
+def grouped_cases(draw, empty_kernel=False):
     """Views made by shifting a few shapes (up to 10 coordinates, so petals
     of 9 and more), with tables shared by object or drawn afresh, repeated
     views, and a kernel that views meet at different positions or contain
-    whole (empty petals).  The sample misses only a few coordinates, so
+    whole (empty petals), or no kernel.  The sample misses only a few coordinates, so
     large petals are fully queried too."""
     n = draw(st.integers(2, 40))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -415,6 +446,8 @@ def grouped_cases(draw):
     kernel = frozenset(draw(st.sets(st.integers(0, n - 1), max_size=4)))
     if draw(st.booleans()):
         kernel |= frozenset(draw(st.sampled_from(views)).coords)
+    if empty_kernel:
+        kernel = frozenset()
     missing = draw(st.sets(st.integers(0, n - 1), max_size=3))
     word = [rng.randrange(2) for _ in range(n)]
     return _package(tuple(views), kernel, n), word, rng.randrange(2), set(range(n)) - missing
@@ -453,6 +486,26 @@ def test_completion_core_matches_reference_explicit_views(case, kernel_cap):
 @given(grouped_cases(), kernel_caps)
 def test_completion_core_matches_reference_grouped_views(case, kernel_cap):
     _check_against_reference(case, kernel_cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(explicit_cases(empty_kernel=True), grouped_cases(empty_kernel=True)), kernel_caps)
+def test_empty_kernel_matches_reference(case, kernel_cap):
+    # decided from the distinct lane bytes, with no completion kept
+    assert case[0].kernel_order == ()
+    _check_against_reference(case, kernel_cap)
+
+
+def test_empty_kernel_reads_several_index_tables():
+    # 9 petal bits need two index tables; REJECT entries and both bits occur
+    rng = random.Random(4)
+    table = tuple(rng.choice((0, 1, 1, 1, REJECT)) for _ in range(1 << 9))
+    views = tuple(LocalView(tuple(range(s, s + 9)), table) for s in range(6))
+    pkg = _package(views, frozenset(), 14)
+    assert pkg.kernel_order == () and [len(g.index) for g in pkg.groups] == [2]
+    for _ in range(40):
+        word = [rng.randrange(2) for _ in range(14)]
+        _check_against_reference((pkg, word, rng.randrange(2), set(range(14)) - {rng.randrange(20)}), 20)
 
 
 def _check_compiled_filter(pkg, sampled_values, ordered):
