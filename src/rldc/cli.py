@@ -176,9 +176,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scaling(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
-    result = scaling_study(
-        args.family, sizes, args.trials, args.seed, p=args.p, kernel_cap=args.kmax
-    )
+    result = scaling_study(args.family, sizes, args.trials, args.seed, p=args.p)
     if args.fmt == "csv":
         rows = [
             [row.n, row.trials, repr(row.success_rate), repr(row.mean_queries), row.max_queries]
@@ -280,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated blocklengths")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--kmax", type=int, default=KERNEL_CAP)
     _add_common(p, fmt="csv")
     p.set_defaults(func=_cmd_scaling)
 

@@ -210,7 +210,7 @@ class UnanimityView:
                 return REJECT
         return verdict
 
-    def materialize(self, tables: "dict | None" = None) -> LocalView:
+    def materialize(self, tables: dict) -> LocalView:
         """Collapse to a concrete truth table over the merged query set.
 
         The table depends only on the view's shape: the merged width and,
@@ -221,8 +221,6 @@ class UnanimityView:
         the parts sorted by position only (tables hold REJECT, None).  Keep
         the dict to one batch of views: its keys hold every part table seen.
         """
-        if tables is None:
-            tables = {}
         position = {c: q for q, c in enumerate(self.coords)}
         parts = ((part.table, tuple(map(position.__getitem__, part.coords))) for part in self.parts)
         shape = (len(self.coords), tuple(sorted(parts, key=itemgetter(1))))

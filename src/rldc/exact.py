@@ -52,9 +52,8 @@ def integer_masses(weights: Sequence[int | Fraction]) -> tuple[list[int], int]:
 class PowerBound:
     """The exact positive value ``coeff * base ** exponent``.
 
-    `cmp` compares it exactly against ints, Fractions, and other
-    PowerBounds over the same base.  Used for daisy degree thresholds
-    (c * n**(i/l)) and kernel-size bounds (l * n**(1 - i/l)).
+    `cmp` compares it exactly against ints and Fractions.  Used for daisy
+    degree thresholds (c * n**(i/l)) and kernel-size bounds (l * n**(1 - i/l)).
     """
 
     coeff: Fraction
@@ -75,15 +74,8 @@ class PowerBound:
         """The bound multiplied by base**delta."""
         return PowerBound(self.coeff, self.base, self.exponent + delta)
 
-    def cmp(self, other: "int | Fraction | PowerBound") -> int:
+    def cmp(self, other: "int | Fraction") -> int:
         """Sign of (self - other): -1, 0, or +1. Exact."""
-        if isinstance(other, PowerBound):
-            if other.base != self.base:
-                raise ValueError("PowerBounds over different bases are not comparable")
-            # (a1/b1) n^(e1)  vs  (a2/b2) n^(e2): move the power to one side.
-            diff = self.exponent - other.exponent
-            ratio = other.coeff / self.coeff
-            return _cmp_power_vs_fraction(self.base, diff, ratio)
         value = Fraction(other)
         if value <= 0:
             return 1  # the bound is strictly positive

@@ -1,32 +1,32 @@
 """Sample-based global decoding of an entire message from a valid codeword.
 
-One binomial coordinate sample Q (each coordinate kept with probability p,
-default n**(-1/(2*locality**2))) is reused across all k message indices.  It
-is drawn as 2n words of the Mersenne Twister at once, the words that one
-rng.random() per coordinate would use, and gives the same set.  Per
-index, a heavy daisy extracted from the decoder's query distribution supplies
-petals; members whose petal is nonempty and fully inside Q become usable
-partial views.  Since the kernel is typically unsampled, the decoder
+One binomial coordinate sample Q (each coordinate kept with probability p;
+harness.run_global_trials defaults p to n**(-1/(2*locality**2))) is reused
+across all k message indices.  It is drawn as 2n words of the Mersenne
+Twister at once, the words that one rng.random() per coordinate would use,
+and gives the same sample.  The sampler's keep marks, one 0/1 byte per
+coordinate, are the sample's flags: SampleBytes pairs them with bits, the
+bit read at each flagged coordinate, and the word is read nowhere else.
+Per index, a heavy daisy extracted from the decoder's query distribution
+supplies petals; members whose petal is nonempty and fully inside Q become
+usable partial views.  Since the kernel is typically unsampled, the decoder
 enumerates every kernel assignment, completes the queried petals into full
 local views, and outputs a bit as soon as some assignment makes all completed
 views agree on it.
 
-run_global_decoder is the one trial path: it samples, applies the query
-budget and decodes every index; its outcome carries the sample (each sampled
-coordinate with its bit) that the audit in harness.py works from.
+run_global_decoder(packages, w, p, rng, ...) is the one trial path: it
+samples, applies the query budget and decodes every index; its outcome
+carries the SampleBytes that the audit in harness.py works from.
 
 Packages are compiled once into groups (PetalGroup): the members that share
 a table object, the offsets of their petal coordinates from the first petal
 coordinate c0, the table bits of those coordinates and the kernel pairs.  A
-group gives each c0 in [lo, hi) a one-byte lane.  A run's sample becomes two
-byte strings (SampleBytes): flags marks the sampled coordinates, bits holds
-the bit read at each.  Per group the filter ANDs the lane mask with one flags
-slice per petal offset, and the completion ORs the matching bits slices
-together, keeps the full lanes with bytes.translate and maps each through the
-group's table of petal bits to table index: a few whole-slice integer
-operations per group, none per member.  Every built-in code has one group per
-index.  Only sampled bits are ever read: the bytes are built from the
-sampled coordinates alone.
+group gives each c0 in [lo, hi) a one-byte lane.  Per group the filter ANDs
+the lane mask with one flags slice per petal offset, and the completion ORs
+the matching bits slices together, keeps the full lanes with bytes.translate
+and maps each through the group's table of petal bits to table index: a few
+whole-slice integer operations per group, none per member.  Every built-in
+code has one group per index.
 
 One enumeration per (index, sample) serves the decoder and the audit in
 harness.py.  complete_views turns each fully queried view into its table, the
@@ -57,10 +57,10 @@ from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from operator import getitem, sub
 from random import Random
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .daisy import HeavyDaisy, build_daisy_sequence, pick_heavy_level
-from .decoders import REJECT, Code, ExplicitViews, LocalView, NonAdaptiveDecoder, local_view_system
+from .decoders import REJECT, ExplicitViews, LocalView, NonAdaptiveDecoder, local_view_system
 
 DECODED = "decoded"
 NO_CONSENSUS = "no_consensus"
@@ -69,10 +69,11 @@ KERNEL_TOO_LARGE = "kernel_too_large"
 KERNEL_CAP = 20  # default largest kernel enumerated (2^20 assignments)
 
 
-def sample_coordinates(n: int, p: float, rng: Random) -> frozenset[int]:
-    """Keep each coordinate of [0, n) independently with probability p.
+def sample_coordinates(word: Sequence[int], p: float, rng: Random) -> SampleBytes:
+    """Keep each coordinate of word independently with probability p, and
+    read word at the kept ones.
 
-    The same set as keeping j when the j-th rng.random() < p, and rng ends
+    The same sample as keeping j when the j-th rng.random() < p, and rng ends
     in the same state: random() is X / 2^53 with X = (w0 >> 5) << 26 | w1 >> 6
     for the next two 32-bit words w0, w1, and getrandbits(64 n) draws those
     2n words in that order, least significant first.  So j is kept iff
@@ -82,18 +83,18 @@ def sample_coordinates(n: int, p: float, rng: Random) -> frozenset[int]:
     """
     if not 0 <= p <= 1:
         raise ValueError(f"sampling probability must lie in [0, 1], got {p}")
+    n = len(word)
     threshold = math.ceil(p * 2**53)
     top = threshold >> 45
     raw = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
-    # top byte below T's: kept (1); equal: a tie (2), zeroed if X >= T; above: dropped (0)
+    # top byte below T's: kept (1); equal: a tie (2), settled by X < T; above: dropped (0)
     marks = bytearray(raw[3::8].translate((b"\1" * top + b"\2").ljust(256, b"\0")[:256]))
     j = marks.find(2)
     while j >= 0:
         draw = int.from_bytes(raw[8 * j:8 * j + 8], "little")
-        if (draw & 0xFFFFFFFF) >> 5 << 26 | draw >> 38 >= threshold:
-            marks[j] = 0
+        marks[j] = (draw & 0xFFFFFFFF) >> 5 << 26 | draw >> 38 < threshold
         j = marks.find(2, j + 1)
-    return frozenset(compress(range(n), marks))
+    return SampleBytes.of(word, marks)
 
 
 def default_sampling_probability(n: int, locality: int) -> float:
@@ -154,14 +155,17 @@ class SampleBytes:
     bits: bytes
 
     @classmethod
-    def of(cls, word: Sequence[int], coords: Collection[int]) -> "SampleBytes":
-        """Read word at each sampled coordinate; nothing else of it is read."""
-        size = max(coords, default=-1) + 1
-        flags, bits = bytearray(size), bytearray(size)
-        for j in coords:
-            flags[j] = 1
+    def of(cls, word: Sequence[int], flags: bytes | bytearray) -> "SampleBytes":
+        """Read word where flags (one 0/1 byte per coordinate) is 1; nothing
+        else of it is read."""
+        bits = bytearray(len(flags))
+        for j in compress(range(len(flags)), flags):
             bits[j] = word[j]
         return cls(bytes(flags), bytes(bits))
+
+    def __len__(self) -> int:
+        """The number of sampled coordinates."""
+        return self.flags.count(1)
 
 
 @dataclass(frozen=True)
@@ -192,7 +196,7 @@ class GlobalDecodeOutcome:
 
     @property
     def total_queries(self) -> int:
-        return self.sample.flags.count(1)
+        return len(self.sample)
 
     @property
     def message(self) -> tuple[int, ...] | None:
@@ -441,34 +445,25 @@ def decode_index(
 
 
 def run_global_decoder(
-    decoder: NonAdaptiveDecoder,
-    code: Code,
+    packages: Sequence[IndexDecodePackage],
     w: Sequence[int],
+    p: float,
     rng: Random,
     kernel_cap: int = KERNEL_CAP,
     query_budget: int | None = None,
-    p: float | None = None,
     strict: bool = False,
-    packages: tuple[IndexDecodePackage, ...] | None = None,
 ) -> GlobalDecodeOutcome:
-    """One full run: sample once, decode every index from the shared sample.
+    """One full run: sample w once, decode every index of `packages`
+    (build_decode_packages(decoder), reused across trials) from it.
 
     This is the one trial path (harness.run_global_trials calls it per
     trial), and its outcome carries the SampleBytes every index was decoded
     from, which the harness audits.  A sample larger than query_budget
     aborts the run before decoding.  The caller promises w = C(x); corrupted
-    inputs still run but only for diagnostics.  Pass precomputed `packages`
-    (build_decode_packages(decoder)) to reuse the deterministic daisy
-    extraction across trials.
+    inputs still run but only for diagnostics.
     """
-    if p is None:
-        p = default_sampling_probability(code.n, decoder.locality)
-    coords = sample_coordinates(code.n, p, rng)
-    sample = SampleBytes.of(w, coords)
-    if query_budget is not None and len(coords) > query_budget:
+    sample = sample_coordinates(w, p, rng)
+    if query_budget is not None and len(sample) > query_budget:
         return GlobalDecodeOutcome((), sample, True)
-
-    if packages is None:
-        packages = build_decode_packages(decoder)
     results = tuple(decode_index(pkg, sample, kernel_cap, strict) for pkg in packages)
     return GlobalDecodeOutcome(results, sample, False)

@@ -32,6 +32,7 @@ from .global_decoder import (
     IndexDecodePackage,
     IndexOutcome,
     build_decode_packages,
+    default_sampling_probability,
     kernel_assignment,
     run_global_decoder,
     unanimous_assignments,
@@ -345,11 +346,14 @@ def run_global_trials(
 
     Each trial gets the stream hash(master_seed, "trial", index), draws its
     message from it and hands the same stream to run_global_decoder; daisy
-    packages are extracted once and shared.  With audit on, every trial also
-    checks correct-assignment completeness and counts unanimous-wrong kernel
-    assignments across the full enumeration, from the run's sample.
+    packages are extracted once and shared, and p defaults to
+    default_sampling_probability(n, locality).  With audit on, every trial
+    also checks correct-assignment completeness and counts unanimous-wrong
+    kernel assignments across the full enumeration, from the run's sample.
     """
     packages = build_decode_packages(decoder)
+    if p is None:
+        p = default_sampling_probability(code.n, decoder.locality)
     stats = GlobalTrialStats(code.name, trials, master_seed)
 
     for t in range(trials):
@@ -357,9 +361,7 @@ def run_global_trials(
         rng = derive_rng(master_seed, "trial", t)
         x = tuple(rng.randrange(2) for _ in range(code.k))
         word = code.encode(x)
-        run = run_global_decoder(
-            decoder, code, word, rng, kernel_cap, query_budget, p, strict, packages
-        )
+        run = run_global_decoder(packages, word, p, rng, kernel_cap, query_budget, strict)
         for pkg, outcome in zip(packages, run.results):  # an aborted run has no results
             if outcome.status == DECODED and outcome.bit != x[pkg.index]:
                 stats.wrong_bits += 1
@@ -492,7 +494,6 @@ def scaling_study(
     trials: int,
     master_seed: int,
     p: float | None = None,
-    kernel_cap: int = KERNEL_CAP,
 ) -> ScalingResult:
     """Mean query counts per blocklength with a log-log slope fit.
 
@@ -515,15 +516,7 @@ def scaling_study(
         except ValueError as why:
             skipped.append((n, str(why)))
             continue
-        stats = run_global_trials(
-            code,
-            decoder,
-            trials,
-            master_seed,
-            kernel_cap=kernel_cap,
-            p=p,
-            audit=False,
-        )
+        stats = run_global_trials(code, decoder, trials, master_seed, p=p, audit=False)
         rows.append(
             ScalingRow(n, trials, stats.success_rate, stats.mean_queries, stats.max_queries)
         )

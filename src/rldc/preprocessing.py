@@ -155,9 +155,10 @@ def reduce_randomness(
     decoding radius of its codeword; the report gives the exact worst fraction
     of rows whose output is neither the reference bit nor REJECT.  Over
     `tolerance`, the multisets are resampled up to RETRIES more times, and then
-    ReductionFailedError carries the final report.  Over MAX_TABLE_ENTRIES table
-    entries or MAX_SAMPLED_PARTS sampled parts (k x multiset x R) in all, it
-    raises ValueError before sampling.  The corpus is checked as bit masks: bit
+    ReductionFailedError carries the final report.  It raises ValueError
+    before sampling for a negative tolerance, which no corpus can meet, and
+    for over MAX_TABLE_ENTRIES table entries or MAX_SAMPLED_PARTS sampled
+    parts (k x multiset x R) in all.  The corpus is checked as bit masks: bit
     t of column c is word t at c, and a row's wrong words are `ones & ~truth |
     zeros & truth` over its parts' table_masks (each built once).  Amplified
     rows materialize through one shape memo per call, so each distinct row
@@ -165,6 +166,8 @@ def reduce_randomness(
     """
     if multiset_size < 1:
         raise ValueError("multiset size must be >= 1")
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     entries = sum(multiset_size << views.max_view_size() for views in decoder.views)
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(f"reduction needs {entries} table entries, over {MAX_TABLE_ENTRIES}")

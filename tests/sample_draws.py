@@ -14,6 +14,7 @@ script under the other installed Pythons.
 
 import math
 import sys
+from itertools import compress
 from random import Random
 
 from rldc.global_decoder import sample_coordinates
@@ -46,9 +47,16 @@ def drawn_probabilities(seed: int, j: int) -> tuple[float, float, float]:
 
 
 def same_draws(n: int, p: float, seed: int) -> bool:
-    """Same set as the loop, and the same next draw afterwards."""
+    """Flags that are one 0 or 1 per coordinate and mark the loop's set, and
+    the same next draw afterwards."""
     fast, slow = Random(seed), Random(seed)
-    return sample_coordinates(n, p, fast) == loop_sample(n, p, slow) and fast.random() == slow.random()
+    flags = sample_coordinates(bytes(n), p, fast).flags
+    return (
+        len(flags) == n
+        and set(flags) <= {0, 1}
+        and frozenset(compress(range(n), flags)) == loop_sample(n, p, slow)
+        and fast.random() == slow.random()
+    )
 
 
 def cases():

@@ -164,6 +164,9 @@ def test_sample_draws_under_other_interpreters():
          "samples 1912608 parts, over 1048576"),
         # no default target error exists at locality 1, whatever the table size
         (["preprocess", "--code", "identity:k=4"], "undefined at locality 1; give epsilon"),
+        # no corpus meets a negative tolerance: rejected before any reduction
+        (["preprocess", "--code", "hadamard:m=5", "--tolerance", "-1"], "tolerance must be >= 0, got -1"),
+        (["preprocess", "--code", "hadamard:m=5", "--tolerance=-1/2"], "tolerance must be >= 0, got -1/2"),
     ],
 )
 def test_oversized_tables_are_usage_errors(argv, message, capsys):
@@ -331,7 +334,6 @@ def test_missing_subcommand_is_usage_error():
         ["verify", "--claims", "wrapup", "--wrapup-max", "2", "--seed", str(1 << 64)],
         ["extract-daisy", "--in", "{star}", "--ell", "0"],
         ["simulate", "--code", "hadamard:m=3", "--trials", "2", "--kmax", "-1"],
-        ["scaling", "--sizes", "64,256", "--trials", "2", "--kmax", "-1"],
         ["simulate", "--code", "hadamard:m=3", "--trials", "2", "--budget", "-1"],
         ["verify", "--instances", "-1", "--claims", "coresub"],
         ["verify", "--daisies", "-3", "--claims", "simple-daisy-bound"],
@@ -365,6 +367,7 @@ def test_largest_seed_accepted():
         (["wrapup", "--k", "2", "--seed", "1"], "unrecognized arguments: --seed 1"),
         (["extract-daisy", "--in", "x.json", "--ell", "2", "--seed", "1"], "unrecognized arguments"),
         (["preprocess", "--code", "hadamard:m=3", "--format", "json"], "unrecognized arguments"),
+        (["scaling", "--sizes", "64,256", "--trials", "2", "--kmax", "-1"], "unrecognized arguments: --kmax"),
         (["verify", "--claims"], "--claims: expected at least one argument"),
         (["preprocess", "--code", "hadamard:m=4", "--epsilon", "1/8", "--epsilon-mode", "original"],
          "argument --epsilon-mode: not allowed with argument --epsilon"),
@@ -374,8 +377,9 @@ def test_largest_seed_accepted():
 )
 def test_flag_a_subcommand_does_not_read_is_usage_error(argv, message, capsys):
     # --seed and --format exist only where they change the output, --claims
-    # with no ids would otherwise mean every suite at full scale, and
-    # --epsilon-mode only picks the default target, so it excludes --epsilon
+    # with no ids would otherwise mean every suite at full scale,
+    # --epsilon-mode only picks the default target, so it excludes --epsilon,
+    # and scaling has no --kmax, since neither of its families has a kernel
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -545,7 +549,6 @@ COMMANDS = {
         "--sizes": ("4,16", "4", "16,4", "0,4", "4,4", "-4", "x", "", "4,,16"),
         "--trials": COUNTS,
         "--p": (None, "0", "0.5", "2", "nan"),
-        "--kmax": (None, "-1", "0", "3"),
         "--seed": SEEDS,
         "--format": (None, "csv", "json"),
         "--out": OUTS,

@@ -363,7 +363,7 @@ def unanimity_views(draw):
 
 
 def assert_materializes(view):
-    concrete = view.materialize()
+    concrete = view.materialize({})
     assert concrete.coords == view.coords
     assert len(concrete.table) == 1 << len(view.coords)
     for idx, out in enumerate(concrete.table):
@@ -407,7 +407,7 @@ def mixed_unanimity_views(draw):
 @settings(max_examples=400, deadline=None)
 @given(mixed_unanimity_views())
 def test_materialize_matches_column_fold(view):
-    assert view.materialize() == column_fold(view)
+    assert view.materialize({}) == column_fold(view)
 
 
 @settings(max_examples=300, deadline=None)
@@ -453,7 +453,7 @@ def test_shape_memo_matches_materialize(rows):
     tables = {}
     for row in rows:
         shared = row.materialize(tables)
-        assert shared == row.materialize()
+        assert shared == row.materialize({})
         assert any(shared.table is table for table in tables.values())
         # equal part tables in distinct tuple objects: the same shape, one entry
         known = len(tables)
@@ -463,7 +463,7 @@ def test_shape_memo_matches_materialize(rows):
 
 
 def test_materialize_without_parts_rejects():
-    assert UnanimityView.of([]).materialize() == LocalView((), (REJECT,))
+    assert UnanimityView.of([]).materialize({}) == LocalView((), (REJECT,))
 
 
 def test_product_view_size_capped_by_coverage():

@@ -52,15 +52,6 @@ def test_negative_exponent():
     assert b.cmp(-5) > 0
 
 
-def test_power_vs_power_same_base():
-    lo = PowerBound(Fraction(1), 64, Fraction(1, 3))
-    hi = PowerBound(Fraction(1), 64, Fraction(1, 2))
-    assert lo.cmp(hi) < 0 and hi.cmp(lo) > 0
-    assert lo.cmp(PowerBound(Fraction(1), 64, Fraction(1, 3))) == 0
-    with pytest.raises(ValueError):
-        lo.cmp(PowerBound(Fraction(1), 65, Fraction(1, 3)))
-
-
 def test_scale_exponent():
     c = PowerBound(Fraction(1), 1026, Fraction(-1, 3))
     t1 = c.scale_exponent(Fraction(1, 3))

@@ -19,6 +19,7 @@ from rldc.decoders import (
     NonAdaptiveDecoder,
     hadamard_code,
     identity_code,
+    parse_code_spec,
     shared_pivot_code,
 )
 from rldc.exact import PowerBound
@@ -46,10 +47,27 @@ def petals(pkg):
     return {m: frozenset(pkg.views[m].coords) - pkg.daisy.kernel for m in pkg.daisy.members}
 
 
-def sample_of(coords):
-    """SampleBytes for a sample whose every read bit is 0."""
-    reads = dict.fromkeys(coords, 0)
-    return SampleBytes.of(reads, reads)
+def sample_of(coords, word=None):
+    """SampleBytes for the sampled coordinates `coords`, reading word there
+    (every read bit 0 when word is None)."""
+    flags = bytearray(max(coords, default=-1) + 1)
+    for j in coords:
+        flags[j] = 1
+    return SampleBytes.of(dict.fromkeys(coords, 0) if word is None else word, flags)
+
+
+class RecordedWord:
+    """A word that records every coordinate read from it."""
+
+    def __init__(self, word):
+        self.word, self.reads = word, []
+
+    def __len__(self):
+        return len(self.word)
+
+    def __getitem__(self, j):
+        self.reads.append(j)
+        return self.word[j]
 
 
 def queried_members(pkg, sample):
@@ -63,13 +81,14 @@ def queried_members(pkg, sample):
 
 
 def test_sample_extremes():
-    assert sample_coordinates(10, 0.0, random.Random(0)) == frozenset()
-    assert sample_coordinates(10, 1.0, random.Random(0)) == frozenset(range(10))
+    word = (1, 0) * 5
+    assert sample_coordinates(word, 0.0, random.Random(0)) == SampleBytes(bytes(10), bytes(10))
+    assert sample_coordinates(word, 1.0, random.Random(0)) == SampleBytes(b"\1" * 10, bytes(word))
 
 
 def test_sample_concentration():
     n = 10_000
-    sizes = [len(sample_coordinates(n, 0.5, random.Random(seed))) for seed in range(20)]
+    sizes = [len(sample_coordinates(bytes(n), 0.5, random.Random(seed))) for seed in range(20)]
     sigma = math.sqrt(n * 0.25)
     assert all(abs(s - 5000) <= 4 * sigma for s in sizes)
     assert abs(statistics.mean(sizes) - 5000) <= sigma
@@ -96,7 +115,7 @@ def test_sample_matches_the_random_loop_draw_for_draw(case):
 
 def test_sample_validation():
     with pytest.raises(ValueError):
-        sample_coordinates(4, 1.5, random.Random(0))
+        sample_coordinates(bytes(4), 1.5, random.Random(0))
 
 
 def test_default_probability():
@@ -145,7 +164,7 @@ def test_decode_index_hadamard_empty_kernel():
     x = (1, 0, 1, 1, 0)
     w = code.encode(x)
     pkgs = build_decode_packages(dec)
-    sampled = SampleBytes.of(w, range(code.n))  # everything sampled
+    sampled = sample_of(range(code.n), w)  # everything sampled
     for pkg in pkgs:
         assert pkg.kernel_order == ()
         out = decode_index(pkg, sampled, kernel_cap=20)
@@ -156,7 +175,7 @@ def test_decode_index_hadamard_empty_kernel():
 def test_decode_index_no_petal_returns_no_consensus():
     _, dec = hadamard_code(3)
     pkg = build_index_package(dec, 0)
-    out = decode_index(pkg, SampleBytes.of({}, ()), kernel_cap=20)
+    out = decode_index(pkg, sample_of(()), kernel_cap=20)
     assert out.status == NO_CONSENSUS and out.fully_queried == 0
 
 
@@ -164,7 +183,7 @@ def test_decode_index_kernel_cap():
     _, dec = shared_pivot_code(3, 4, 2)
     pkg = build_index_package(dec, 0)
     assert len(pkg.kernel_order) == 3
-    out = decode_index(pkg, SampleBytes.of({}, ()), kernel_cap=2)
+    out = decode_index(pkg, sample_of(()), kernel_cap=2)
     assert out.status == KERNEL_TOO_LARGE
 
 
@@ -177,7 +196,7 @@ def test_decode_index_shared_pivot_assignments():
     for pkg in pkgs:
         assert pkg.kernel_order == (0, 1)  # the pivot block
         assert all(len(p) == 1 for p in petals(pkg).values())
-        out = decode_index(pkg, SampleBytes.of(sampled, sampled), kernel_cap=20)
+        out = decode_index(pkg, sample_of(sampled, sampled), kernel_cap=20)
         # kappa = 00 comes first lexicographically and matches the codeword
         assert out.status == DECODED and out.bit == x[pkg.index]
         assert out.assignments_tried == 1
@@ -191,7 +210,7 @@ def test_decode_index_shared_pivot_assignments():
                         for c in pkg.views[m].coords
                     }
                 )
-                for m in queried_members(pkg, SampleBytes.of(sampled, sampled))
+                for m in queried_members(pkg, sample_of(sampled, sampled))
             ]
             assert all(o is REJECT for o in outs)
 
@@ -201,7 +220,7 @@ def test_strict_mode_two_sided():
     # kappa=0 gives unanimity on 1, kappa=1 unanimity on 0: strict refuses.
     pkg = _package((LocalView((0, 1), (0, 1, 1, 0)),), frozenset({0}), 2)
     assert petals(pkg) == {0: frozenset({1})} and pkg.kernel_order == (0,)
-    sampled = SampleBytes.of({1: 1}, [1])
+    sampled = sample_of([1], {1: 1})
     default = decode_index(pkg, sampled, kernel_cap=5, strict=False)
     assert default.status == DECODED and default.bit == 1 and default.assignments_tried == 1
     strict = decode_index(pkg, sampled, kernel_cap=5, strict=True)
@@ -211,7 +230,7 @@ def test_strict_mode_two_sided():
 def test_audit_resumes_past_the_decoders_stop():
     # the XOR package above decodes 1 at a=0 and stops; a=1 is unanimous on 0
     pkg = _package((LocalView((0, 1), (0, 1, 1, 0)),), frozenset({0}), 2)
-    outcome = decode_index(pkg, SampleBytes.of({1: 1}, [1]), kernel_cap=5)
+    outcome = decode_index(pkg, sample_of([1], {1: 1}), kernel_cap=5)
     assert outcome.unanimous == ((0, 1),) and outcome.assignments_tried == 1
     # true kernel 0, true bit 1: the wrong assignment lies past the stop
     assert _audit_index(pkg, outcome, [0, 1], 1) == (True, 1)
@@ -225,28 +244,39 @@ def test_audit_flags_an_empty_kernel_decoding_the_wrong_bit():
     assert pkg.kernel_order == ()
     x = (1, 0, 1, 1, 0)
     word = code.encode((1, 0, 0, 1, 0))  # index 2 flipped: every view reads the wrong bit
-    outcome = decode_index(pkg, SampleBytes.of(word, range(code.n)), kernel_cap=20)
+    outcome = decode_index(pkg, sample_of(range(code.n), word), kernel_cap=20)
     assert outcome.status == DECODED and outcome.bit == 0 and outcome.unanimous == ((0, 0),)
     assert _audit_index(pkg, outcome, word, x[2]) == (False, 1)
 
 
 def test_run_identity_full_sampling():
     code, dec = identity_code(3)
-    out = run_global_decoder(dec, code, code.encode((1, 0, 1)), random.Random(0), p=1.0)
+    out = run_global_decoder(build_decode_packages(dec), code.encode((1, 0, 1)), 1.0, random.Random(0))
     assert out.message == (1, 0, 1)
-    assert out.sample == SampleBytes.of((1, 0, 1), range(3))
+    assert out.sample == SampleBytes(b"\1\1\1", b"\1\0\1")
     assert out.total_queries == 3 and not out.aborted
 
 
 def test_budget_abort():
     code, dec = identity_code(8)
-    word = code.encode((0,) * 8)
-    out = run_global_decoder(dec, code, word, random.Random(0), p=1.0, query_budget=4)
+    pkgs, word = build_decode_packages(dec), code.encode((0,) * 8)
+    out = run_global_decoder(pkgs, word, 1.0, random.Random(0), query_budget=4)
     assert out.aborted and out.message is None and out.results == ()
     assert out.total_queries == 8
     # a sample exactly at the budget still decodes
-    out = run_global_decoder(dec, code, word, random.Random(0), p=1.0, query_budget=8)
+    out = run_global_decoder(pkgs, word, 1.0, random.Random(0), query_budget=8)
     assert not out.aborted and out.message == (0,) * 8
+
+
+@pytest.mark.parametrize("spec, p, budget", [("hadamard:m=6", 0.3, None), ("identity:k=8", 1.0, 4)])
+def test_only_sampled_bits_are_read(spec, p, budget):
+    code, dec = parse_code_spec(spec)
+    rng = random.Random(7)
+    word = RecordedWord(code.encode(tuple(rng.randrange(2) for _ in range(code.k))))
+    out = run_global_decoder(build_decode_packages(dec), word, p, rng, query_budget=budget)
+    assert out.aborted == (budget is not None)
+    assert sorted(word.reads) == list(compress(range(code.n), out.sample.flags))
+    assert len(out.sample) == out.total_queries == len(word.reads)
 
 
 def test_determinism_same_seed():
@@ -254,8 +284,9 @@ def test_determinism_same_seed():
     x = (1, 0, 0, 1, 1, 0)
     w = code.encode(x)
     pkgs = build_decode_packages(dec)
-    a = run_global_decoder(dec, code, w, random.Random(99), packages=pkgs)
-    b = run_global_decoder(dec, code, w, random.Random(99), packages=pkgs)
+    p = default_sampling_probability(code.n, dec.locality)
+    a = run_global_decoder(pkgs, w, p, random.Random(99))
+    b = run_global_decoder(pkgs, w, p, random.Random(99))
     assert a == b
 
 
@@ -461,7 +492,7 @@ def _check_against_reference(case, kernel_cap):
     """case is (package, word, true bit, sampled coordinates)."""
     pkg, word, true_bit, sample = case
     sampled_values = {j: word[j] for j in sample}
-    sample_bytes = SampleBytes.of(word, sample)
+    sample_bytes = sample_of(sample, word)
     audit = reference_audit(pkg, sampled_values, word, true_bit, kernel_cap)
     for strict in (False, True):
         outcome = decode_index(pkg, sample_bytes, kernel_cap, strict)
@@ -511,7 +542,7 @@ def test_empty_kernel_reads_several_index_tables():
 def _check_compiled_filter(pkg, sampled_values, ordered):
     """Compiled filter members and completion triples against the per-member
     reference: equal as multisets, and in the same order when `ordered`."""
-    sample = SampleBytes.of(sampled_values, sampled_values)
+    sample = sample_of(sampled_values, sampled_values)
     got, want = queried_members(pkg, sample), reference_filter(pkg, frozenset(sampled_values))
     got_triples = comparable(complete_views(pkg, sample))
     want_triples = comparable(reference_completion(pkg, sampled_values))
@@ -536,14 +567,12 @@ def test_compiled_filter_keeps_repeated_views():
     pkg = _package(views, frozenset(), 4)
     assert len(pkg.groups) == 2  # the repeat of (0,1) needs a second layer of lanes
     sampled = {0: 1, 1: 0, 2: 1, 3: 1}
-    assert decode_index(pkg, SampleBytes.of(sampled, sampled), 20).fully_queried == 4
+    assert decode_index(pkg, sample_of(sampled, sampled), 20).fully_queried == 4
     _check_compiled_filter(pkg, sampled, ordered=False)
 
 
 @functools.lru_cache(maxsize=None)
 def _builtin_packages(spec):
-    from rldc.decoders import parse_code_spec
-
     code, dec = parse_code_spec(spec)
     return code, build_decode_packages(dec)
 

@@ -8,6 +8,8 @@ import importlib.util
 from pathlib import Path
 
 import rldc  # noqa: F401  (Tracer.install needs the rldc modules loaded)
+from rldc.decoders import hadamard_code
+from rldc.harness import run_global_trials
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -27,3 +29,14 @@ def test_tracer_binds_every_target(capsys):
     finally:
         tracer.restore()
     assert "not found" not in err
+
+
+def test_sampled_coords_counts_every_trials_queries():
+    code, dec = hadamard_code(5)
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        stats = run_global_trials(code, dec, 3, master_seed=2, audit=False)
+    finally:
+        tracer.restore()
+    assert tracer.counts["global_decoder.sampled_coords"] == sum(row.queries for row in stats.rows)
