@@ -2,8 +2,8 @@
 
 Subcommands: extract-daisy, preprocess, simulate, verify, scaling, wrapup.
 Exit codes: 0 clean, 1 violations found, 2 usage error.  Outputs are
-byte-identical across runs with equal configs and seeds; the optional
---timing flag adds wall-clock columns and intentionally breaks that.
+byte-identical across runs with equal configs and seeds; simulate's
+optional --timing flag adds wall-clock times and intentionally breaks that.
 """
 
 from __future__ import annotations
@@ -147,6 +147,7 @@ def _cmd_simulate(args) -> int:
                         "success": r.success,
                         "queries": r.queries,
                         "per_index": list(r.statuses),
+                        **({"wall_time_ms": round(r.wall_ms, 3)} if args.timing else {}),
                     }
                     for r in stats.rows
                 ],

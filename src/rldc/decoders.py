@@ -158,7 +158,7 @@ def _draw(mass_table: tuple[tuple[int, ...], int], rng: Random) -> int:
 # non-adaptive decoders
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalView:
     """One query set with its predicate truth table.
 

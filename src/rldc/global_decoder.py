@@ -18,15 +18,17 @@ run_global_decoder(packages, w, p, rng, ...) is the one trial path: it
 samples, applies the query budget and decodes every index; its outcome
 carries the SampleBytes that the audit in harness.py works from.
 
-Packages are compiled once into groups (PetalGroup): the members that share
-a table object, the offsets of their petal coordinates from the first petal
-coordinate c0, the table bits of those coordinates and the kernel pairs.  A
-group gives each c0 in [lo, hi) a one-byte lane.  Per group the filter ANDs
-the lane mask with one flags slice per petal offset, and the completion ORs
-the matching bits slices together, keeps the full lanes with bytes.translate
-and maps each through the group's table of petal bits to table index: a few
-whole-slice integer operations per group, none per member.  Every built-in
-code has one group per index.
+Packages are compiled once into groups (PetalGroup) and keep only the kernel
+order and the groups, not the daisy or the views.  A group stands for the
+members that share a table object: the offsets of their petal coordinates
+from the first petal coordinate c0, the table bits of those coordinates and
+the kernel pairs.  It gives each c0 in [lo, hi) a one-byte lane and marks
+the occupied lanes.  Per group the filter ANDs the lane mask with one flags
+slice per petal offset, and the completion ORs the matching bits slices
+together, keeps the full lanes with bytes.translate and maps each through
+the group's table of petal bits to table index: a few whole-slice integer
+operations per group, none per member.  Every built-in code has one group
+per index.
 
 One enumeration per (index, sample) serves the decoder and the audit in
 harness.py.  complete_views turns each fully queried view into its table, the
@@ -52,7 +54,7 @@ inputs carry no guarantee and are accepted for diagnostics only.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from operator import getitem, sub
@@ -60,7 +62,7 @@ from random import Random
 from typing import Iterator, Mapping, Sequence
 
 from .daisy import HeavyDaisy, build_daisy_sequence, pick_heavy_level
-from .decoders import REJECT, ExplicitViews, LocalView, NonAdaptiveDecoder, local_view_system
+from .decoders import REJECT, LocalView, NonAdaptiveDecoder, local_view_system
 
 DECODED = "decoded"
 NO_CONSENSUS = "no_consensus"
@@ -106,16 +108,16 @@ LANE_BITS = 7  # petal bits per lane byte; the byte's top bit marks a full lane
 
 @dataclass(frozen=True, eq=False)
 class PetalGroup:
-    """Members that share a table object, the offsets of their petal
+    """Daisy members that share a table object, the offsets of their petal
     coordinates from the first one (c0), the table bits of those petal
     coordinates and the kernel (table bit, assignment bit) pairs.
 
     Lane c - lo stands for c0 = c, and byte c - lo of `lanes` is 1 when a
-    member sits there; `members` lists them in lane order.  A lane holds one
-    member: repeated views go to further groups with the same key.
-    `index[q]` maps a lane byte 0x80 | b, where b packs the bits read at petal
-    positions 7q..7q+6, to the table index bits they set; it is stored as
-    bytes when every entry fits a byte (256 B instead of 2 KB).
+    member sits there.  A lane holds one member: repeated views go to
+    further groups with the same key.  `index[q]` maps a lane byte 0x80 | b,
+    where b packs the bits read at petal positions 7q..7q+6, to the table
+    index bits they set; it is stored as bytes when every entry fits a byte
+    (256 B instead of 2 KB).
     """
 
     table: tuple
@@ -125,25 +127,23 @@ class PetalGroup:
     lo: int
     hi: int
     lanes: int
-    members: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class IndexDecodePackage:
-    """Everything decode_index needs for one message index."""
+    """Everything decode_index needs for one message index: the kernel of
+    its heavy daisy in order, and the daisy's petals as groups."""
 
     index: int
-    daisy: HeavyDaisy
     kernel_order: tuple[int, ...]
-    views: tuple[LocalView, ...]
     groups: tuple[PetalGroup, ...]
 
     @classmethod
     def of(cls, index: int, daisy: HeavyDaisy, views: tuple[LocalView, ...]) -> "IndexDecodePackage":
-        """Compile the daisy's members (view numbers) into petal groups."""
+        """Compile the daisy's members (view numbers) into petal groups;
+        the package keeps neither the daisy nor the views."""
         kernel_order = tuple(sorted(daisy.kernel))
-        groups = _petal_groups(views, daisy.members, kernel_order)
-        return cls(index, daisy, kernel_order, views, groups)
+        return cls(index, kernel_order, _petal_groups(views, daisy.members, kernel_order))
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,7 @@ def build_index_package(decoder: NonAdaptiveDecoder, i: int) -> IndexDecodePacka
     weighted = local_view_system(decoder, i)
     levels = build_daisy_sequence(weighted.system, decoder.locality)
     heavy = pick_heavy_level(levels, weighted)
-    view_set = decoder.views[i]
-    assert isinstance(view_set, ExplicitViews)
-    return IndexDecodePackage.of(i, heavy, tuple(view for _, view in view_set))
+    return IndexDecodePackage.of(i, heavy, tuple(view for _, view in decoder.views[i]))
 
 
 def build_decode_packages(decoder: NonAdaptiveDecoder) -> tuple[IndexDecodePackage, ...]:
@@ -233,20 +231,18 @@ def _petal_groups(
     buckets = defaultdict(list)
     for m in members:
         view = views[m]
-        buckets[id(view.table), len(view.coords)].append(m)
+        buckets[id(view.table), len(view.coords)].append(view)
     groups = []
-    for ms in buckets.values():
-        table = views[ms[0]].table
-        columns = list(zip(*(views[m].coords for m in ms)))
-        parts = _column_layout(columns, slot, ms) or _member_layouts(views, ms, slot)
-        for key, c0s, part in parts:
+    for bucket in buckets.values():
+        columns = list(zip(*(view.coords for view in bucket)))
+        for key, c0s in _column_layout(columns, slot) or _member_layouts(bucket, slot):
             if key[0]:
-                groups += _lay_out(table, key, c0s, part)
+                groups += _lay_out(bucket[0].table, key, c0s)
     return tuple(groups)
 
 
-def _column_layout(columns: list[tuple[int, ...]], slot: Mapping[int, int], ms: list[int]):
-    """[(key, c0s, ms)] for a regular bucket, else None.  A key is (petal
+def _column_layout(columns: list[tuple[int, ...]], slot: Mapping[int, int]):
+    """[(key, c0s)] for a regular bucket, else None.  A key is (petal
     positions, petal offsets, kernel pairs)."""
     positions, pairs = [], []
     for j, col in enumerate(columns):
@@ -263,14 +259,14 @@ def _column_layout(columns: list[tuple[int, ...]], slot: Mapping[int, int], ms: 
         if len(diffs) != 1:
             return None
         offsets.append(diffs.pop())
-    return [((tuple(positions), tuple(offsets), tuple(pairs)), c0s, ms)]
+    return [((tuple(positions), tuple(offsets), tuple(pairs)), c0s)]
 
 
-def _member_layouts(views: Sequence[LocalView], ms: list[int], slot: Mapping[int, int]):
-    """[(key, c0s, ms)] with members split by their own keys."""
-    parts: dict = {}
-    for m in ms:
-        coords = views[m].coords
+def _member_layouts(bucket: Sequence[LocalView], slot: Mapping[int, int]):
+    """[(key, c0s)] with the bucket's views split by their own keys."""
+    parts = defaultdict(list)
+    for view in bucket:
+        coords = view.coords
         petal = [(j, c) for j, c in enumerate(coords) if c not in slot]
         c0 = petal[0][1] if petal else 0
         key = (
@@ -278,15 +274,13 @@ def _member_layouts(views: Sequence[LocalView], ms: list[int], slot: Mapping[int
             tuple(c - c0 for _, c in petal),
             tuple((1 << j, slot[c]) for j, c in enumerate(coords) if c in slot),
         )
-        c0s, part = parts.setdefault(key, ([], []))
-        c0s.append(c0)
-        part.append(m)
-    return [(key, c0s, part) for key, (c0s, part) in parts.items()]
+        parts[key].append(c0)
+    return list(parts.items())
 
 
-def _lay_out(table: tuple, key: tuple, c0s: Sequence[int], ms: Sequence[int]) -> list[PetalGroup]:
-    """One group per layer of lanes: the r-th member with a given c0 goes to
-    layer r, so repeated views keep their multiplicity."""
+def _lay_out(table: tuple, key: tuple, c0s: Sequence[int]) -> list[PetalGroup]:
+    """One group per layer of lanes: layer r holds each c0 that occurs more
+    than r times, so repeated views keep their multiplicity."""
     positions, offsets, pairs = key
     index = []
     for start in range(0, len(positions), LANE_BITS):
@@ -295,26 +289,15 @@ def _lay_out(table: tuple, key: tuple, c0s: Sequence[int], ms: Sequence[int]) ->
             bits += [b | 1 << pos for b in bits]
         entries = [0] * 0x80 + bits + [0] * (0x80 - len(bits))
         index.append(bytes(entries) if bits[-1] < 0x100 else tuple(entries))
-    lanes = sorted(zip(c0s, ms))
-    if len(set(c0s)) == len(c0s):
-        layers = [lanes]
-    else:
-        layers, seen = [], {}
-        for c0, m in lanes:
-            r = seen[c0] = seen.get(c0, -1) + 1
-            if r == len(layers):
-                layers.append([])
-            layers[r].append((c0, m))
-    groups = []
-    for layer in layers:
-        lo, hi = layer[0][0], layer[-1][0] + 1
+    counts = Counter(c0s)
+    layer, groups = counts.keys(), []
+    while layer:
+        lo, hi = min(layer), max(layer) + 1
         mask = bytearray(hi - lo)
-        for c0, _ in layer:
+        for c0 in layer:
             mask[c0 - lo] = 1
-        groups.append(PetalGroup(
-            table, pairs, offsets, tuple(index), lo, hi,
-            int.from_bytes(mask, "little"), tuple(m for _, m in layer),
-        ))
+        groups.append(PetalGroup(table, pairs, offsets, tuple(index), lo, hi, int.from_bytes(mask, "little")))
+        layer = [c0 for c0 in layer if counts[c0] > len(groups)]
     return groups
 
 

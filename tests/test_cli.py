@@ -83,6 +83,16 @@ def test_timing_measures_aborted_trials(capsys):
     assert all(row[3].startswith("aborted") and float(row[4]) > 0 for row in rows)
 
 
+@pytest.mark.parametrize("timing", [False, True])
+def test_json_rows_carry_wall_time_iff_timing(capsys, timing):
+    argv = ["simulate", "--code", "hadamard:m=4", "--trials", "2", "--format", "json"]
+    assert main(argv + ["--timing"] * timing) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 2
+    assert all(("wall_time_ms" in row) == timing for row in rows)
+    assert all(row["wall_time_ms"] > 0 for row in rows if timing)
+
+
 def test_preprocess_round_trip(tmp_path):
     out = tmp_path / "pre.json"
     rc = main(

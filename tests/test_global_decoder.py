@@ -1,8 +1,10 @@
 import functools
+import gc
 import math
 import random
 import statistics
-from collections import Counter
+import tracemalloc
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import compress
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sample_draws import EDGE_PROBABILITIES, MAX_N, drawn_probabilities, same_draws
 
-from rldc.daisy import HeavyDaisy, default_extraction_scale
+from rldc.daisy import HeavyDaisy, build_daisy_sequence, default_extraction_scale, pick_heavy_level
 from rldc.decoders import (
     REJECT,
     ExplicitViews,
@@ -19,6 +21,7 @@ from rldc.decoders import (
     NonAdaptiveDecoder,
     hadamard_code,
     identity_code,
+    local_view_system,
     parse_code_spec,
     shared_pivot_code,
 )
@@ -42,9 +45,22 @@ from rldc.global_decoder import (
 from rldc.harness import _audit_index, run_global_trials
 
 
-def petals(pkg):
+# A package with the views and the daisy it was compiled from, which the
+# package itself does not keep; the references below read them.
+Compiled = namedtuple("Compiled", "pkg views daisy")
+
+
+def compiled_index(dec, i):
+    """Index i's package, with its views and the heavy daisy rebuilt the way
+    build_index_package builds it."""
+    weighted = local_view_system(dec, i)
+    daisy = pick_heavy_level(build_daisy_sequence(weighted.system, dec.locality), weighted)
+    return Compiled(build_index_package(dec, i), tuple(view for _, view in dec.views[i]), daisy)
+
+
+def petals(compiled):
     """Each member's petal: its view's coordinates outside the kernel."""
-    return {m: frozenset(pkg.views[m].coords) - pkg.daisy.kernel for m in pkg.daisy.members}
+    return {m: frozenset(compiled.views[m].coords) - compiled.daisy.kernel for m in compiled.daisy.members}
 
 
 def sample_of(coords, word=None):
@@ -70,14 +86,22 @@ class RecordedWord:
         return self.word[j]
 
 
-def queried_members(pkg, sample):
-    """The members of the lanes the compiled filter keeps, group by group."""
-    members = []
-    for group, full in zip(pkg.groups, fully_queried_petals(pkg, sample)):
-        size = group.hi - group.lo
-        occupied = group.lanes.to_bytes(size, "little")
-        members += compress(group.members, compress(full.to_bytes(size, "little"), occupied))
-    return tuple(members)
+def queried_lanes(pkg, sample):
+    """(table id, c0) of each lane the compiled filter keeps, group by group
+    in lane order."""
+    lanes = []
+    for g, full in zip(pkg.groups, fully_queried_petals(pkg, sample)):
+        kept = compress(range(g.lo, g.hi), full.to_bytes(g.hi - g.lo, "little"))
+        lanes += ((id(g.table), c0) for c0 in kept)
+    return lanes
+
+
+def reference_lanes(compiled, sample):
+    """(table id, first petal coordinate) of each member the per-member
+    filter keeps, in daisy order."""
+    petal = petals(compiled)
+    queried = reference_filter(compiled, frozenset(sample))
+    return [(id(compiled.views[m].table), min(petal[m])) for m in queried]
 
 
 def test_sample_extremes():
@@ -132,14 +156,14 @@ def test_default_extraction_scale_floor():
 
 def test_fully_queried_petals_star():
     _, dec = shared_pivot_code(1, 7, 1)
-    pkg = build_index_package(dec, 0)
-    assert pkg.kernel_order == (0,)
+    compiled = compiled_index(dec, 0)
+    assert compiled.pkg.kernel_order == (0,) and len(compiled.daisy.members) == 7
     everything = sample_of(range(8))
-    assert queried_members(pkg, everything) == pkg.daisy.members
-    assert queried_members(pkg, sample_of(())) == ()
+    assert queried_lanes(compiled.pkg, everything) == reference_lanes(compiled, range(8))
+    assert len(queried_lanes(compiled.pkg, everything)) == 7
+    assert queried_lanes(compiled.pkg, sample_of(())) == []
     # copies live at coords 1..7; sampling {1, 3} captures exactly two petals
-    got = queried_members(pkg, sample_of({1, 3}))
-    assert tuple(sorted(next(iter(petals(pkg)[m])) for m in got)) == (1, 3)
+    assert [c0 for _, c0 in queried_lanes(compiled.pkg, sample_of({1, 3}))] == [1, 3]
 
 
 def test_empty_petals_never_queried():
@@ -153,10 +177,11 @@ def test_empty_petals_never_queried():
     dec = NonAdaptiveDecoder(k=1, n=2, locality=2, views=(views,))
     # the default scale is 1 (the ratio 2/2 is above the floor 2^(-1/2)), so
     # the threshold is sqrt(2): only the degree-2 element 0 enters the kernel
-    pkg = build_index_package(dec, 0)
-    assert pkg.kernel_order == (0,)
-    assert petals(pkg)[0] == frozenset()
-    assert 0 not in queried_members(pkg, sample_of({0, 1}))
+    compiled = compiled_index(dec, 0)
+    assert compiled.pkg.kernel_order == (0,)
+    assert petals(compiled)[0] == frozenset()
+    assert reference_filter(compiled, {0, 1}) == (1,)
+    assert queried_lanes(compiled.pkg, sample_of({0, 1})) == [(id(views.entries[1][1].table), 1)]
 
 
 def test_decode_index_hadamard_empty_kernel():
@@ -191,26 +216,25 @@ def test_decode_index_shared_pivot_assignments():
     code, dec = shared_pivot_code(2, 8, 4)
     x = (1, 0, 1, 0)
     w = code.encode(x)
-    pkgs = build_decode_packages(dec)
     sampled = {j: w[j] for j in range(code.n)}
-    for pkg in pkgs:
-        assert pkg.kernel_order == (0, 1)  # the pivot block
-        assert all(len(p) == 1 for p in petals(pkg).values())
-        out = decode_index(pkg, sample_of(sampled, sampled), kernel_cap=20)
+    for i in range(dec.k):
+        compiled = compiled_index(dec, i)
+        assert compiled.pkg.kernel_order == (0, 1)  # the pivot block
+        assert all(len(p) == 1 for p in petals(compiled).values())
+        sample = sample_of(sampled, sampled)
+        out = decode_index(compiled.pkg, sample, kernel_cap=20)
         # kappa = 00 comes first lexicographically and matches the codeword
-        assert out.status == DECODED and out.bit == x[pkg.index]
+        assert out.status == DECODED and out.bit == x[i]
         assert out.assignments_tried == 1
+        assert queried_lanes(compiled.pkg, sample) == reference_lanes(compiled, sampled)
         # under any other assignment every view rejects: no wrong consensus
+        petal = petals(compiled)
+        queried = [(m, compiled.views[m]) for m in reference_filter(compiled, frozenset(sampled))]
         for a in range(1, 4):
             kappa = {0: (a >> 1) & 1, 1: a & 1}
             outs = [
-                pkg.views[m].read_and_evaluate(
-                    {
-                        c: sampled[c] if c in petals(pkg)[m] else kappa[c]
-                        for c in pkg.views[m].coords
-                    }
-                )
-                for m in queried_members(pkg, sample_of(sampled, sampled))
+                view.read_and_evaluate({c: sampled[c] if c in petal[m] else kappa[c] for c in view.coords})
+                for m, view in queried
             ]
             assert all(o is REJECT for o in outs)
 
@@ -218,8 +242,9 @@ def test_decode_index_shared_pivot_assignments():
 def test_strict_mode_two_sided():
     # One member, petal {1}, kernel {0}; predicate = XOR of the two reads.
     # kappa=0 gives unanimity on 1, kappa=1 unanimity on 0: strict refuses.
-    pkg = _package((LocalView((0, 1), (0, 1, 1, 0)),), frozenset({0}), 2)
-    assert petals(pkg) == {0: frozenset({1})} and pkg.kernel_order == (0,)
+    compiled = _package((LocalView((0, 1), (0, 1, 1, 0)),), frozenset({0}), 2)
+    assert petals(compiled) == {0: frozenset({1})} and compiled.pkg.kernel_order == (0,)
+    pkg = compiled.pkg
     sampled = sample_of([1], {1: 1})
     default = decode_index(pkg, sampled, kernel_cap=5, strict=False)
     assert default.status == DECODED and default.bit == 1 and default.assignments_tried == 1
@@ -229,7 +254,7 @@ def test_strict_mode_two_sided():
 
 def test_audit_resumes_past_the_decoders_stop():
     # the XOR package above decodes 1 at a=0 and stops; a=1 is unanimous on 0
-    pkg = _package((LocalView((0, 1), (0, 1, 1, 0)),), frozenset({0}), 2)
+    pkg = _package((LocalView((0, 1), (0, 1, 1, 0)),), frozenset({0}), 2).pkg
     outcome = decode_index(pkg, sample_of([1], {1: 1}), kernel_cap=5)
     assert outcome.unanimous == ((0, 1),) and outcome.assignments_tried == 1
     # true kernel 0, true bit 1: the wrong assignment lies past the stop
@@ -247,6 +272,23 @@ def test_audit_flags_an_empty_kernel_decoding_the_wrong_bit():
     outcome = decode_index(pkg, sample_of(range(code.n), word), kernel_cap=20)
     assert outcome.status == DECODED and outcome.bit == 0 and outcome.unanimous == ((0, 0),)
     assert _audit_index(pkg, outcome, word, x[2]) == (False, 1)
+
+
+def test_packages_keep_little_beside_the_decoder():
+    # a package keeps the kernel order and the petal groups, not the views or
+    # the daisy it was compiled from
+    tracemalloc.start()
+    try:
+        _, dec = parse_code_spec("hadamard:m=10")
+        gc.collect()
+        decoder_bytes = tracemalloc.get_traced_memory()[0]
+        packages = build_decode_packages(dec)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - decoder_bytes
+    finally:
+        tracemalloc.stop()
+    assert len(packages) == dec.k
+    assert retained < 0.05 * decoder_bytes
 
 
 def test_run_identity_full_sampling():
@@ -318,21 +360,25 @@ def test_trials_deterministic():
 # the completion core against the brute-force enumerator it replaced
 
 
-def reference_filter(pkg, sampled):
+def reference_filter(compiled, sampled):
     """The per-member filter the compiled groups replaced: members whose
     petal is nonempty and inside the sampled set, in daisy order."""
-    petal = petals(pkg)
-    return tuple(m for m in pkg.daisy.members if petal[m] and petal[m] <= sampled)
+    petal = petals(compiled)
+    return tuple(m for m in compiled.daisy.members if petal[m] and petal[m] <= sampled)
 
 
-def reference_completion(pkg, sampled_values):
+def kernel_order(compiled):
+    return tuple(sorted(compiled.daisy.kernel))
+
+
+def reference_completion(compiled, sampled_values):
     """The per-member completion the compiled groups replaced."""
-    width = len(pkg.kernel_order)
-    slot = {e: 1 << (width - 1 - j) for j, e in enumerate(pkg.kernel_order)}
-    petal = petals(pkg)
+    order = kernel_order(compiled)
+    slot = {e: 1 << (len(order) - 1 - j) for j, e in enumerate(order)}
+    petal = petals(compiled)
     completion = []
-    for m in reference_filter(pkg, frozenset(sampled_values)):
-        view = pkg.views[m]
+    for m in reference_filter(compiled, frozenset(sampled_values)):
+        view = compiled.views[m]
         base, pairs = 0, []
         for j, c in enumerate(view.coords):
             if c not in petal[m]:
@@ -348,30 +394,30 @@ def comparable(completion):
     return [(id(table), base, tuple(pairs)) for table, base, pairs in completion]
 
 
-def _reference_outputs(pkg, queried, sampled_values, a):
+def _reference_outputs(compiled, queried, sampled_values, a):
     """Completed outputs under assignment a, built value by value."""
-    width = len(pkg.kernel_order)
-    kappa = {e: (a >> (width - 1 - j)) & 1 for j, e in enumerate(pkg.kernel_order)}
-    petal = petals(pkg)
+    order = kernel_order(compiled)
+    kappa = {e: (a >> (len(order) - 1 - j)) & 1 for j, e in enumerate(order)}
+    petal = petals(compiled)
     return [
-        pkg.views[m].read_and_evaluate(
-            {c: sampled_values[c] if c in petal[m] else kappa[c] for c in pkg.views[m].coords}
+        compiled.views[m].read_and_evaluate(
+            {c: sampled_values[c] if c in petal[m] else kappa[c] for c in compiled.views[m].coords}
         )
         for m in queried
     ]
 
 
-def reference_decode(pkg, sampled_values, kernel_cap, strict):
-    kernel = pkg.kernel_order
+def reference_decode(compiled, sampled_values, kernel_cap, strict):
+    kernel = kernel_order(compiled)
     if len(kernel) > kernel_cap:
         return IndexOutcome(KERNEL_TOO_LARGE, None, 0, 0)
-    queried = reference_filter(pkg, frozenset(sampled_values))
+    queried = reference_filter(compiled, frozenset(sampled_values))
     if not queried:
         return IndexOutcome(NO_CONSENSUS, None, 0, 0)
     unanimous = set()
     assignments = 1 << len(kernel)
     for a in range(assignments):
-        outputs = _reference_outputs(pkg, queried, sampled_values, a)
+        outputs = _reference_outputs(compiled, queried, sampled_values, a)
         first = outputs[0]
         if first is not REJECT and all(out == first for out in outputs):
             if not strict:
@@ -382,24 +428,24 @@ def reference_decode(pkg, sampled_values, kernel_cap, strict):
     return IndexOutcome(NO_CONSENSUS, None, len(queried), assignments)
 
 
-def reference_audit(pkg, sampled_values, word, true_bit, kernel_cap):
-    kernel = pkg.kernel_order
+def reference_audit(compiled, sampled_values, word, true_bit, kernel_cap):
+    kernel = kernel_order(compiled)
     if len(kernel) > kernel_cap:
         return True, 0
-    queried = reference_filter(pkg, frozenset(sampled_values))
+    queried = reference_filter(compiled, frozenset(sampled_values))
     if not queried:
         return True, 0
     true_kappa = {e: word[e] for e in kernel}
-    petal = petals(pkg)
+    petal = petals(compiled)
     complete = all(
-        pkg.views[m].read_and_evaluate(
-            {c: sampled_values[c] if c in petal[m] else true_kappa[c] for c in pkg.views[m].coords}
+        compiled.views[m].read_and_evaluate(
+            {c: sampled_values[c] if c in petal[m] else true_kappa[c] for c in compiled.views[m].coords}
         )
         == true_bit
         for m in queried
     )
     wrong = sum(
-        all(out == 1 - true_bit for out in _reference_outputs(pkg, queried, sampled_values, a))
+        all(out == 1 - true_bit for out in _reference_outputs(compiled, queried, sampled_values, a))
         for a in range(1 << len(kernel))
     )
     return complete, wrong
@@ -408,25 +454,26 @@ def reference_audit(pkg, sampled_values, word, true_bit, kernel_cap):
 @functools.lru_cache(maxsize=None)
 def _pivot_package(kappa, r, k, i):
     code, dec = shared_pivot_code(kappa, r, k)
-    return code, build_index_package(dec, i)
+    return code, compiled_index(dec, i)
 
 
 @st.composite
 def pivot_cases(draw):
     """A shared-pivot index with kappa <= 6, a corrupted codeword and a sample."""
     kappa, r, k = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    code, pkg = _pivot_package(kappa, r, k, draw(st.integers(0, k - 1)))
+    code, compiled = _pivot_package(kappa, r, k, draw(st.integers(0, k - 1)))
     x = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
     word = list(code.encode(tuple(x)))
     for j in draw(st.sets(st.integers(0, code.n - 1), max_size=3)):
         word[j] ^= 1
-    return pkg, word, x[pkg.index], draw(st.sets(st.integers(0, code.n - 1)))
+    return compiled, word, x[compiled.pkg.index], draw(st.sets(st.integers(0, code.n - 1)))
 
 
 def _package(views, kernel, n):
+    """Index 0's package of a daisy of every view, with the views and the daisy."""
     members = tuple(range(len(views)))
     daisy = HeavyDaisy(1, members, kernel, 3, PowerBound(Fraction(1), n, Fraction(0)), Fraction(1))
-    return IndexDecodePackage.of(0, daisy, views)
+    return Compiled(IndexDecodePackage.of(0, daisy, views), views, daisy)
 
 
 @st.composite
@@ -489,16 +536,16 @@ kernel_caps = st.one_of(st.just(20), st.integers(0, 6))
 
 
 def _check_against_reference(case, kernel_cap):
-    """case is (package, word, true bit, sampled coordinates)."""
-    pkg, word, true_bit, sample = case
+    """case is (Compiled, word, true bit, sampled coordinates)."""
+    compiled, word, true_bit, sample = case
     sampled_values = {j: word[j] for j in sample}
     sample_bytes = sample_of(sample, word)
-    audit = reference_audit(pkg, sampled_values, word, true_bit, kernel_cap)
+    audit = reference_audit(compiled, sampled_values, word, true_bit, kernel_cap)
     for strict in (False, True):
-        outcome = decode_index(pkg, sample_bytes, kernel_cap, strict)
-        assert outcome == reference_decode(pkg, sampled_values, kernel_cap, strict)
+        outcome = decode_index(compiled.pkg, sample_bytes, kernel_cap, strict)
+        assert outcome == reference_decode(compiled, sampled_values, kernel_cap, strict)
         # the audit resumes this outcome's scan, in either mode
-        assert _audit_index(pkg, outcome, word, true_bit) == audit
+        assert _audit_index(compiled.pkg, outcome, word, true_bit) == audit
 
 
 @settings(max_examples=300, deadline=None)
@@ -523,7 +570,7 @@ def test_completion_core_matches_reference_grouped_views(case, kernel_cap):
 @given(st.one_of(explicit_cases(empty_kernel=True), grouped_cases(empty_kernel=True)), kernel_caps)
 def test_empty_kernel_matches_reference(case, kernel_cap):
     # decided from the distinct lane bytes, with no completion kept
-    assert case[0].kernel_order == ()
+    assert case[0].pkg.kernel_order == ()
     _check_against_reference(case, kernel_cap)
 
 
@@ -532,20 +579,20 @@ def test_empty_kernel_reads_several_index_tables():
     rng = random.Random(4)
     table = tuple(rng.choice((0, 1, 1, 1, REJECT)) for _ in range(1 << 9))
     views = tuple(LocalView(tuple(range(s, s + 9)), table) for s in range(6))
-    pkg = _package(views, frozenset(), 14)
-    assert pkg.kernel_order == () and [len(g.index) for g in pkg.groups] == [2]
+    compiled = _package(views, frozenset(), 14)
+    assert compiled.pkg.kernel_order == () and [len(g.index) for g in compiled.pkg.groups] == [2]
     for _ in range(40):
         word = [rng.randrange(2) for _ in range(14)]
-        _check_against_reference((pkg, word, rng.randrange(2), set(range(14)) - {rng.randrange(20)}), 20)
+        _check_against_reference((compiled, word, rng.randrange(2), set(range(14)) - {rng.randrange(20)}), 20)
 
 
-def _check_compiled_filter(pkg, sampled_values, ordered):
-    """Compiled filter members and completion triples against the per-member
+def _check_compiled_filter(compiled, sampled_values, ordered):
+    """Compiled filter lanes and completion triples against the per-member
     reference: equal as multisets, and in the same order when `ordered`."""
     sample = sample_of(sampled_values, sampled_values)
-    got, want = queried_members(pkg, sample), reference_filter(pkg, frozenset(sampled_values))
-    got_triples = comparable(complete_views(pkg, sample))
-    want_triples = comparable(reference_completion(pkg, sampled_values))
+    got, want = queried_lanes(compiled.pkg, sample), reference_lanes(compiled, sampled_values)
+    got_triples = comparable(complete_views(compiled.pkg, sample))
+    want_triples = comparable(reference_completion(compiled, sampled_values))
     if ordered:
         assert got == want and got_triples == want_triples
     else:
@@ -556,25 +603,25 @@ def _check_compiled_filter(pkg, sampled_values, ordered):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(explicit_cases(), grouped_cases()))
 def test_compiled_filter_matches_per_member_reference(case):
-    pkg, word, _, sample = case
-    _check_compiled_filter(pkg, {j: word[j] for j in sample}, ordered=False)
+    compiled, word, _, sample = case
+    _check_compiled_filter(compiled, {j: word[j] for j in sample}, ordered=False)
 
 
 def test_compiled_filter_keeps_repeated_views():
     # (0,1) twice, (2,3) and (1,2) share one table: all four fully queried
     table = (0, 1, 1, 0)
     views = tuple(LocalView(coords, table) for coords in ((0, 1), (0, 1), (2, 3), (1, 2)))
-    pkg = _package(views, frozenset(), 4)
-    assert len(pkg.groups) == 2  # the repeat of (0,1) needs a second layer of lanes
+    compiled = _package(views, frozenset(), 4)
+    assert len(compiled.pkg.groups) == 2  # the repeat of (0,1) needs a second layer of lanes
     sampled = {0: 1, 1: 0, 2: 1, 3: 1}
-    assert decode_index(pkg, sample_of(sampled, sampled), 20).fully_queried == 4
-    _check_compiled_filter(pkg, sampled, ordered=False)
+    assert decode_index(compiled.pkg, sample_of(sampled, sampled), 20).fully_queried == 4
+    _check_compiled_filter(compiled, sampled, ordered=False)
 
 
 @functools.lru_cache(maxsize=None)
 def _builtin_packages(spec):
     code, dec = parse_code_spec(spec)
-    return code, build_decode_packages(dec)
+    return code, [compiled_index(dec, i) for i in range(dec.k)]
 
 
 BUILTIN_SPECS = (
@@ -585,9 +632,9 @@ BUILTIN_SPECS = (
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(BUILTIN_SPECS), st.data())
 def test_compiled_filter_matches_reference_in_order_on_builtin_codes(spec, data):
-    code, pkgs = _builtin_packages(spec)
-    assert all(len(pkg.groups) == 1 for pkg in pkgs)
+    code, indices = _builtin_packages(spec)
+    assert all(len(compiled.pkg.groups) == 1 for compiled in indices)
     word = data.draw(st.lists(st.integers(0, 1), min_size=code.n, max_size=code.n))
     sample = data.draw(st.sets(st.integers(0, code.n - 1)))
-    for pkg in pkgs:
-        _check_compiled_filter(pkg, {j: word[j] for j in sample}, ordered=True)
+    for compiled in indices:
+        _check_compiled_filter(compiled, {j: word[j] for j in sample}, ordered=True)
