@@ -23,7 +23,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import add, ge, le, lt, not_
 
 from .exact import PowerBound, floor_power_bound
 from .set_system import (
@@ -110,34 +111,38 @@ def build_daisy_sequence(
         c = PowerBound(c, n, 0)
     if c.base != n:
         raise ValueError("scale parameter uses a different base than the universe")
-    for idx, members in enumerate(system.sets):
-        if len(members) > ell:
-            raise ValueError(f"set {idx} has {len(members)} > {ell} elements")
-
     sets = system.sets
-    residual = list(range(len(sets)))
+    sizes = tuple(map(len, sets))
+    if sets and max(sizes) > ell:
+        idx = next(idx for idx, size in enumerate(sizes) if size > ell)
+        raise ValueError(f"set {idx} has {sizes[idx]} > {ell} elements")
+
+    # the residual collection as set numbers, sets and sizes, and its degrees
+    residual, residual_sets = range(len(sets)), sets
+    degrees = top = None  # recounted only after a level takes members
     levels = []
     for i in range(1, ell + 1):
         threshold = c.scale_exponent(Fraction(i, ell))
         # "deg > threshold" == "deg > floor(threshold)" for integer degrees.
         cap = floor_power_bound(threshold)
+        if degrees is None:
+            degrees = Counter(chain.from_iterable(residual_sets))
+            top = max(degrees.values(), default=0)
+        kernel = frozenset(compress(degrees, map(lt, repeat(cap), degrees.values())) if top > cap else ())
 
-        degrees = Counter(chain.from_iterable(sets[idx] for idx in residual))
-        kernel = {e for e, d in degrees.items() if d > cap}
-
-        members = []
-        survivors = []
-        for idx in residual:
-            outside = 0
-            for e in sets[idx]:
-                if e not in kernel:
-                    outside += 1
-            if outside <= i:
-                members.append(idx)
-            else:
-                survivors.append(idx)
-        residual = survivors
-        levels.append(DaisyLevel(i, tuple(members), frozenset(kernel), threshold))
+        # a member has at most i elements outside the kernel: its size is at
+        # most i plus its kernel elements, or just i when the kernel is empty
+        if kernel:
+            inside = (sum(map(kernel.__contains__, row)) for row in residual_sets)
+            keep = list(map(le, sizes, map(add, inside, repeat(i))))
+        else:
+            keep = list(map(ge, repeat(i), sizes))
+        members = tuple(compress(residual, keep))
+        if members:
+            drop = list(map(not_, keep))
+            residual, residual_sets, sizes = (tuple(compress(seq, drop)) for seq in (residual, residual_sets, sizes))
+            degrees = None
+        levels.append(DaisyLevel(i, members, kernel, threshold))
 
     assert not residual, "level ell must absorb every residual set"
     return tuple(levels)
@@ -146,7 +151,7 @@ def build_daisy_sequence(
 def partition_check(levels: tuple[DaisyLevel, ...], size: int) -> tuple[bool, int]:
     """(whether the levels' member lists partition range(size), how many
     members they list in all)."""
-    listed = [m for level in levels for m in level.members]
+    listed = list(chain.from_iterable(level.members for level in levels))
     return len(listed) == size and set(listed) == set(range(size)), len(listed)
 
 
@@ -165,7 +170,7 @@ def pick_heavy_level(levels: tuple[DaisyLevel, ...], weighted: WeightedSetSystem
     masses = weighted.masses
     total = weighted.total
     for level in levels:
-        mass = sum(masses[idx] for idx in level.members)
+        mass = sum(map(masses.__getitem__, level.members))
         if ell * mass >= total:
             s = level.level_index
             bound_level = max(1, s - 1)

@@ -4,12 +4,14 @@ A decoder output is 0, 1, or REJECT (None): decoders may refuse to decode a
 corrupted word but must never be wrong too often inside the decoding radius,
 and must be exact on valid codewords.
 
-Non-adaptive decoders are stored per message index as weighted query sets
-with predicate truth tables, which doubles as the weighted set system that
-daisy extraction consumes.  Probabilities are exact rationals, summed and
-checked as integer masses over their least common denominator
-(exact.integer_masses); sampling draws those masses, so a seeded run is
-reproducible and matches the exact distribution.
+Non-adaptive decoders are stored per message index as rows (ExplicitViews):
+a sorted coordinate tuple and a truth table per view (rows of one shape share
+the table object), and integer masses over one common denominator.  Daisy
+extraction reads the rows as its set system, and LocalView objects are made
+only when a list is iterated or sampled.  Weights stay exact: the sum-to-1
+and positivity checks are integer sums, and sampling draws the masses over
+their least common denominator, so a seeded run is reproducible and matches
+the exact distribution.
 
 table_masks evaluates a table on a set of points at once as bit masks: it makes
 an amplified coin outcome (UnanimityView) one table and checks a whole corpus.
@@ -22,16 +24,17 @@ it back.
 
 from __future__ import annotations
 
-import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate, chain, compress, cycle, repeat
 from operator import itemgetter
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import format_fraction, integer_masses
-from .set_system import SetSystem, WeightedSetSystem
+from .set_system import SetSystem, WeightedSetSystem, rows_increasing
 
 Symbol = int | None  # 0, 1, or REJECT
 REJECT = None
@@ -44,8 +47,8 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 MAX_TABLE_ENTRIES = 1 << 23
 
 # Most local views a built-in code may build, each message index counting as
-# 4 views more: `rldc simulate` peaks at about 350-700 B per view plus about
-# 1.7 KB per index.  Runs at the budget peaked at 0.46-0.77 GB (CHANGES.md).
+# 4 views more: `rldc simulate` peaks at about 90 B per Hadamard view plus about
+# 1.1 KB per index.  Runs at the budget peaked at 0.13-0.37 GB (CHANGES.md).
 MAX_VIEWS = 1 << 20
 INDEX_VIEWS = 4
 
@@ -134,25 +137,6 @@ class AdaptiveDecoder:
                     raise ValueError("tree weights must be positive")
                 validate_tree(tree, self.n, self.locality)
 
-    def decode(self, w, i: int, rng: Random) -> "tuple[int | None, frozenset[int]]":
-        if i < 0 or i >= self.k:
-            raise ValueError(f"index {i} outside [0, {self.k})")
-        dist = self.trees[i]
-        masses = _mass_table([wt for wt, _ in dist])
-        tree = dist[_draw(masses, rng)][1]
-        out, queried = run_tree(tree, w)
-        return out, frozenset(queried)
-
-
-def _mass_table(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    masses, common = integer_masses(weights)
-    return tuple(itertools.accumulate(masses)), common
-
-
-def _draw(mass_table: tuple[tuple[int, ...], int], rng: Random) -> int:
-    cum, total = mass_table
-    return bisect_right(cum, rng.randrange(total))
-
 
 # ---------------------------------------------------------------------------
 # non-adaptive decoders
@@ -198,19 +182,7 @@ class UnanimityView:
         merged = sorted({c for part in parts for c in part.coords})
         return cls(tuple(parts), tuple(merged))
 
-    def read_and_evaluate(self, w) -> "int | None":
-        verdict = None
-        for part in self.parts:
-            out = part.read_and_evaluate(w)
-            if out is REJECT:
-                return REJECT
-            if verdict is None:
-                verdict = out
-            elif out != verdict:
-                return REJECT
-        return verdict
-
-    def materialize(self, tables: dict) -> LocalView:
+    def materialize(self, tables: dict) -> tuple:
         """Collapse to a concrete truth table over the merged query set.
 
         The table depends only on the view's shape: the merged width and,
@@ -227,7 +199,7 @@ class UnanimityView:
         table = tables.get(shape)
         if table is None:
             table = tables[shape] = unanimity_table(*shape)
-        return LocalView(self.coords, table)
+        return table
 
 
 def unanimity_table(width: int, parts: "Sequence[tuple[tuple, tuple[int, ...]]]") -> tuple:
@@ -280,44 +252,63 @@ def table_masks(table, literals: Sequence[int], full: int) -> tuple[int, int]:
 
 
 class ExplicitViews:
-    """A concrete weighted list of local views for one message index."""
+    """A concrete weighted list of local views for one message index, as rows.
 
-    __slots__ = ("entries", "_cum", "_total")
+    rows[j] holds view j's coordinates (strictly increasing), tables[j] its
+    truth table (rows of one shape share the object) and masses[j] /
+    denominator its weight.  Every row is checked a column at a time; a bad
+    row raises the error its LocalView would.  Iterating yields (weight,
+    LocalView) and sampling a LocalView; both make the views once per list.
+    """
 
-    def __init__(self, entries: Sequence[tuple[Fraction, LocalView]]):
-        if not entries:
+    __slots__ = ("rows", "tables", "masses", "denominator", "_views", "_cum", "_total")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], tables: tuple, masses: tuple[int, ...], denominator: int):
+        if not rows:
             raise ValueError("a decoder index needs at least one view")
-        masses, common = integer_masses([wt for wt, _ in entries])
+        if not len(rows) == len(tables) == len(masses):
+            raise ValueError("one table and one mass per row required")
+        shapes = set(zip(map(len, rows), map(len, tables)))
+        if any(size != 1 << width for width, size in shapes) or not rows_increasing(rows):
+            for coords, table in zip(rows, tables):
+                LocalView(coords, table)  # raises the first bad row's error
         total = sum(masses)
-        if total != common:
-            raise ValueError(f"view weights must sum to 1, got {Fraction(total, common)}")
-        if any(m <= 0 for m in masses):
+        if total != denominator:
+            raise ValueError(f"view weights must sum to 1, got {Fraction(total, denominator)}")
+        if min(masses) <= 0:
             raise ValueError("view weights must be positive")
-        self.entries = tuple(entries)
-        self._cum = None
-        self._total = None
+        self.rows, self.tables = rows, tables
+        self.masses, self.denominator = masses, denominator
+        self._views = self._cum = self._total = None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    def _local_views(self) -> tuple[LocalView, ...]:
+        if self._views is None:
+            self._views = tuple(map(LocalView, self.rows, self.tables))
+        return self._views
 
     def __iter__(self) -> Iterator[tuple[Fraction, LocalView]]:
-        return iter(self.entries)
+        return zip(map(Fraction, self.masses, repeat(self.denominator)), self._local_views())
 
     def sample(self, rng: Random) -> LocalView:
+        """Draw a view by its mass over the masses' least common denominator."""
         if self._cum is None:
-            self._cum, self._total = _mass_table([wt for wt, _ in self.entries])
-        return self.entries[bisect_right(self._cum, rng.randrange(self._total))][1]
+            unit = math.gcd(self.denominator, *self.masses)
+            self._cum = tuple(accumulate(m // unit for m in self.masses))
+            self._total = self.denominator // unit
+        return self._local_views()[bisect_right(self._cum, rng.randrange(self._total))]
 
     def max_view_size(self) -> int:
-        return max(len(v.coords) for _, v in self.entries)
+        return max(map(len, self.rows))
 
 
 class ProductViews:
     """The coin space of `times` independent runs of a base view list.
 
     Represents the amplified decoder's views without materialising the full
-    product: iteration yields every combination lazily (exact weights),
-    sampling draws the constituents independently.
+    product: sampling draws the constituents independently.
     """
 
     __slots__ = ("base", "times")
@@ -331,19 +322,12 @@ class ProductViews:
     def __len__(self) -> int:
         return len(self.base) ** self.times
 
-    def __iter__(self) -> Iterator[tuple[Fraction, UnanimityView]]:
-        for combo in itertools.product(self.base.entries, repeat=self.times):
-            weight = Fraction(1)
-            for wt, _ in combo:
-                weight *= wt
-            yield weight, UnanimityView.of([view for _, view in combo])
-
     def sample(self, rng: Random) -> UnanimityView:
         return UnanimityView.of([self.base.sample(rng) for _ in range(self.times)])
 
     def max_view_size(self) -> int:
         """`times` base views merged, but no more than all the base covers."""
-        covered = {c for _, view in self.base for c in view.coords}
+        covered = set(chain.from_iterable(self.base.rows))
         return min(self.base.max_view_size() * self.times, len(covered))
 
 
@@ -363,28 +347,19 @@ class NonAdaptiveDecoder:
             if view_set.max_view_size() > self.locality:
                 raise ValueError(f"index {i} has a view larger than locality {self.locality}")
             if isinstance(view_set, ExplicitViews):
-                for _, view in view_set:
-                    if view.coords and (view.coords[0] < 0 or view.coords[-1] >= self.n):
-                        raise ValueError(f"view coords outside [0, {self.n})")
-
-    def decode(self, w, i: int, rng: Random) -> "tuple[int | None, frozenset[int]]":
-        """Sample a view for index i and apply it to w: (output, queried set)."""
-        if i < 0 or i >= self.k:
-            raise ValueError(f"index {i} outside [0, {self.k})")
-        view = self.views[i].sample(rng)
-        return view.read_and_evaluate(w), frozenset(view.coords)
+                rows = tuple(filter(None, view_set.rows))
+                if rows and (min(map(itemgetter(0), rows)) < 0 or max(map(itemgetter(-1), rows)) >= self.n):
+                    raise ValueError(f"view coords outside [0, {self.n})")
 
 
 def local_view_system(decoder: NonAdaptiveDecoder, i: int) -> WeightedSetSystem:
-    """The index-i query distribution as a weighted set system (multiset order
-    preserved, so view j of the decoder is set j of the system)."""
+    """The index-i query distribution as a weighted set system over the
+    decoder's own rows and masses, so view j of the decoder is set j."""
     view_set = decoder.views[i]
     if not isinstance(view_set, ExplicitViews):
         raise TypeError("only explicit view lists convert to set systems")
-    sets = tuple(view.coords for _, view in view_set)
-    system = SetSystem(decoder.n, sets)
-    masses, common = integer_masses([wt for wt, _ in view_set])
-    return WeightedSetSystem(system, tuple(masses), common)
+    system = SetSystem(decoder.n, view_set.rows)
+    return WeightedSetSystem(system, view_set.masses, view_set.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +423,9 @@ def repetition_code(k: int, r: int) -> tuple[Code, NonAdaptiveDecoder]:
         relative_distance=Fraction(1, k),
         decoding_radius=Fraction(1, 4 * k),
     )
+    tables, masses = (_READ_BIT,) * r, (1,) * r
     views = tuple(
-        ExplicitViews(
-            [(Fraction(1, r), LocalView((i * r + j,), _READ_BIT)) for j in range(r)]
-        )
-        for i in range(k)
+        ExplicitViews(tuple(zip(range(i * r, (i + 1) * r))), tables, masses, r) for i in range(k)
     )
     return code, NonAdaptiveDecoder(k=k, n=n, locality=1, views=views)
 
@@ -493,20 +466,16 @@ def hadamard_code(m: int) -> tuple[Code, NonAdaptiveDecoder]:
         relative_distance=Fraction(1, 2),
         decoding_radius=Fraction(1, 8),
     )
-    weight = Fraction(2, n)
+    # the r with bit i clear pair up in order with the r ^ e_i, as ints of one shared list
+    coords = list(range(n))
+    half = n >> 1
+    tables, masses = (_PARITY2,) * half, (1,) * half
     views = []
     for i in range(m):
-        e = 1 << i
-        views.append(
-            ExplicitViews(
-                [
-                    (weight, LocalView((r, r ^ e), _PARITY2))
-                    for r in range(n)
-                    if not r & e
-                ]
-            )
-        )
-    return code, NonAdaptiveDecoder(k=m, n=n, locality=2, views=views)
+        clear = (1,) * (1 << i) + (0,) * (1 << i)
+        rows = tuple(zip(compress(coords, cycle(clear)), compress(coords, cycle(clear[::-1]))))
+        views.append(ExplicitViews(rows, tables, masses, half))
+    return code, NonAdaptiveDecoder(k=m, n=n, locality=2, views=tuple(views))
 
 
 def shared_pivot_code(kappa: int, r: int, k: int) -> tuple[Code, NonAdaptiveDecoder]:
@@ -543,12 +512,10 @@ def shared_pivot_code(kappa: int, r: int, k: int) -> tuple[Code, NonAdaptiveDeco
     table = tuple(
         REJECT if idx & pivot_mask else (idx >> kappa) & 1 for idx in range(1 << (kappa + 1))
     )
+    tables, masses = (table,) * r, (1,) * r
     views = tuple(
         ExplicitViews(
-            [
-                (Fraction(1, r), LocalView(pivot + (kappa + i * r + j,), table))
-                for j in range(r)
-            ]
+            tuple(map(pivot.__add__, zip(range(kappa + i * r, kappa + (i + 1) * r)))), tables, masses, r
         )
         for i in range(k)
     )
@@ -612,27 +579,24 @@ def decoder_to_json(decoder: NonAdaptiveDecoder) -> dict:
     """One weighted set system per index plus the predicate truth tables.
 
     REJECT serialises as JSON null.  Lazy (product) view lists must be
-    reduced to explicit lists first.  Views that share a table tuple (as
+    reduced to explicit lists first.  Rows that share a table tuple (as
     reduce_randomness's rows of one shape do) share its list in the document,
     so it costs one list per distinct table; json.dump prints each use in full.
     """
     lists = {}  # id(table) -> its list; the decoder keeps every table alive meanwhile
     indices = []
-    for i in range(decoder.k):
-        view_set = decoder.views[i]
+    for view_set in decoder.views:
         if not isinstance(view_set, ExplicitViews):
             raise TypeError("serialise explicit decoders only; reduce the coin space first")
-        tables = []
-        for _, view in view_set:
-            table = lists.get(id(view.table))
-            if table is None:
-                table = lists[id(view.table)] = list(view.table)
-            tables.append(table)
+        for table in view_set.tables:
+            if id(table) not in lists:
+                lists[id(table)] = list(table)
+        weights = {m: format_fraction(Fraction(m, view_set.denominator)) for m in set(view_set.masses)}
         doc = {
             "n": decoder.n,
-            "sets": [list(view.coords) for _, view in view_set],
-            "weights": [format_fraction(wt) for wt, _ in view_set],
-            "tables": tables,
+            "sets": list(map(list, view_set.rows)),
+            "weights": list(map(weights.__getitem__, view_set.masses)),
+            "tables": [lists[id(table)] for table in view_set.tables],
         }
         indices.append(doc)
     return {"k": decoder.k, "n": decoder.n, "locality": decoder.locality, "indices": indices}

@@ -19,16 +19,18 @@ samples, applies the query budget and decodes every index; its outcome
 carries the SampleBytes that the audit in harness.py works from.
 
 Packages are compiled once into groups (PetalGroup) and keep only the kernel
-order and the groups, not the daisy or the views.  A group stands for the
-members that share a table object: the offsets of their petal coordinates
-from the first petal coordinate c0, the table bits of those coordinates and
-the kernel pairs.  It gives each c0 in [lo, hi) a one-byte lane and marks
-the occupied lanes.  Per group the filter ANDs the lane mask with one flags
-slice per petal offset, and the completion ORs the matching bits slices
-together, keeps the full lanes with bytes.translate and maps each through
-the group's table of petal bits to table index: a few whole-slice integer
-operations per group, none per member.  Every built-in code has one group
-per index.
+order and the groups, not the daisy or the views.  They compile from the
+decoder's rows (decoders.ExplicitViews): the heavy daisy's members are
+split by (table, row length) and each bucket's rows are read a column at a
+time.  A group stands for the members that share a table object: the
+offsets of their petal coordinates from the first petal coordinate c0, the
+table bits of those coordinates and the kernel pairs.  It gives each c0 in
+[lo, hi) a one-byte lane and marks the occupied lanes.  Per group the filter
+ANDs the lane mask with one flags slice per petal offset, and the completion
+ORs the matching bits slices together, keeps the full lanes with
+bytes.translate and maps each through the group's table of petal bits to
+table index: a few whole-slice integer operations per group, none per
+member.  Every built-in code has one group per index.
 
 One enumeration per (index, sample) serves the decoder and the audit in
 harness.py.  complete_views turns each fully queried view into its table, the
@@ -62,7 +64,7 @@ from random import Random
 from typing import Iterator, Mapping, Sequence
 
 from .daisy import HeavyDaisy, build_daisy_sequence, pick_heavy_level
-from .decoders import REJECT, LocalView, NonAdaptiveDecoder, local_view_system
+from .decoders import REJECT, ExplicitViews, NonAdaptiveDecoder, local_view_system
 
 DECODED = "decoded"
 NO_CONSENSUS = "no_consensus"
@@ -139,9 +141,9 @@ class IndexDecodePackage:
     groups: tuple[PetalGroup, ...]
 
     @classmethod
-    def of(cls, index: int, daisy: HeavyDaisy, views: tuple[LocalView, ...]) -> "IndexDecodePackage":
-        """Compile the daisy's members (view numbers) into petal groups;
-        the package keeps neither the daisy nor the views."""
+    def of(cls, index: int, daisy: HeavyDaisy, views: ExplicitViews) -> "IndexDecodePackage":
+        """Compile the daisy's members (row numbers of views) into petal
+        groups; the package keeps neither the daisy nor the views."""
         kernel_order = tuple(sorted(daisy.kernel))
         return cls(index, kernel_order, _petal_groups(views, daisy.members, kernel_order))
 
@@ -211,7 +213,7 @@ def build_index_package(decoder: NonAdaptiveDecoder, i: int) -> IndexDecodePacka
     weighted = local_view_system(decoder, i)
     levels = build_daisy_sequence(weighted.system, decoder.locality)
     heavy = pick_heavy_level(levels, weighted)
-    return IndexDecodePackage.of(i, heavy, tuple(view for _, view in decoder.views[i]))
+    return IndexDecodePackage.of(i, heavy, decoder.views[i])
 
 
 def build_decode_packages(decoder: NonAdaptiveDecoder) -> tuple[IndexDecodePackage, ...]:
@@ -219,25 +221,26 @@ def build_decode_packages(decoder: NonAdaptiveDecoder) -> tuple[IndexDecodePacka
 
 
 def _petal_groups(
-    views: Sequence[LocalView], members: Sequence[int], kernel_order: tuple[int, ...]
+    views: ExplicitViews, members: Sequence[int], kernel_order: tuple[int, ...]
 ) -> tuple[PetalGroup, ...]:
-    """Group members a (table, view size) bucket at a time.  A bucket is read
-    by columns when each column lies wholly outside the kernel or is one
-    kernel coordinate throughout, and each petal column sits at a fixed
-    offset from the first; otherwise it is keyed member by member.  Members
-    with empty petals are left out: they are never fully queried."""
+    """Group members a (table, row length) bucket at a time, in the order of
+    each bucket's first member.  A bucket's rows are read by columns when
+    each column lies wholly outside the kernel or is one kernel coordinate
+    throughout, and each petal column sits at a fixed offset from the first;
+    otherwise they are keyed row by row.  Members with empty petals are left
+    out: they are never fully queried."""
     width = len(kernel_order)
     slot = {e: 1 << (width - 1 - j) for j, e in enumerate(kernel_order)}
+    rows, tables = views.rows, views.tables
     buckets = defaultdict(list)
     for m in members:
-        view = views[m]
-        buckets[id(view.table), len(view.coords)].append(view)
+        buckets[id(tables[m]), len(rows[m])].append(m)
     groups = []
     for bucket in buckets.values():
-        columns = list(zip(*(view.coords for view in bucket)))
-        for key, c0s in _column_layout(columns, slot) or _member_layouts(bucket, slot):
-            if key[0]:
-                groups += _lay_out(bucket[0].table, key, c0s)
+        bucket_rows = tuple(map(rows.__getitem__, bucket))
+        for layout, c0s in _column_layout(list(zip(*bucket_rows)), slot) or _member_layouts(bucket_rows, slot):
+            if layout[0]:
+                groups += _lay_out(tables[bucket[0]], layout, c0s)
     return tuple(groups)
 
 
@@ -262,11 +265,10 @@ def _column_layout(columns: list[tuple[int, ...]], slot: Mapping[int, int]):
     return [((tuple(positions), tuple(offsets), tuple(pairs)), c0s)]
 
 
-def _member_layouts(bucket: Sequence[LocalView], slot: Mapping[int, int]):
-    """[(key, c0s)] with the bucket's views split by their own keys."""
+def _member_layouts(bucket_rows: Sequence[tuple[int, ...]], slot: Mapping[int, int]):
+    """[(key, c0s)] with the bucket's rows split by their own keys."""
     parts = defaultdict(list)
-    for view in bucket:
-        coords = view.coords
+    for coords in bucket_rows:
         petal = [(j, c) for j, c in enumerate(coords) if c not in slot]
         c0 = petal[0][1] if petal else 0
         key = (

@@ -27,7 +27,6 @@ from .decoders import (
     MAX_TABLE_ENTRIES,
     AdaptiveDecoder,
     ExplicitViews,
-    LocalView,
     NonAdaptiveDecoder,
     ProductViews,
     UnanimityView,
@@ -35,6 +34,7 @@ from .decoders import (
     table_masks,
     tree_coords,
 )
+from .exact import integer_masses
 
 RETRIES = 3  # resampling attempts after the first, before reduction fails
 
@@ -52,10 +52,9 @@ def flatten_adaptive(decoder: AdaptiveDecoder) -> NonAdaptiveDecoder:
     adaptive decoder exactly on every oracle and coin outcome.
     """
     views = []
-    locality = 1
     for dist in decoder.trees:
-        entries = []
-        for weight, tree in dist:
+        rows, tables = [], []
+        for _, tree in dist:
             coords = tuple(sorted(tree_coords(tree)))
             position = {c: j for j, c in enumerate(coords)}
             table = []
@@ -63,9 +62,11 @@ def flatten_adaptive(decoder: AdaptiveDecoder) -> NonAdaptiveDecoder:
                 lookup = {c: (idx >> position[c]) & 1 for c in coords}
                 out, _ = run_tree(tree, lookup)
                 table.append(out)
-            entries.append((weight, LocalView(coords, tuple(table))))
-            locality = max(locality, len(coords))
-        views.append(ExplicitViews(entries))
+            rows.append(coords)
+            tables.append(tuple(table))
+        masses, common = integer_masses([weight for weight, _ in dist])
+        views.append(ExplicitViews(tuple(rows), tuple(tables), tuple(masses), common))
+    locality = max([1] + [view_set.max_view_size() for view_set in views])
     return NonAdaptiveDecoder(
         k=decoder.k, n=decoder.n, locality=locality, views=tuple(views)
     )
@@ -162,7 +163,8 @@ def reduce_randomness(
     t of column c is word t at c, and a row's wrong words are `ones & ~truth |
     zeros & truth` over its parts' table_masks (each built once).  Amplified
     rows materialize through one shape memo per call, so each distinct row
-    shape builds its table once and every row of that shape shares the tuple.
+    shape builds its table once and every row of that shape shares the tuple;
+    the reduced lists hold the rows' coordinates and those tables.
     """
     if multiset_size < 1:
         raise ValueError("multiset size must be >= 1")
@@ -174,7 +176,7 @@ def reduce_randomness(
     parts = multiset_size * sum(v.times if isinstance(v, ProductViews) else 1 for v in decoder.views)
     if parts > MAX_SAMPLED_PARTS:
         raise ValueError(f"reduction samples {parts} parts, over {MAX_SAMPLED_PARTS}")
-    uniform = Fraction(1, multiset_size)
+    uniform = (1,) * multiset_size
     full = (1 << len(corpus)) - 1
     columns = [sum(1 << t for t, (w, _) in enumerate(corpus) if w[c]) for c in range(decoder.n)]
     truths = [sum(1 << t for t, (_, x) in enumerate(corpus) if x[i]) for i in range(decoder.k)]
@@ -184,13 +186,11 @@ def reduce_randomness(
         views, worst = [], [0] * len(corpus)
         for view_set, truth in zip(decoder.views, truths):
             rows = [view_set.sample(rng) for _ in range(multiset_size)]
-            concrete = [row.materialize(tables) if isinstance(row, UnanimityView) else row for row in rows]
-            views.append(ExplicitViews([(uniform, view) for view in concrete]))
+            concrete = [row.materialize(tables) if isinstance(row, UnanimityView) else row.table for row in rows]
+            views.append(ExplicitViews(tuple(row.coords for row in rows), tuple(concrete), uniform, multiset_size))
             counts = [0] * len(corpus)
             for row in rows:
                 row_parts = row.parts if isinstance(row, UnanimityView) else (row,)
-                if not row_parts:  # REJECT is never wrong; an AND over no parts is full
-                    continue
                 ones = zeros = full
                 for part in row_parts:
                     part_masks = masks.get(part)

@@ -20,6 +20,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 from .exact import format_fraction, integer_masses, parse_fraction
@@ -27,6 +29,19 @@ from .exact import format_fraction, integer_masses, parse_fraction
 
 class ContractError(RuntimeError):
     """A violated precondition that callers promised to uphold."""
+
+
+def rows_increasing(rows: Sequence[tuple[int, ...]]) -> bool:
+    """Whether every row is strictly increasing, checked a column at a time
+    over the rows of each length."""
+    groups = (rows,)
+    if len(set(map(len, rows))) > 1:
+        groups = (tuple(group) for _, group in groupby(sorted(rows, key=len), len))
+    for group in groups:
+        columns = tuple(zip(*group))
+        if not all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -40,7 +55,13 @@ class SetSystem:
         n = self.universe_size
         if n < 1:
             raise ValueError(f"universe size must be positive, got {n}")
-        for idx, members in enumerate(self.sets):
+        sets = self.sets
+        if not sets or (
+            all(sets) and rows_increasing(sets)
+            and min(map(itemgetter(0), sets)) >= 0 and max(map(itemgetter(-1), sets)) < n
+        ):
+            return
+        for idx, members in enumerate(sets):  # name the first bad set
             if len(members) == 0:
                 raise ValueError(f"set {idx} is empty")
             prev = -1
@@ -77,7 +98,7 @@ class WeightedSetSystem:
     def __post_init__(self) -> None:
         if len(self.masses) != len(self.system.sets):
             raise ValueError("one weight per set required")
-        if any(m <= 0 for m in self.masses):
+        if self.masses and min(self.masses) <= 0:
             raise ValueError("weights must be positive")
         if sum(self.masses) != self.total:
             raise ValueError("weights must sum to exactly 1")

@@ -1,17 +1,128 @@
-"""Exact reference quantities of a non-adaptive decoder, and the plain
-entry-by-entry forms of the mask computations, for the tests."""
+"""Reference semantics of local decoders for the tests: exact output
+distributions, decoding by one sampled coin, the entry-by-entry view list
+that ExplicitViews's rows replace, and the plain forms of the mask
+computations."""
 
+import itertools
+from bisect import bisect_right
 from fractions import Fraction
 
-from rldc.decoders import REJECT, ExplicitViews, LocalView, NonAdaptiveDecoder
+from rldc.decoders import REJECT, ExplicitViews, LocalView, NonAdaptiveDecoder, ProductViews, UnanimityView, run_tree
+from rldc.exact import integer_masses
 from rldc.preprocessing import RETRIES, ReductionFailedError, ReductionReport
+
+
+def views_of(entries):
+    """ExplicitViews holding (weight, LocalView) entries as rows."""
+    masses, common = integer_masses([weight for weight, _ in entries])
+    rows = tuple(view.coords for _, view in entries)
+    return ExplicitViews(rows, tuple(view.table for _, view in entries), tuple(masses), common)
+
+
+def mass_table(weights):
+    """(cumulative masses, total) over the weights' least common denominator."""
+    masses, common = integer_masses(weights)
+    return tuple(itertools.accumulate(masses)), common
+
+
+def draw(table, rng):
+    """The entry that one rng.randrange(total) picks from a mass table."""
+    cum, total = table
+    return bisect_right(cum, rng.randrange(total))
+
+
+class EntryViews:
+    """A view list kept entry by entry: one (weight, LocalView) pair per view,
+    checked pair by pair and sampled through mass_table."""
+
+    def __init__(self, entries):
+        if not entries:
+            raise ValueError("a decoder index needs at least one view")
+        masses, common = integer_masses([wt for wt, _ in entries])
+        total = sum(masses)
+        if total != common:
+            raise ValueError(f"view weights must sum to 1, got {Fraction(total, common)}")
+        if any(m <= 0 for m in masses):
+            raise ValueError("view weights must be positive")
+        self.entries = tuple(entries)
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def sample(self, rng):
+        return self.entries[draw(mass_table([wt for wt, _ in self.entries]), rng)][1]
+
+    def max_view_size(self):
+        return max(len(v.coords) for _, v in self.entries)
+
+
+def check_entry_decoder(n, locality, view_set):
+    """The decoder checks on one index's entries, view by view."""
+    if view_set.max_view_size() > locality:
+        raise ValueError(f"index 0 has a view larger than locality {locality}")
+    for _, view in view_set:
+        if view.coords and (view.coords[0] < 0 or view.coords[-1] >= n):
+            raise ValueError(f"view coords outside [0, {n})")
+
+
+def evaluate(view, w):
+    """A LocalView's output on w; a UnanimityView outputs b iff every part
+    does, and REJECT on any REJECT or disagreement."""
+    if isinstance(view, LocalView):
+        return view.read_and_evaluate(w)
+    verdict = None
+    for part in view.parts:
+        out = part.read_and_evaluate(w)
+        if out is REJECT:
+            return REJECT
+        if verdict is None:
+            verdict = out
+        elif out != verdict:
+            return REJECT
+    return verdict
+
+
+def product_entries(views):
+    """Every (weight, UnanimityView) of a ProductViews coin space."""
+    for combo in itertools.product(views.base, repeat=views.times):
+        weight = Fraction(1)
+        for wt, _ in combo:
+            weight *= wt
+        yield weight, UnanimityView.of([view for _, view in combo])
+
+
+def coin_space(view_set):
+    """The (weight, view) entries of an explicit or a product view list."""
+    return product_entries(view_set) if isinstance(view_set, ProductViews) else iter(view_set)
+
+
+def decode(decoder, w, i, rng):
+    """Sample one view for index i and apply it to w: (output, queried set)."""
+    if i < 0 or i >= decoder.k:
+        raise ValueError(f"index {i} outside [0, {decoder.k})")
+    view = decoder.views[i].sample(rng)
+    return evaluate(view, w), frozenset(view.coords)
+
+
+def adaptive_decode(decoder, w, i, rng):
+    """Draw one tree for index i by its weight and run it on w: (output,
+    queried set)."""
+    if i < 0 or i >= decoder.k:
+        raise ValueError(f"index {i} outside [0, {decoder.k})")
+    dist = decoder.trees[i]
+    tree = dist[draw(mass_table([wt for wt, _ in dist]), rng)][1]
+    out, queried = run_tree(tree, w)
+    return out, frozenset(queried)
 
 
 def output_distribution(decoder, w, i):
     """Exact output distribution of decoder(i) on oracle w over its coin space."""
     dist = {}
-    for weight, view in decoder.views[i]:
-        out = view.read_and_evaluate(w)
+    for weight, view in coin_space(decoder.views[i]):
+        out = evaluate(view, w)
         dist[out] = dist.get(out, Fraction(0)) + weight
     return dist
 
@@ -34,7 +145,7 @@ def column_fold(view):
             idx += [v | b for v in idx] if b else idx
         col = [part.table[v] for v in idx]
         table = col if table is None else [a if a == b else REJECT for a, b in zip(table, col)]
-    return LocalView(view.coords, tuple(table or (REJECT,)))
+    return tuple(table or (REJECT,))
 
 
 def reduce_by_words(decoder, multiset_size, corpus, tolerance, rng):
@@ -46,8 +157,8 @@ def reduce_by_words(decoder, multiset_size, corpus, tolerance, rng):
         views = []
         for i in range(decoder.k):
             rows = [decoder.views[i].sample(rng) for _ in range(multiset_size)]
-            views.append(ExplicitViews(
-                [(uniform, row if isinstance(row, LocalView) else column_fold(row)) for row in rows]
+            views.append(views_of(
+                [(uniform, row if isinstance(row, LocalView) else LocalView(row.coords, column_fold(row))) for row in rows]
             ))
         reduced = NonAdaptiveDecoder(
             k=decoder.k, n=decoder.n, locality=decoder.locality, views=tuple(views)

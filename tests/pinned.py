@@ -63,6 +63,12 @@ PINS = (
      "40831252c51d9d54f6ab87fb7c132326ddab161b9c3a44bd97ca397375e59aaf"),
     (("simulate", "--code", "identity:k=64", "--trials", "20", "--format", "json"),
      "2c1bcc2fe3a750701cf43ec418ae280a96f835e1f284e370094acc3034441c44"),
+    # the repetition family: 16 one-coordinate views per index
+    (("simulate", "--code", "repetition:k=8,r=16", "--trials", "20", "--format", "json"),
+     "ba9f304df6c79b7dc7809ded5a4b7576dcd907a7997304ae285197e82e3e1971"),
+    # reduced rows of lengths 1-4 in one list: the row checks over rows of several lengths
+    (("preprocess", "--code", "repetition:k=4,r=4", "--epsilon", "1/16"),
+     "57fd6cd8b56ea7c4b5b529376de26a4ebc68cd7eeb62f532f17cae0d7da8b49c"),
 )
 
 

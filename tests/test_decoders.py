@@ -26,7 +26,19 @@ from rldc.decoders import (
     table_masks,
 )
 
-from oracles import column_fold, output_distribution, wrong_rate
+from rldc.exact import integer_masses
+
+from oracles import (
+    EntryViews,
+    adaptive_decode,
+    check_entry_decoder,
+    column_fold,
+    decode,
+    evaluate,
+    output_distribution,
+    views_of,
+    wrong_rate,
+)
 
 
 def all_messages(k):
@@ -45,7 +57,7 @@ def test_identity_decodes_every_bit():
     code, dec = identity_code(3)
     w = code.encode((1, 0, 1))
     for i, expect in enumerate((1, 0, 1)):
-        out, queried = dec.decode(w, i, random.Random(i))
+        out, queried = decode(dec, w, i, random.Random(i))
         assert out == expect and queried == frozenset({i})
 
 
@@ -61,14 +73,14 @@ def test_repetition_r1_matches_identity():
     _, rep = repetition_code(3, 1)
     _, ident = identity_code(3)
     for i in range(3):
-        assert rep.views[i].entries == ident.views[i].entries
+        assert list(rep.views[i]) == list(ident.views[i])
 
 
 def test_constant_reject_predicate():
-    views = (ExplicitViews([(Fraction(1), LocalView((0,), (REJECT, REJECT)))]),)
+    views = (views_of([(Fraction(1), LocalView((0,), (REJECT, REJECT)))]),)
     dec = NonAdaptiveDecoder(k=1, n=2, locality=1, views=views)
     for w in ((0, 0), (1, 1)):
-        out, _ = dec.decode(w, 0, random.Random(0))
+        out, _ = decode(dec, w, 0, random.Random(0))
         assert out is REJECT
 
 
@@ -234,7 +246,7 @@ def test_oracle_accounting():
     for i in range(4):
         for trial in range(10):
             oracle = Recorder(w)
-            _, queried = dec.decode(oracle, i, random.Random(trial))
+            _, queried = decode(dec, oracle, i, random.Random(trial))
             assert len(queried) <= dec.locality
             assert oracle.reads == set(queried)
 
@@ -242,7 +254,7 @@ def test_oracle_accounting():
 def test_decoder_index_validation():
     _, dec = identity_code(2)
     with pytest.raises(ValueError):
-        dec.decode((0, 1), 2, random.Random(0))
+        decode(dec, (0, 1), 2, random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +317,9 @@ def test_tree_validation():
 def test_adaptive_decode():
     tree = TreeNode(0, 0, TreeNode(1, REJECT, 1))
     dec = AdaptiveDecoder(k=1, n=2, locality=2, trees=(((Fraction(1), tree),),))
-    out, queried = dec.decode((1, 1), 0, random.Random(0))
+    out, queried = adaptive_decode(dec, (1, 1), 0, random.Random(0))
     assert out == 1 and queried == frozenset({0, 1})
-    out, queried = dec.decode((0, 1), 0, random.Random(0))
+    out, queried = adaptive_decode(dec, (0, 1), 0, random.Random(0))
     assert out == 0 and queried == frozenset({0})
 
 
@@ -346,6 +358,88 @@ def test_view_table_validation():
         LocalView((1, 0), (0, 1, 0, 1))  # unsorted coords
 
 
+@st.composite
+def view_lists(draw):
+    """0-8 raw views (weight, coords, table) over [0, n), with tables shared
+    by shape or drawn afresh, and at most one fault: unordered, repeated or
+    out-of-range coordinates, a table of the wrong length, or weights that do
+    not sum to 1 or are not positive."""
+    n = draw(st.integers(1, 6))
+    fault = draw(st.sampled_from((None, None, None, "order", "range", "table", "sum", "sign")))
+    count = draw(st.integers(0, 8))
+    bad = draw(st.integers(0, max(count - 1, 0)))
+    shared = {}
+    views = []
+    for j in range(count):
+        coords = tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=3))))
+        if j == bad and fault == "order":
+            coords = tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4)))
+        if j == bad and fault == "range":
+            coords = tuple(sorted(draw(st.sets(st.integers(-1, n), min_size=1, max_size=4))))
+        size = 1 << len(coords)
+        if j == bad and fault == "table":
+            size = draw(st.sampled_from((size >> 1, size + 1, 2 * size)))
+        table = shared.get((len(coords), size))
+        if table is None or draw(st.booleans()):
+            table = tuple(draw(st.lists(st.sampled_from((0, 1, REJECT)), min_size=size, max_size=size)))
+            shared.setdefault((len(coords), size), table)
+        views.append((coords, table))
+    weights = [Fraction(1, count)] * count if count else []
+    if count and draw(st.booleans()):
+        parts = draw(st.lists(st.integers(1, 6), min_size=count, max_size=count))
+        weights = [Fraction(part, sum(parts)) for part in parts]
+    if count and fault == "sum":
+        weights[bad] += draw(st.sampled_from((Fraction(-1, 3), Fraction(1, 7))))
+    if count > 1 and fault == "sign":
+        weights[bad] -= 1
+        weights[bad - 1] += 1
+    return n, draw(st.sampled_from((3, 3, 2, 1))), [(w, coords, table) for w, (coords, table) in zip(weights, views)]
+
+
+def _error(build):
+    try:
+        return None, build()
+    except ValueError as err:
+        return str(err), None
+
+
+@settings(max_examples=400, deadline=None)
+@given(view_lists(), st.integers(1, 3), st.integers(0, 2**32))
+def test_rows_match_entry_by_entry_views(case, scale, seed):
+    n, locality, raw = case
+
+    def entries():
+        views = EntryViews([(w, LocalView(coords, table)) for w, coords, table in raw])
+        check_entry_decoder(n, locality, views)
+        return views
+
+    def rows():
+        masses, common = integer_masses([w for w, _, _ in raw])
+        views = ExplicitViews(
+            tuple(coords for _, coords, _ in raw), tuple(table for _, _, table in raw),
+            tuple(scale * m for m in masses), scale * common,  # an unreduced denominator samples the same
+        )
+        NonAdaptiveDecoder(k=1, n=n, locality=locality, views=(views,))
+        return views
+
+    error, reference = _error(entries)
+    assert _error(rows)[0] == error
+    if error is not None:
+        return
+    views = rows()
+    assert len(views) == len(reference) and views.max_view_size() == reference.max_view_size()
+    got = list(views)
+    assert [(w, v.coords, v.table) for w, v in got] == [(w, v.coords, v.table) for w, v in reference]
+    assert all(v.table is table for (_, v), (_, _, table) in zip(got, raw))
+    assert all(a is b for (_, a), (_, b) in zip(got, views))  # made once per list
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(12):
+        assert views.sample(ours) == reference.sample(theirs)
+    assert ours.getstate() == theirs.getstate()
+    drawn = views.sample(ours)
+    assert any(drawn is v for _, v in got)  # sampled from the same views
+
+
 # ---------------------------------------------------------------------------
 # unanimity views
 
@@ -363,12 +457,11 @@ def unanimity_views(draw):
 
 
 def assert_materializes(view):
-    concrete = view.materialize({})
-    assert concrete.coords == view.coords
-    assert len(concrete.table) == 1 << len(view.coords)
-    for idx, out in enumerate(concrete.table):
+    table = view.materialize({})
+    assert len(table) == 1 << len(view.coords)
+    for idx, out in enumerate(table):
         word = {c: (idx >> j) & 1 for j, c in enumerate(view.coords)}
-        assert out == view.read_and_evaluate(word)
+        assert out == evaluate(view, word)
 
 
 @settings(max_examples=300, deadline=None)
@@ -441,7 +534,7 @@ def product_rows(draw):
     width = len(base[0].coords)
     base.append(LocalView(coords(width, width), tuple(list(base[0].table))))
     base.append(view(base[0].coords))
-    product = ProductViews(ExplicitViews([(Fraction(1, len(base)), v) for v in base]), draw(st.integers(1, 4)))
+    product = ProductViews(views_of([(Fraction(1, len(base)), v) for v in base]), draw(st.integers(1, 4)))
     rng = random.Random(draw(st.integers(0, 2**32)))
     rows = [product.sample(rng) for _ in range(draw(st.integers(1, 12)))]
     return rows + [UnanimityView.of([base[0], base[-1], base[0]]), UnanimityView.of([])]
@@ -454,16 +547,16 @@ def test_shape_memo_matches_materialize(rows):
     for row in rows:
         shared = row.materialize(tables)
         assert shared == row.materialize({})
-        assert any(shared.table is table for table in tables.values())
+        assert any(shared is table for table in tables.values())
         # equal part tables in distinct tuple objects: the same shape, one entry
         known = len(tables)
         copy = UnanimityView(tuple(LocalView(p.coords, tuple(list(p.table))) for p in row.parts), row.coords)
-        assert copy.materialize(tables).table is shared.table
+        assert copy.materialize(tables) is shared
         assert len(tables) == known
 
 
 def test_materialize_without_parts_rejects():
-    assert UnanimityView.of([]).materialize({}) == LocalView((), (REJECT,))
+    assert UnanimityView.of([]).materialize({}) == (REJECT,)
 
 
 def test_product_view_size_capped_by_coverage():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rldc.decoders import AdaptiveDecoder, ExplicitViews, LocalView
+from rldc.decoders import AdaptiveDecoder, LocalView
 from rldc.exact import (
     PowerBound,
     floor_power_bound,
@@ -16,6 +16,8 @@ from rldc.exact import (
     parse_fraction,
 )
 from rldc.set_system import SetSystem, WeightedSetSystem
+
+from oracles import views_of
 
 
 def test_fraction_round_trip():
@@ -164,7 +166,7 @@ def test_integer_masses_decide_like_fraction_sums(weights):
     trees = (tuple((w, 0) for w in weights),)
     system = SetSystem(count, tuple((j,) for j in range(count)))
     for build in (
-        lambda: ExplicitViews(views),
+        lambda: views_of(views),
         lambda: AdaptiveDecoder(1, count, 1, trees),
         lambda: WeightedSetSystem.from_weights(system, weights),
     ):
@@ -173,7 +175,7 @@ def test_integer_masses_decide_like_fraction_sums(weights):
         if error is not None:
             assert sum_error in error
     if total != 1:
-        assert rejection(lambda: ExplicitViews(views)) == f"view weights must sum to 1, got {total}"
+        assert rejection(lambda: views_of(views)) == f"view weights must sum to 1, got {total}"
     if sum_error is None:
         weighted = WeightedSetSystem.from_weights(system, weights)
         assert (list(weighted.masses), weighted.total) == fraction_sum_masses(weights)

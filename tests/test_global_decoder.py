@@ -11,12 +11,12 @@ from itertools import compress
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import views_of
 from sample_draws import EDGE_PROBABILITIES, MAX_N, drawn_probabilities, same_draws
 
 from rldc.daisy import HeavyDaisy, build_daisy_sequence, default_extraction_scale, pick_heavy_level
 from rldc.decoders import (
     REJECT,
-    ExplicitViews,
     LocalView,
     NonAdaptiveDecoder,
     hadamard_code,
@@ -168,7 +168,7 @@ def test_fully_queried_petals_star():
 
 def test_empty_petals_never_queried():
     # A member entirely inside the kernel is never usable.
-    views = ExplicitViews(
+    views = views_of(
         [
             (Fraction(1, 2), LocalView((0,), (0, 1))),
             (Fraction(1, 2), LocalView((0, 1), (0, 1, 1, 0))),
@@ -181,7 +181,7 @@ def test_empty_petals_never_queried():
     assert compiled.pkg.kernel_order == (0,)
     assert petals(compiled)[0] == frozenset()
     assert reference_filter(compiled, {0, 1}) == (1,)
-    assert queried_lanes(compiled.pkg, sample_of({0, 1})) == [(id(views.entries[1][1].table), 1)]
+    assert queried_lanes(compiled.pkg, sample_of({0, 1})) == [(id(views.tables[1]), 1)]
 
 
 def test_decode_index_hadamard_empty_kernel():
@@ -275,8 +275,9 @@ def test_audit_flags_an_empty_kernel_decoding_the_wrong_bit():
 
 
 def test_packages_keep_little_beside_the_decoder():
-    # a package keeps the kernel order and the petal groups, not the views or
-    # the daisy it was compiled from
+    # the decoder holds its views as rows: one coordinate tuple per view, with
+    # the tables and masses shared; a package keeps the kernel order and the
+    # petal groups, not the views or the daisy it was compiled from
     tracemalloc.start()
     try:
         _, dec = parse_code_spec("hadamard:m=10")
@@ -288,7 +289,8 @@ def test_packages_keep_little_beside_the_decoder():
     finally:
         tracemalloc.stop()
     assert len(packages) == dec.k
-    assert retained < 0.05 * decoder_bytes
+    assert decoder_bytes <= 1_087_525 // 2  # half of what LocalView entries took
+    assert retained < 5_000 * dec.k
 
 
 def test_run_identity_full_sampling():
@@ -469,11 +471,13 @@ def pivot_cases(draw):
     return compiled, word, x[compiled.pkg.index], draw(st.sets(st.integers(0, code.n - 1)))
 
 
-def _package(views, kernel, n):
-    """Index 0's package of a daisy of every view, with the views and the daisy."""
-    members = tuple(range(len(views)))
+def _package(views, kernel, n, members=None):
+    """Index 0's package of a daisy of the given views (every view by
+    default), with the views and the daisy."""
+    members = tuple(range(len(views))) if members is None else members
     daisy = HeavyDaisy(1, members, kernel, 3, PowerBound(Fraction(1), n, Fraction(0)), Fraction(1))
-    return Compiled(IndexDecodePackage.of(0, daisy, views), views, daisy)
+    rows = views_of([(Fraction(1, len(views)), view) for view in views])
+    return Compiled(IndexDecodePackage.of(0, daisy, rows), views, daisy)
 
 
 @st.composite
@@ -526,9 +530,12 @@ def grouped_cases(draw, empty_kernel=False):
         kernel |= frozenset(draw(st.sampled_from(views)).coords)
     if empty_kernel:
         kernel = frozenset()
+    members = None
+    if draw(st.booleans()):  # a daisy of some of the views
+        members = tuple(sorted(draw(st.sets(st.integers(0, len(views) - 1), min_size=1))))
     missing = draw(st.sets(st.integers(0, n - 1), max_size=3))
     word = [rng.randrange(2) for _ in range(n)]
-    return _package(tuple(views), kernel, n), word, rng.randrange(2), set(range(n)) - missing
+    return _package(tuple(views), kernel, n, members), word, rng.randrange(2), set(range(n)) - missing
 
 
 # mostly the default cap, sometimes one that cuts the kernel off

@@ -9,11 +9,9 @@ import pytest
 from rldc.decoders import (
     REJECT,
     AdaptiveDecoder,
-    ExplicitViews,
     LocalView,
     NonAdaptiveDecoder,
     TreeNode,
-    UnanimityView,
     decoder_to_json,
     hadamard_code,
     parse_code_spec,
@@ -36,7 +34,7 @@ from rldc.preprocessing import (
     repetitions_for,
 )
 
-from oracles import output_distribution, reduce_by_words
+from oracles import output_distribution, reduce_by_words, views_of
 
 
 def random_tree(rng, n, depth, used=frozenset()):
@@ -67,7 +65,7 @@ def test_flatten_depth_one_tree():
     tree = TreeNode(2, 0, 1)
     dec = AdaptiveDecoder(k=1, n=4, locality=1, trees=(((Fraction(1), tree),),))
     flat = flatten_adaptive(dec)
-    view = flat.views[0].entries[0][1]
+    _, view = next(iter(flat.views[0]))
     assert view.coords == (2,)
     assert view.table == (0, 1)
 
@@ -76,7 +74,7 @@ def test_flatten_depth_two_tree_replays():
     tree = TreeNode(0, TreeNode(1, 0, 1), TreeNode(2, 1, REJECT))
     dec = AdaptiveDecoder(k=1, n=3, locality=2, trees=(((Fraction(1), tree),),))
     flat = flatten_adaptive(dec)
-    view = flat.views[0].entries[0][1]
+    _, view = next(iter(flat.views[0]))
     assert view.coords == (0, 1, 2)
     for w in itertools.product((0, 1), repeat=3):
         expect, _ = run_tree(tree, w)
@@ -88,7 +86,7 @@ def test_flatten_redundant_branch_constant():
     tree = TreeNode(0, TreeNode(1, 1, 1), 0)
     dec = AdaptiveDecoder(k=1, n=2, locality=2, trees=(((Fraction(1), tree),),))
     flat = flatten_adaptive(dec)
-    view = flat.views[0].entries[0][1]
+    _, view = next(iter(flat.views[0]))
     for w0 in (0, 1):
         outs = {view.read_and_evaluate((w0, w1)) for w1 in (0, 1)}
         assert len(outs) == 1
@@ -101,7 +99,7 @@ def test_flatten_equivalence_exhaustive():
     assert flat.locality <= 2 ** 3
     for i in range(2):
         dist = dec.trees[i]
-        views = flat.views[i].entries
+        views = list(flat.views[i])
         for w_bits in itertools.product((0, 1), repeat=8):
             for (wt, tree), (wt2, view) in zip(dist, views):
                 assert wt == wt2
@@ -137,9 +135,7 @@ def test_amplify_preserves_completeness_exactly():
 
 def test_amplify_planted_error_is_power():
     # One of three uniform coins errs on this word: base wrong rate 1/3.
-    views = ExplicitViews(
-        [(Fraction(1, 3), LocalView((c,), (0, 1))) for c in range(3)]
-    )
+    views = views_of([(Fraction(1, 3), LocalView((c,), (0, 1))) for c in range(3)])
     dec = NonAdaptiveDecoder(k=1, n=3, locality=1, views=(views,))
     word = (1, 0, 0)  # true bit 0; coin 0 answers 1
     assert output_distribution(dec, word, 0)[1] == Fraction(1, 3)
@@ -168,7 +164,7 @@ def test_reduce_deterministic_decoder_trivial():
     assert report.passed and report.attempts == 1
     assert report.max_wrong_rate == 0
     assert len(reduced.views[0]) == 5
-    assert all(v == dec.views[0].entries[0][1] for _, v in reduced.views[0])
+    assert all(v == next(iter(dec.views[0]))[1] for _, v in reduced.views[0])
 
 
 def test_reduce_t1_adversarial_corpus_fails():
@@ -240,7 +236,7 @@ def test_reduced_rows_share_one_table_per_shape():
     doc = decoder_to_json(reduced)
     assert len({id(table) for index in doc["indices"] for table in index["tables"]}) == len(tables)
     fresh = replace(reduced, views=tuple(
-        ExplicitViews([(wt, LocalView(view.coords, tuple(list(view.table)))) for wt, view in views])
+        views_of([(wt, LocalView(view.coords, tuple(list(view.table)))) for wt, view in views])
         for views in reduced.views
     ))
     assert json.dumps(decoder_to_json(fresh), indent=2, sort_keys=True) == json.dumps(doc, indent=2, sort_keys=True)
@@ -291,13 +287,15 @@ def test_reduce_matches_word_by_word_reference(spec, epsilon, corpus_kind, seed)
     assert report.max_wrong_rate > 0 or corpus_kind != "random"
 
 
-def test_reduce_rows_without_parts_are_never_wrong():
-    # coin outcomes given as unanimity views, one of them with no parts (REJECT)
+@pytest.mark.parametrize("epsilon", [None, Fraction(1, 4)])
+def test_reduce_rows_over_no_coordinates(epsilon):
+    # coins that read nothing beside two Hadamard views: a constant REJECT,
+    # never wrong, and a constant 1, run alone or amplified (R = 2)
     code, dec = hadamard_code(3)
     base = [view for _, view in dec.views[0]]
-    rows = [UnanimityView.of([]), UnanimityView.of(base[:2]), UnanimityView.of(base[3:])]
-    views = ExplicitViews([(Fraction(1, 3), row) for row in rows])
-    decoder = NonAdaptiveDecoder(k=1, n=code.n, locality=4, views=(views,))
+    rows = [LocalView((), (REJECT,)), LocalView((), (1,)), base[0], base[3]]
+    decoder = NonAdaptiveDecoder(k=1, n=code.n, locality=2, views=(views_of([(Fraction(1, 4), row) for row in rows]),))
+    decoder = amplify(decoder, epsilon) if epsilon else decoder
     corpus = _random_corpus(replace(code, k=1), 16, random.Random(2))
     report = _assert_reduces_like_words(decoder, 9, corpus, Fraction(1), 4)
     assert 0 < report.max_wrong_rate < 1
