@@ -8,15 +8,15 @@ Non-adaptive decoders are stored per message index as rows (ExplicitViews):
 a sorted coordinate tuple and a truth table per view (rows of one shape share
 the table object), and integer masses over one common denominator.  Daisy
 extraction reads the rows as its set system, and LocalView objects are made
-only when a list is iterated or sampled.  Weights stay exact: the sum-to-1
-and positivity checks are integer sums, and sampling draws the masses over
-their least common denominator, so a seeded run is reproducible and matches
-the exact distribution.
+only when a list is iterated.  Weights stay exact: the sum-to-1 and
+positivity checks are integer sums, and draws pick row numbers by the masses
+over their least common denominator, so a seeded run is reproducible and
+matches the exact distribution.
 
-table_masks evaluates a table on a set of points at once as bit masks: it makes
-an amplified coin outcome (UnanimityView) one table and checks a whole corpus.
-That table depends only on the outcome's shape (unanimity_table), so a batch
-of outcomes can share one table per shape.
+table_masks evaluates a table on a set of points at once as bit masks: it
+makes an amplified coin outcome (a UnanimityView of drawn rows) one table and
+checks a whole corpus.  That table depends only on the outcome's shape
+(unanimity_table), so a batch of outcomes builds one table per row shape.
 
 decoder_to_json writes the JSON that `rldc preprocess` prints; nothing reads
 it back.
@@ -34,6 +34,7 @@ from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import format_fraction, integer_masses
+from .rng import randbelow_many
 from .set_system import SetSystem, WeightedSetSystem, rows_increasing
 
 Symbol = int | None  # 0, 1, or REJECT
@@ -177,11 +178,6 @@ class UnanimityView:
     parts: tuple[LocalView, ...]
     coords: tuple[int, ...]
 
-    @classmethod
-    def of(cls, parts: Sequence[LocalView]) -> "UnanimityView":
-        merged = sorted({c for part in parts for c in part.coords})
-        return cls(tuple(parts), tuple(merged))
-
     def materialize(self, tables: dict) -> tuple:
         """Collapse to a concrete truth table over the merged query set.
 
@@ -258,7 +254,7 @@ class ExplicitViews:
     truth table (rows of one shape share the object) and masses[j] /
     denominator its weight.  Every row is checked a column at a time; a bad
     row raises the error its LocalView would.  Iterating yields (weight,
-    LocalView) and sampling a LocalView; both make the views once per list.
+    LocalView), making the views once per list; draw picks row numbers.
     """
 
     __slots__ = ("rows", "tables", "masses", "denominator", "_views", "_cum", "_total")
@@ -284,21 +280,21 @@ class ExplicitViews:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _local_views(self) -> tuple[LocalView, ...]:
+    def __iter__(self) -> Iterator[tuple[Fraction, LocalView]]:
         if self._views is None:
             self._views = tuple(map(LocalView, self.rows, self.tables))
-        return self._views
+        return zip(map(Fraction, self.masses, repeat(self.denominator)), self._views)
 
-    def __iter__(self) -> Iterator[tuple[Fraction, LocalView]]:
-        return zip(map(Fraction, self.masses, repeat(self.denominator)), self._local_views())
-
-    def sample(self, rng: Random) -> LocalView:
-        """Draw a view by its mass over the masses' least common denominator."""
+    def draw(self, rng: Random, count: int) -> list[int]:
+        """The row numbers of `count` draws by mass, each the row that one
+        rng.randrange over the masses' least common denominator picks; with
+        uniform masses the value is the row number."""
         if self._cum is None:
             unit = math.gcd(self.denominator, *self.masses)
             self._cum = tuple(accumulate(m // unit for m in self.masses))
             self._total = self.denominator // unit
-        return self._local_views()[bisect_right(self._cum, rng.randrange(self._total))]
+        values = randbelow_many(rng, self._total, count)
+        return values if self._total == len(self._cum) else list(map(bisect_right, repeat(self._cum), values))
 
     def max_view_size(self) -> int:
         return max(map(len, self.rows))
@@ -308,7 +304,7 @@ class ProductViews:
     """The coin space of `times` independent runs of a base view list.
 
     Represents the amplified decoder's views without materialising the full
-    product: sampling draws the constituents independently.
+    product: a coin outcome is `times` independent draws of base rows.
     """
 
     __slots__ = ("base", "times")
@@ -318,12 +314,6 @@ class ProductViews:
             raise ValueError("need at least one repetition")
         self.base = base
         self.times = times
-
-    def __len__(self) -> int:
-        return len(self.base) ** self.times
-
-    def sample(self, rng: Random) -> UnanimityView:
-        return UnanimityView.of([self.base.sample(rng) for _ in range(self.times)])
 
     def max_view_size(self) -> int:
         """`times` base views merged, but no more than all the base covers."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from random import Random
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from .decoders import (
     MAX_TABLE_ENTRIES,
     AdaptiveDecoder,
     ExplicitViews,
+    LocalView,
     NonAdaptiveDecoder,
     ProductViews,
     UnanimityView,
@@ -38,8 +40,9 @@ from .exact import integer_masses
 
 RETRIES = 3  # resampling attempts after the first, before reduction fails
 
-# Most parts (base views) one reduction attempt may sample, k x multiset x R:
-# about 4.5 us each, so an attempt at the budget takes about 5 s (CHANGES.md).
+# Most parts (base views) one reduction attempt may sample, k x multiset x R: about
+# 4.5 us each where rows repeat no part (an attempt at the budget takes 4.5 s and
+# peaks at 112 MB), 0.3 us where they repeat a few base views (CHANGES.md).
 MAX_SAMPLED_PARTS = 1 << 20
 
 
@@ -159,12 +162,14 @@ def reduce_randomness(
     ReductionFailedError carries the final report.  It raises ValueError
     before sampling for a negative tolerance, which no corpus can meet, and
     for over MAX_TABLE_ENTRIES table entries or MAX_SAMPLED_PARTS sampled
-    parts (k x multiset x R) in all.  The corpus is checked as bit masks: bit
-    t of column c is word t at c, and a row's wrong words are `ones & ~truth |
-    zeros & truth` over its parts' table_masks (each built once).  Amplified
-    rows materialize through one shape memo per call, so each distinct row
-    shape builds its table once and every row of that shape shares the tuple;
-    the reduced lists hold the rows' coordinates and those tables.
+    parts (k x multiset x R) in all.  A row is R draws of base row numbers
+    (ExplicitViews.draw), and its parts are the distinct rows drawn.  The
+    corpus is checked as bit masks: bit t of column c is word t at c, and a
+    row's wrong words are `ones & ~truth | zeros & truth` over its parts'
+    table_masks, made at most once per base row.  A row's key is the positions
+    of its parts' coordinates among the merged ones and the parts' table
+    numbers (one per table value); a new key materializes through one shape
+    memo per call, so every row of a shape shares one table tuple.
     """
     if multiset_size < 1:
         raise ValueError("multiset size must be >= 1")
@@ -173,34 +178,42 @@ def reduce_randomness(
     entries = sum(multiset_size << views.max_view_size() for views in decoder.views)
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(f"reduction needs {entries} table entries, over {MAX_TABLE_ENTRIES}")
-    parts = multiset_size * sum(v.times if isinstance(v, ProductViews) else 1 for v in decoder.views)
+    runs = [(v.base, v.times) if isinstance(v, ProductViews) else (v, 1) for v in decoder.views]
+    parts = multiset_size * sum(times for _, times in runs)
     if parts > MAX_SAMPLED_PARTS:
         raise ValueError(f"reduction samples {parts} parts, over {MAX_SAMPLED_PARTS}")
-    uniform = (1,) * multiset_size
     full = (1 << len(corpus)) - 1
     columns = [sum(1 << t for t, (w, _) in enumerate(corpus) if w[c]) for c in range(decoder.n)]
     truths = [sum(1 << t for t, (_, x) in enumerate(corpus) if x[i]) for i in range(decoder.k)]
-    masks = {}  # part -> its table_masks over the corpus
-    tables = {}  # row shape -> its materialized table, shared by every row of that shape
+    objects, by_value = {id(t): t for base, _ in runs for t in base.tables}, {}  # ids stay valid: the decoder holds them
+    number = {key: by_value.setdefault(table, len(by_value)) for key, table in objects.items()}  # one per value
+    numbers = [list(map(number.__getitem__, map(id, base.tables))) for base, _ in runs]
+    masks = [[None] * len(base) for base, _ in runs]  # per base row, its table_masks over the corpus
+    shapes, tables = {}, {}  # row key -> its table; materialize's memo by shape
     for attempt in range(1, RETRIES + 2):
         views, worst = [], [0] * len(corpus)
-        for view_set, truth in zip(decoder.views, truths):
-            rows = [view_set.sample(rng) for _ in range(multiset_size)]
-            concrete = [row.materialize(tables) if isinstance(row, UnanimityView) else row.table for row in rows]
-            views.append(ExplicitViews(tuple(row.coords for row in rows), tuple(concrete), uniform, multiset_size))
-            counts = [0] * len(corpus)
-            for row in rows:
-                row_parts = row.parts if isinstance(row, UnanimityView) else (row,)
+        for (base, times), row_numbers, row_masks, truth in zip(runs, numbers, masks, truths):
+            rows, counts = [], [0] * len(corpus)
+            for drawn in zip(*[iter(base.draw(rng, multiset_size * times))] * times):  # `times` draws a row
+                drawn = sorted(set(drawn))  # a repeated part changes neither the table nor the masks
+                coords = list(chain.from_iterable(map(base.rows.__getitem__, drawn)))
+                merged = sorted(set(coords))
+                position = {c: q for q, c in enumerate(merged)}
+                key = (tuple(map(position.__getitem__, coords)), tuple(map(row_numbers.__getitem__, drawn)))
+                if key not in shapes:
+                    row_parts = tuple(map(LocalView, map(base.rows.__getitem__, drawn), map(base.tables.__getitem__, drawn)))
+                    shapes[key] = UnanimityView(row_parts, tuple(merged)).materialize(tables)
+                rows.append((tuple(merged), shapes[key]))
                 ones = zeros = full
-                for part in row_parts:
-                    part_masks = masks.get(part)
-                    if part_masks is None:
-                        part_masks = masks[part] = table_masks(part.table, [columns[c] for c in part.coords], full)
-                    ones, zeros = ones & part_masks[0], zeros & part_masks[1]
+                for r in drawn:
+                    if row_masks[r] is None:
+                        row_masks[r] = table_masks(base.tables[r], [columns[c] for c in base.rows[r]], full)
+                    ones, zeros = ones & row_masks[r][0], zeros & row_masks[r][1]
                 wrong = ones & ~truth | zeros & truth
                 while wrong:
                     counts[(wrong & -wrong).bit_length() - 1] += 1
                     wrong &= wrong - 1
+            views.append(ExplicitViews(*zip(*rows), (1,) * multiset_size, multiset_size))
             worst = list(map(max, worst, counts))
         entry_rates = tuple(Fraction(count, multiset_size) for count in worst)
         max_wrong_rate = max(entry_rates, default=Fraction(0))

@@ -3,6 +3,7 @@ distributions, decoding by one sampled coin, the entry-by-entry view list
 that ExplicitViews's rows replace, and the plain forms of the mask
 computations."""
 
+import functools
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
@@ -59,6 +60,29 @@ class EntryViews:
         return max(len(v.coords) for _, v in self.entries)
 
 
+def unanimity_of(parts):
+    """The UnanimityView of parts in the given order over their merged coordinates."""
+    return UnanimityView(tuple(parts), tuple(sorted({c for part in parts for c in part.coords})))
+
+
+def sample_view(view_set, rng):
+    """One coin outcome drawn through draw, one rng.randrange per part: a
+    view of an explicit list, or for a ProductViews the unanimity of `times`
+    base draws in draw order."""
+    if isinstance(view_set, ProductViews):
+        return unanimity_of([sample_view(view_set.base, rng) for _ in range(view_set.times)])
+    entries, table = _entries(view_set)
+    return entries[draw(table, rng)][1]
+
+
+@functools.lru_cache(maxsize=64)
+def _entries(view_set):
+    """A view list's entries and their mass table; the cache keeps the list
+    alive, so its key is never another list's."""
+    entries = list(view_set)
+    return entries, mass_table([wt for wt, _ in entries])
+
+
 def check_entry_decoder(n, locality, view_set):
     """The decoder checks on one index's entries, view by view."""
     if view_set.max_view_size() > locality:
@@ -91,7 +115,7 @@ def product_entries(views):
         weight = Fraction(1)
         for wt, _ in combo:
             weight *= wt
-        yield weight, UnanimityView.of([view for _, view in combo])
+        yield weight, unanimity_of([view for _, view in combo])
 
 
 def coin_space(view_set):
@@ -103,7 +127,7 @@ def decode(decoder, w, i, rng):
     """Sample one view for index i and apply it to w: (output, queried set)."""
     if i < 0 or i >= decoder.k:
         raise ValueError(f"index {i} outside [0, {decoder.k})")
-    view = decoder.views[i].sample(rng)
+    view = sample_view(decoder.views[i], rng)
     return evaluate(view, w), frozenset(view.coords)
 
 
@@ -156,7 +180,7 @@ def reduce_by_words(decoder, multiset_size, corpus, tolerance, rng):
     for attempt in range(1, RETRIES + 2):
         views = []
         for i in range(decoder.k):
-            rows = [decoder.views[i].sample(rng) for _ in range(multiset_size)]
+            rows = [sample_view(decoder.views[i], rng) for _ in range(multiset_size)]
             views.append(views_of(
                 [(uniform, row if isinstance(row, LocalView) else LocalView(row.coords, column_fold(row))) for row in rows]
             ))

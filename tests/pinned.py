@@ -69,6 +69,12 @@ PINS = (
     # reduced rows of lengths 1-4 in one list: the row checks over rows of several lengths
     (("preprocess", "--code", "repetition:k=4,r=4", "--epsilon", "1/16"),
      "57fd6cd8b56ea7c4b5b529376de26a4ebc68cd7eeb62f532f17cae0d7da8b49c"),
+    # R = 2 with an odd multiset: rows of two draws, some of them the same view
+    (("preprocess", "--code", "hadamard:m=5", "--epsilon", "1/4", "--multiset-factor", "1", "--seed", "9"),
+     "b6180e9894fc5e085cfb1f88077946fac1286c275437ecb82fb7ef88418eb923"),
+    # wider amplified rows with REJECT entries
+    (("preprocess", "--code", "shared-pivot:kappa=5,r=8,k=2", "--seed", "1"),
+     "f7d169aee74eb80e07070edfebfe067660f92bee982e917cd7c8b5f244f2ef69"),
 )
 
 

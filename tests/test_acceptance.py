@@ -42,7 +42,7 @@ from rldc.preprocessing import (
 )
 from rldc.rng import derive_rng
 
-from oracles import evaluate, output_distribution, wrong_rate
+from oracles import evaluate, output_distribution, sample_view, wrong_rate
 
 SEED = 20250808
 
@@ -162,7 +162,7 @@ def test_c05_amplification():
         x = tuple(rng.randrange(2) for _ in range(code.k))
         word = random_corruption(code.encode(x), flips, rng)
         i = rng.randrange(code.k)
-        view = amp.views[i].sample(rng)
+        view = sample_view(amp.views[i], rng)
         out = evaluate(view, word)
         if out is not REJECT and out != x[i]:
             wrong += 1

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +27,11 @@ from rldc.decoders import (
     table_masks,
 )
 
+from rldc import rng as rng_module
 from rldc.exact import integer_masses
+from rldc.rng import randbelow_many
 
+from sample_draws import DRAW_BOUNDS, MAX_COUNT
 from oracles import (
     EntryViews,
     adaptive_decode,
@@ -36,6 +40,8 @@ from oracles import (
     decode,
     evaluate,
     output_distribution,
+    sample_view,
+    unanimity_of,
     views_of,
     wrong_rate,
 )
@@ -432,12 +438,33 @@ def test_rows_match_entry_by_entry_views(case, scale, seed):
     assert [(w, v.coords, v.table) for w, v in got] == [(w, v.coords, v.table) for w, v in reference]
     assert all(v.table is table for (_, v), (_, _, table) in zip(got, raw))
     assert all(a is b for (_, a), (_, b) in zip(got, views))  # made once per list
+    # one batch of 12 draws picks the rows that 12 draws of the reference pick
     ours, theirs = random.Random(seed), random.Random(seed)
-    for _ in range(12):
-        assert views.sample(ours) == reference.sample(theirs)
+    drawn = views.draw(ours, 12)
+    picked = [reference.sample(theirs) for _ in range(12)]
+    assert len(drawn) == 12 and all(reference.entries[r][1] is view for r, view in zip(drawn, picked))
     assert ours.getstate() == theirs.getstate()
-    drawn = views.sample(ours)
-    assert any(drawn is v for _, v in got)  # sampled from the same views
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from(DRAW_BOUNDS), st.integers(1, 2**100)),
+    st.integers(0, MAX_COUNT),
+    st.sampled_from((1, 7, rng_module.DRAWS_PER_ROUND)),
+    st.integers(0, 2**64),
+)
+def test_randbelow_many_matches_randrange(n, count, per_round, seed):
+    # the values and the state of a randrange loop, also when the rounds are short
+    ours, theirs = random.Random(seed), random.Random(seed)
+    with mock.patch.object(rng_module, "DRAWS_PER_ROUND", per_round):
+        values = randbelow_many(ours, n, count)
+    assert values == [theirs.randrange(n) for _ in range(count)]
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_randbelow_many_refuses_an_empty_range():
+    with pytest.raises(ValueError, match="empty range"):
+        randbelow_many(random.Random(0), 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +480,7 @@ def unanimity_views(draw):
         size = 1 << len(coords)
         table = draw(st.lists(st.sampled_from((0, 1, REJECT)), min_size=size, max_size=size))
         parts.append(LocalView(coords, tuple(table)))
-    return UnanimityView.of(parts)
+    return unanimity_of(parts)
 
 
 def assert_materializes(view):
@@ -480,7 +507,7 @@ def test_materialize_product_samples(spec, times, seed):
     _, dec = parse_code_spec(spec)
     rng = random.Random(seed)
     for views in dec.views:
-        assert_materializes(ProductViews(views, times).sample(rng))
+        assert_materializes(sample_view(ProductViews(views, times), rng))
 
 
 @st.composite
@@ -494,7 +521,7 @@ def mixed_unanimity_views(draw):
         size = 1 << len(coords)
         table = draw(st.lists(st.sampled_from((0, 1, REJECT)), min_size=size, max_size=size))
         parts.append(LocalView(coords, tuple(table)))
-    return UnanimityView.of(parts)
+    return unanimity_of(parts)
 
 
 @settings(max_examples=400, deadline=None)
@@ -536,8 +563,8 @@ def product_rows(draw):
     base.append(view(base[0].coords))
     product = ProductViews(views_of([(Fraction(1, len(base)), v) for v in base]), draw(st.integers(1, 4)))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    rows = [product.sample(rng) for _ in range(draw(st.integers(1, 12)))]
-    return rows + [UnanimityView.of([base[0], base[-1], base[0]]), UnanimityView.of([])]
+    rows = [sample_view(product, rng) for _ in range(draw(st.integers(1, 12)))]
+    return rows + [unanimity_of([base[0], base[-1], base[0]]), unanimity_of([])]
 
 
 @settings(max_examples=300, deadline=None)
@@ -556,7 +583,7 @@ def test_shape_memo_matches_materialize(rows):
 
 
 def test_materialize_without_parts_rejects():
-    assert UnanimityView.of([]).materialize({}) == (REJECT,)
+    assert unanimity_of([]).materialize({}) == (REJECT,)
 
 
 def test_product_view_size_capped_by_coverage():

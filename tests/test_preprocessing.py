@@ -3,15 +3,21 @@ import random
 import json
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rldc.decoders import (
     REJECT,
     AdaptiveDecoder,
+    ExplicitViews,
     LocalView,
     NonAdaptiveDecoder,
+    ProductViews,
     TreeNode,
+    UnanimityView,
     decoder_to_json,
     hadamard_code,
     parse_code_spec,
@@ -307,6 +313,96 @@ def test_failed_reduction_report_matches_word_by_word_reference(spec):
     corpus = _random_corpus(code, 12, random.Random(7))
     report = _assert_reduces_like_words(amplify(dec, Fraction(1, 8)), code.n, corpus, Fraction(0), 3)
     assert not report.passed and report.attempts == 4 and report.max_wrong_rate > 0
+
+
+@st.composite
+def reducible_decoders(draw):
+    """k <= 3 indices over n <= 10 coordinates, each 1-6 rows of 0-3
+    coordinates with REJECT in the tables, run R = 1-4 times (R = 1 also as
+    the plain list): a row repeats an earlier table as a fresh tuple at other
+    coordinates, and a twin row reads the same coordinates through its own
+    table.  Masses are uniform or not, one reduced denominator above 2^32."""
+    n, reps = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+
+    def table(width):
+        return tuple(draw(st.lists(st.sampled_from((0, 1, REJECT)), min_size=1 << width, max_size=1 << width)))
+
+    def coords(width=None):
+        low, high = (0, min(3, n)) if width is None else (width, width)
+        return tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=low, max_size=high))))
+
+    views = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = [coords() for _ in range(draw(st.integers(1, 4)))]
+        tables = [table(len(row)) for row in rows]
+        rows.append(coords(len(rows[0])))
+        tables.append(tuple(list(tables[0])))  # equal values, a distinct tuple
+        rows.append(rows[-1])
+        tables.append(table(len(rows[-1])))  # the same coordinates, its own table
+        masses = [1] * len(rows) if draw(st.booleans()) else draw(
+            st.lists(st.integers(1, 6), min_size=len(rows), max_size=len(rows))
+        )
+        if draw(st.integers(0, 3)) == 0:
+            masses[draw(st.integers(0, len(rows) - 1))] += 2**35 + draw(st.integers(0, 2**8))
+        base = ExplicitViews(tuple(rows), tuple(tables), tuple(masses), sum(masses))
+        views.append(base if reps == 1 and draw(st.booleans()) else ProductViews(base, reps))
+    locality = max(1, max(v.max_view_size() for v in views))
+    return NonAdaptiveDecoder(k=len(views), n=n, locality=locality, views=tuple(views))
+
+
+@st.composite
+def reduction_cases(draw):
+    """A generated decoder, a multiset size, a corpus (random, within one flip
+    of one word with one message, or empty), a tolerance and a seed."""
+    decoder = draw(reducible_decoders())
+    n, k = decoder.n, decoder.k
+    kind = draw(st.sampled_from(("random", "in-radius", "empty")))
+    bits = lambda size: tuple(draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+    size = 0 if kind == "empty" else draw(st.integers(1, 6))
+    if kind == "random":
+        corpus = [(bits(n), bits(k)) for _ in range(size)]
+    else:
+        word, message = bits(n), bits(k)
+        corpus = []
+        for _ in range(size):
+            flips = draw(st.sets(st.integers(0, n - 1), max_size=1))
+            corpus.append((tuple(b ^ (c in flips) for c, b in enumerate(word)), message))
+    tolerance = draw(st.sampled_from((Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))))
+    return decoder, draw(st.integers(1, 8)), corpus, tolerance, draw(st.integers(0, 2**32))
+
+
+def _row_key_by_value(view):
+    """A materialized row's shape with its parts in the order given: the
+    positions of their coordinates among the merged ones, and their tables."""
+    position = {c: q for q, c in enumerate(view.coords)}
+    return tuple(position[c] for part in view.parts for c in part.coords), tuple(part.table for part in view.parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduction_cases())
+def test_reduce_matches_word_by_word_reference_on_generated_decoders(case):
+    decoder, multiset_size, corpus, tolerance, seed = case
+    materialized = []
+    materialize = UnanimityView.materialize
+
+    def spy(view, tables):
+        materialized.append(view)
+        return materialize(view, tables)
+
+    def run(reduce):
+        rng = random.Random(seed)
+        try:
+            reduced, report = reduce(decoder, multiset_size, corpus, tolerance, rng)
+        except ReductionFailedError as failure:
+            return None, failure.report, rng.getstate()
+        return [list(views) for views in reduced.views], report, rng.getstate()
+
+    expected = run(reduce_by_words)
+    with mock.patch.object(UnanimityView, "materialize", spy):
+        assert run(reduce_randomness) == expected
+    # one table per row shape: no two rows of one shape materialize apart
+    keys = list(map(_row_key_by_value, materialized))
+    assert len(set(keys)) == len(keys)
 
 
 def test_reduce_coin_space_size_exact():
