@@ -63,7 +63,6 @@ from .set_system import (
     WeightedSetSystem,
     covered_elements,
     system_from_json,
-    system_to_json,
     verify_daisy,
 )
 

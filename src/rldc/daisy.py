@@ -26,6 +26,7 @@ from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import add, ge, le, lt, not_
 
+from .decoders import ExplicitViews
 from .exact import PowerBound, floor_power_bound
 from .set_system import (
     ContractError,
@@ -92,17 +93,21 @@ def default_extraction_scale(support_size: int, n: int, ell: int) -> PowerBound:
 
 
 def build_daisy_sequence(
-    system: SetSystem, ell: int, c: PowerBound | Fraction | None = None
+    system: SetSystem | ExplicitViews, ell: int, c: PowerBound | Fraction | None = None
 ) -> tuple[DaisyLevel, ...]:
     """Run the level construction on a system whose sets have size <= ell.
 
-    Residual collection T_1 is the whole system; at level i the kernel is
+    It reads `universe_size` and `sets` alone: a SetSystem or a decoder
+    index's ExplicitViews, whose empty sets join level 1.  Residual
+    collection T_1 is the whole system; at level i the kernel is
     K_i = {j : deg over T_i of j > c * n**(i/ell)}, the members are the
     residual sets with at most i elements outside K_i, and T_{i+1} drops
     them.  The ell member tuples always partition the input.  A rational
     scale c is read as PowerBound(c, n, 0), and None as default_extraction_scale.
     """
     n = system.universe_size
+    if n < 1:
+        raise ValueError(f"universe size must be positive, got {n}")
     if ell < 1:
         raise ValueError(f"level count must be >= 1, got {ell}")
     if c is None:
@@ -155,16 +160,17 @@ def partition_check(levels: tuple[DaisyLevel, ...], size: int) -> tuple[bool, in
     return len(listed) == size and set(listed) == set(range(size)), len(listed)
 
 
-def pick_heavy_level(levels: tuple[DaisyLevel, ...], weighted: WeightedSetSystem) -> HeavyDaisy:
+def pick_heavy_level(levels: tuple[DaisyLevel, ...], weighted: WeightedSetSystem | ExplicitViews) -> HeavyDaisy:
     """Select the smallest level with weight >= 1/l; it exists by pigeonhole.
 
-    Requires the levels to come from build_daisy_sequence over the weighted
-    system's support (checked: the member lists must partition the indices).
+    It reads `masses` and `total` alone: a WeightedSetSystem or a decoder
+    index's ExplicitViews.  The levels must come from build_daisy_sequence
+    over the same sets (checked: the member lists partition the masses).
     """
     if not levels:
         raise ContractError("empty level sequence")
     ell = len(levels)
-    if not partition_check(levels, len(weighted.system.sets))[0]:
+    if not partition_check(levels, len(weighted.masses))[0]:
         raise ContractError("levels do not partition the weighted system's support")
 
     masses = weighted.masses

@@ -4,14 +4,15 @@ A decoder output is 0, 1, or REJECT (None): decoders may refuse to decode a
 corrupted word but must never be wrong too often inside the decoding radius,
 and must be exact on valid codewords.
 
-Non-adaptive decoders are stored per message index as rows (ExplicitViews):
-a sorted coordinate tuple and a truth table per view (rows of one shape share
-the table object), and integer masses over one common denominator.  Daisy
-extraction reads the rows as its set system, and LocalView objects are made
-only when a list is iterated.  Weights stay exact: the sum-to-1 and
-positivity checks are integer sums, and draws pick row numbers by the masses
-over their least common denominator, so a seeded run is reproducible and
-matches the exact distribution.
+Non-adaptive decoders are stored per message index as rows (ExplicitViews)
+over the universe [0, n): a sorted coordinate tuple and a truth table per view
+(rows of one shape share the table object), and integer masses over one
+common total.  The list is the index's weighted set system: daisy extraction
+reads it in place, and every row and mass is checked once, when the list is
+made.  LocalView objects are made only when a list is iterated.  Weights stay
+exact: the sum-to-1 and positivity checks are integer sums, and draws pick
+row numbers by the masses over their least common denominator, so a seeded
+run is reproducible and matches the exact distribution.
 
 table_masks evaluates a table on a set of points at once as bit masks: it
 makes an amplified coin outcome (a UnanimityView of drawn rows) one table and
@@ -35,7 +36,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import format_fraction, integer_masses
 from .rng import randbelow_many
-from .set_system import SetSystem, WeightedSetSystem, rows_increasing
+from .set_system import rows_increasing
 
 Symbol = int | None  # 0, 1, or REJECT
 REJECT = None
@@ -248,56 +249,59 @@ def table_masks(table, literals: Sequence[int], full: int) -> tuple[int, int]:
 
 
 class ExplicitViews:
-    """A concrete weighted list of local views for one message index, as rows.
+    """One message index's weighted view list as rows over [0, universe_size):
+    its weighted set system, which daisy extraction reads in place.
 
-    rows[j] holds view j's coordinates (strictly increasing), tables[j] its
-    truth table (rows of one shape share the object) and masses[j] /
-    denominator its weight.  Every row is checked a column at a time; a bad
-    row raises the error its LocalView would.  Iterating yields (weight,
-    LocalView), making the views once per list; draw picks row numbers.
+    sets[j] holds view j's coordinates (strictly increasing, possibly none),
+    tables[j] its truth table (rows of one shape share the object) and
+    masses[j] / total its weight.  Every row is checked once, a column at a
+    time; a bad row raises the error its LocalView would.  Iterating yields
+    (weight, LocalView), making the views once per list; draw picks rows.
     """
 
-    __slots__ = ("rows", "tables", "masses", "denominator", "_views", "_cum", "_total")
+    __slots__ = ("universe_size", "sets", "tables", "masses", "total", "_views", "_draw")
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...], tables: tuple, masses: tuple[int, ...], denominator: int):
-        if not rows:
+    def __init__(self, universe_size: int, sets: tuple[tuple[int, ...], ...], tables: tuple, masses: tuple, total: int):
+        if not sets:
             raise ValueError("a decoder index needs at least one view")
-        if not len(rows) == len(tables) == len(masses):
+        if not len(sets) == len(tables) == len(masses):
             raise ValueError("one table and one mass per row required")
-        shapes = set(zip(map(len, rows), map(len, tables)))
-        if any(size != 1 << width for width, size in shapes) or not rows_increasing(rows):
-            for coords, table in zip(rows, tables):
+        shapes = set(zip(map(len, sets), map(len, tables)))
+        if any(size != 1 << width for width, size in shapes) or not rows_increasing(sets):
+            for coords, table in zip(sets, tables):
                 LocalView(coords, table)  # raises the first bad row's error
-        total = sum(masses)
-        if total != denominator:
-            raise ValueError(f"view weights must sum to 1, got {Fraction(total, denominator)}")
+        queried = tuple(filter(None, sets))
+        if queried and (min(map(itemgetter(0), queried)) < 0 or max(map(itemgetter(-1), queried)) >= universe_size):
+            raise ValueError(f"view coords outside [0, {universe_size})")
+        if sum(masses) != total:
+            raise ValueError(f"view weights must sum to 1, got {Fraction(sum(masses), total)}")
         if min(masses) <= 0:
             raise ValueError("view weights must be positive")
-        self.rows, self.tables = rows, tables
-        self.masses, self.denominator = masses, denominator
-        self._views = self._cum = self._total = None
+        self.universe_size, self.sets, self.tables = universe_size, sets, tables
+        self.masses, self.total = masses, total
+        self._views = self._draw = None
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.sets)
 
     def __iter__(self) -> Iterator[tuple[Fraction, LocalView]]:
         if self._views is None:
-            self._views = tuple(map(LocalView, self.rows, self.tables))
-        return zip(map(Fraction, self.masses, repeat(self.denominator)), self._views)
+            self._views = tuple(map(LocalView, self.sets, self.tables))
+        return zip(map(Fraction, self.masses, repeat(self.total)), self._views)
 
     def draw(self, rng: Random, count: int) -> list[int]:
         """The row numbers of `count` draws by mass, each the row that one
         rng.randrange over the masses' least common denominator picks; with
         uniform masses the value is the row number."""
-        if self._cum is None:
-            unit = math.gcd(self.denominator, *self.masses)
-            self._cum = tuple(accumulate(m // unit for m in self.masses))
-            self._total = self.denominator // unit
-        values = randbelow_many(rng, self._total, count)
-        return values if self._total == len(self._cum) else list(map(bisect_right, repeat(self._cum), values))
+        if self._draw is None:  # the cumulative masses over the masses' lcd, and that denominator
+            unit = math.gcd(self.total, *self.masses)
+            self._draw = tuple(accumulate(m // unit for m in self.masses)), self.total // unit
+        cum, span = self._draw
+        values = randbelow_many(rng, span, count)
+        return values if span == len(cum) else list(map(bisect_right, repeat(cum), values))
 
     def max_view_size(self) -> int:
-        return max(map(len, self.rows))
+        return max(map(len, self.sets))
 
 
 class ProductViews:
@@ -315,15 +319,22 @@ class ProductViews:
         self.base = base
         self.times = times
 
+    @property
+    def universe_size(self) -> int:
+        return self.base.universe_size
+
+    def __len__(self) -> int:
+        return len(self.base) ** self.times
+
     def max_view_size(self) -> int:
         """`times` base views merged, but no more than all the base covers."""
-        covered = set(chain.from_iterable(self.base.rows))
+        covered = set(chain.from_iterable(self.base.sets))
         return min(self.base.max_view_size() * self.times, len(covered))
 
 
 @dataclass(frozen=True)
 class NonAdaptiveDecoder:
-    """Per message index, a weighted list of (query set, predicate) pairs."""
+    """Per message index, a weighted list of (query set, predicate) pairs over [0, n)."""
 
     k: int
     n: int
@@ -334,22 +345,10 @@ class NonAdaptiveDecoder:
         if len(self.views) != self.k:
             raise ValueError("one view list per message index required")
         for i, view_set in enumerate(self.views):
+            if view_set.universe_size != self.n:
+                raise ValueError(f"index {i} has views over [0, {view_set.universe_size}), not [0, {self.n})")
             if view_set.max_view_size() > self.locality:
                 raise ValueError(f"index {i} has a view larger than locality {self.locality}")
-            if isinstance(view_set, ExplicitViews):
-                rows = tuple(filter(None, view_set.rows))
-                if rows and (min(map(itemgetter(0), rows)) < 0 or max(map(itemgetter(-1), rows)) >= self.n):
-                    raise ValueError(f"view coords outside [0, {self.n})")
-
-
-def local_view_system(decoder: NonAdaptiveDecoder, i: int) -> WeightedSetSystem:
-    """The index-i query distribution as a weighted set system over the
-    decoder's own rows and masses, so view j of the decoder is set j."""
-    view_set = decoder.views[i]
-    if not isinstance(view_set, ExplicitViews):
-        raise TypeError("only explicit view lists convert to set systems")
-    system = SetSystem(decoder.n, view_set.rows)
-    return WeightedSetSystem(system, view_set.masses, view_set.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +414,7 @@ def repetition_code(k: int, r: int) -> tuple[Code, NonAdaptiveDecoder]:
     )
     tables, masses = (_READ_BIT,) * r, (1,) * r
     views = tuple(
-        ExplicitViews(tuple(zip(range(i * r, (i + 1) * r))), tables, masses, r) for i in range(k)
+        ExplicitViews(n, tuple(zip(range(i * r, (i + 1) * r))), tables, masses, r) for i in range(k)
     )
     return code, NonAdaptiveDecoder(k=k, n=n, locality=1, views=views)
 
@@ -464,7 +463,7 @@ def hadamard_code(m: int) -> tuple[Code, NonAdaptiveDecoder]:
     for i in range(m):
         clear = (1,) * (1 << i) + (0,) * (1 << i)
         rows = tuple(zip(compress(coords, cycle(clear)), compress(coords, cycle(clear[::-1]))))
-        views.append(ExplicitViews(rows, tables, masses, half))
+        views.append(ExplicitViews(n, rows, tables, masses, half))
     return code, NonAdaptiveDecoder(k=m, n=n, locality=2, views=tuple(views))
 
 
@@ -505,7 +504,7 @@ def shared_pivot_code(kappa: int, r: int, k: int) -> tuple[Code, NonAdaptiveDeco
     tables, masses = (table,) * r, (1,) * r
     views = tuple(
         ExplicitViews(
-            tuple(map(pivot.__add__, zip(range(kappa + i * r, kappa + (i + 1) * r)))), tables, masses, r
+            n, tuple(map(pivot.__add__, zip(range(kappa + i * r, kappa + (i + 1) * r)))), tables, masses, r
         )
         for i in range(k)
     )
@@ -581,10 +580,10 @@ def decoder_to_json(decoder: NonAdaptiveDecoder) -> dict:
         for table in view_set.tables:
             if id(table) not in lists:
                 lists[id(table)] = list(table)
-        weights = {m: format_fraction(Fraction(m, view_set.denominator)) for m in set(view_set.masses)}
+        weights = {m: format_fraction(Fraction(m, view_set.total)) for m in set(view_set.masses)}
         doc = {
             "n": decoder.n,
-            "sets": list(map(list, view_set.rows)),
+            "sets": list(map(list, view_set.sets)),
             "weights": list(map(weights.__getitem__, view_set.masses)),
             "tables": [lists[id(table)] for table in view_set.tables],
         }

@@ -64,7 +64,7 @@ from random import Random
 from typing import Iterator, Mapping, Sequence
 
 from .daisy import HeavyDaisy, build_daisy_sequence, pick_heavy_level
-from .decoders import REJECT, ExplicitViews, NonAdaptiveDecoder, local_view_system
+from .decoders import REJECT, ExplicitViews, NonAdaptiveDecoder
 
 DECODED = "decoded"
 NO_CONSENSUS = "no_consensus"
@@ -209,11 +209,12 @@ class GlobalDecodeOutcome:
 
 def build_index_package(decoder: NonAdaptiveDecoder, i: int) -> IndexDecodePackage:
     """Extract the heavy daisy for index i at the default extraction scale
-    and compile its petal groups."""
-    weighted = local_view_system(decoder, i)
-    levels = build_daisy_sequence(weighted.system, decoder.locality)
-    heavy = pick_heavy_level(levels, weighted)
-    return IndexDecodePackage.of(i, heavy, decoder.views[i])
+    from its view list, read in place, and compile its petal groups."""
+    views = decoder.views[i]
+    if not isinstance(views, ExplicitViews):
+        raise TypeError("only explicit view lists compile to packages; reduce the coin space first")
+    heavy = pick_heavy_level(build_daisy_sequence(views, decoder.locality), views)
+    return IndexDecodePackage.of(i, heavy, views)
 
 
 def build_decode_packages(decoder: NonAdaptiveDecoder) -> tuple[IndexDecodePackage, ...]:
@@ -231,7 +232,7 @@ def _petal_groups(
     out: they are never fully queried."""
     width = len(kernel_order)
     slot = {e: 1 << (width - 1 - j) for j, e in enumerate(kernel_order)}
-    rows, tables = views.rows, views.tables
+    rows, tables = views.sets, views.tables
     buckets = defaultdict(list)
     for m in members:
         buckets[id(tables[m]), len(rows[m])].append(m)

@@ -214,9 +214,9 @@ def run_daisy_claim_suite(
     Each instance builds the level sequence with scale c = |T|/n = 1, audits
     partition / kernel-size / degree bounds exactly, and checks that the
     heavy level reaches density 1/l under random weights (tracked under the
-    extra key "pigeonhole"; it is a consequence of the partition claim).
-    `tamper` lets tests inject corrupted levels to prove the audit catches
-    them.
+    extra key "pigeonhole"; it is a consequence of the partition claim, so
+    an instance whose levels break the partition skips it).  `tamper` lets
+    tests inject corrupted levels to prove the audit catches them.
     """
     reports = {c: ClaimReport(c) for c in ("coresub", "partition", "external", "pigeonhole")}
     for n, ell in points:
@@ -234,6 +234,8 @@ def run_daisy_claim_suite(
                 if found[claim]:
                     reports[claim].record(labels + tuple(found[claim][0]))
             reports["coresub"].note_margin(_kernel_margin(system, ell, levels))
+            if found["partition"]:
+                continue
 
             weighted = WeightedSetSystem.from_masses(system, random_masses(len(system), rng))
             heavy = pick_heavy_level(levels, weighted)

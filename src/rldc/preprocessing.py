@@ -68,7 +68,7 @@ def flatten_adaptive(decoder: AdaptiveDecoder) -> NonAdaptiveDecoder:
             rows.append(coords)
             tables.append(tuple(table))
         masses, common = integer_masses([weight for weight, _ in dist])
-        views.append(ExplicitViews(tuple(rows), tuple(tables), tuple(masses), common))
+        views.append(ExplicitViews(decoder.n, tuple(rows), tuple(tables), tuple(masses), common))
     locality = max([1] + [view_set.max_view_size() for view_set in views])
     return NonAdaptiveDecoder(
         k=decoder.k, n=decoder.n, locality=locality, views=tuple(views)
@@ -196,24 +196,24 @@ def reduce_randomness(
             rows, counts = [], [0] * len(corpus)
             for drawn in zip(*[iter(base.draw(rng, multiset_size * times))] * times):  # `times` draws a row
                 drawn = sorted(set(drawn))  # a repeated part changes neither the table nor the masks
-                coords = list(chain.from_iterable(map(base.rows.__getitem__, drawn)))
+                coords = list(chain.from_iterable(map(base.sets.__getitem__, drawn)))
                 merged = sorted(set(coords))
                 position = {c: q for q, c in enumerate(merged)}
                 key = (tuple(map(position.__getitem__, coords)), tuple(map(row_numbers.__getitem__, drawn)))
                 if key not in shapes:
-                    row_parts = tuple(map(LocalView, map(base.rows.__getitem__, drawn), map(base.tables.__getitem__, drawn)))
+                    row_parts = tuple(map(LocalView, map(base.sets.__getitem__, drawn), map(base.tables.__getitem__, drawn)))
                     shapes[key] = UnanimityView(row_parts, tuple(merged)).materialize(tables)
                 rows.append((tuple(merged), shapes[key]))
                 ones = zeros = full
                 for r in drawn:
                     if row_masks[r] is None:
-                        row_masks[r] = table_masks(base.tables[r], [columns[c] for c in base.rows[r]], full)
+                        row_masks[r] = table_masks(base.tables[r], [columns[c] for c in base.sets[r]], full)
                     ones, zeros = ones & row_masks[r][0], zeros & row_masks[r][1]
                 wrong = ones & ~truth | zeros & truth
                 while wrong:
                     counts[(wrong & -wrong).bit_length() - 1] += 1
                     wrong &= wrong - 1
-            views.append(ExplicitViews(*zip(*rows), (1,) * multiset_size, multiset_size))
+            views.append(ExplicitViews(decoder.n, *zip(*rows), (1,) * multiset_size, multiset_size))
             worst = list(map(max, worst, counts))
         entry_rates = tuple(Fraction(count, multiset_size) for count in worst)
         max_wrong_rate = max(entry_rates, default=Fraction(0))
@@ -226,8 +226,7 @@ def reduce_randomness(
 
 def randomness_complexity(decoder: NonAdaptiveDecoder) -> int:
     """Coin bits needed to index the largest per-index coin space."""
-    worst = max(len(decoder.views[i]) for i in range(decoder.k))
-    return (worst - 1).bit_length()
+    return (max(map(len, decoder.views)) - 1).bit_length()
 
 
 def epsilon_for_locality(decoder: NonAdaptiveDecoder, literal: bool = False) -> Fraction:

@@ -4,8 +4,9 @@ A *daisy* is passed as its parts (members, kernel K, petal_bound s,
 degree_cap t): every petal (set minus K) has at most s elements and every
 element outside K lies in at most t petals; t = 1 is a "simple daisy".  The
 cap t is an integer, as degrees are: "degree > c * n**(i/l)" is exactly
-"degree > floor(c * n**(i/l))".  These systems carry the query distributions
-of non-adaptive local decoders, so:
+"degree > floor(c * n**(i/l))".  These systems model the query distributions
+of non-adaptive local decoders (a decoder index's decoders.ExplicitViews has
+the same universe_size, sets, masses and total), so:
 
 - set identity is positional (index into the stored list) and duplicates are
   allowed with multiplicity, giving multiset semantics;
@@ -24,7 +25,7 @@ from itertools import groupby
 from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
-from .exact import format_fraction, integer_masses, parse_fraction
+from .exact import integer_masses, parse_fraction
 
 
 class ContractError(RuntimeError):
@@ -121,10 +122,6 @@ class WeightedSetSystem:
             raise ValueError("cannot weight an empty collection")
         return cls(system, (1,) * count, count)
 
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(m, self.total) for m in self.masses)
-
 
 @dataclass(frozen=True)
 class DaisyReport:
@@ -185,19 +182,6 @@ def verify_daisy(
     return DaisyReport(degree_bad, tuple(petal_bad))
 
 
-def system_to_json(obj: SetSystem | WeightedSetSystem) -> dict:
-    """Lossless JSON form: {"n":..., "sets":[[...]...], "weights":["a/b",...]}.
-
-    The weights field is omitted for a bare SetSystem (readers treat a
-    missing field as uniform).
-    """
-    if isinstance(obj, WeightedSetSystem):
-        doc = system_to_json(obj.system)
-        doc["weights"] = [format_fraction(w) for w in obj.weights]
-        return doc
-    return {"n": obj.universe_size, "sets": [list(s) for s in obj.sets]}
-
-
 def _expect(value, kind: type):
     if type(value) is not kind:  # exactly: JSON true loads as a bool, a subclass of int
         raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
@@ -205,9 +189,10 @@ def _expect(value, kind: type):
 
 
 def system_from_json(doc: dict) -> WeightedSetSystem:
-    """Inverse of system_to_json; uniform weights when the field is absent.
-    n and elements must be JSON integers (no bools), sets lists of lists and
-    weights a list of integers or "a/b" strings; ValueError names a bad field."""
+    """Read {"n":..., "sets":[[...]...], "weights":["a/b",...]}, with uniform
+    weights when the field is absent.  n and elements must be JSON integers
+    (no bools), sets lists of lists and weights a list of integers or "a/b"
+    strings; ValueError names a bad field."""
 
     def read(name, convert):
         if not isinstance(doc, dict) or name not in doc:

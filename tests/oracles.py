@@ -13,11 +13,11 @@ from rldc.exact import integer_masses
 from rldc.preprocessing import RETRIES, ReductionFailedError, ReductionReport
 
 
-def views_of(entries):
-    """ExplicitViews holding (weight, LocalView) entries as rows."""
+def views_of(n, entries):
+    """ExplicitViews over [0, n) holding (weight, LocalView) entries as rows."""
     masses, common = integer_masses([weight for weight, _ in entries])
     rows = tuple(view.coords for _, view in entries)
-    return ExplicitViews(rows, tuple(view.table for _, view in entries), tuple(masses), common)
+    return ExplicitViews(n, rows, tuple(view.table for _, view in entries), tuple(masses), common)
 
 
 def mass_table(weights):
@@ -33,19 +33,22 @@ def draw(table, rng):
 
 
 class EntryViews:
-    """A view list kept entry by entry: one (weight, LocalView) pair per view,
-    checked pair by pair and sampled through mass_table."""
+    """A view list over [0, n) kept entry by entry: one (weight, LocalView)
+    pair per view, checked pair by pair and sampled through mass_table."""
 
-    def __init__(self, entries):
+    def __init__(self, n, entries):
         if not entries:
             raise ValueError("a decoder index needs at least one view")
+        for _, view in entries:
+            if view.coords and (view.coords[0] < 0 or view.coords[-1] >= n):
+                raise ValueError(f"view coords outside [0, {n})")
         masses, common = integer_masses([wt for wt, _ in entries])
         total = sum(masses)
         if total != common:
             raise ValueError(f"view weights must sum to 1, got {Fraction(total, common)}")
         if any(m <= 0 for m in masses):
             raise ValueError("view weights must be positive")
-        self.entries = tuple(entries)
+        self.n, self.entries = n, tuple(entries)
 
     def __len__(self):
         return len(self.entries)
@@ -84,12 +87,12 @@ def _entries(view_set):
 
 
 def check_entry_decoder(n, locality, view_set):
-    """The decoder checks on one index's entries, view by view."""
+    """The decoder checks on one index's entries: its universe, then the
+    locality."""
+    if view_set.n != n:
+        raise ValueError(f"index 0 has views over [0, {view_set.n}), not [0, {n})")
     if view_set.max_view_size() > locality:
         raise ValueError(f"index 0 has a view larger than locality {locality}")
-    for _, view in view_set:
-        if view.coords and (view.coords[0] < 0 or view.coords[-1] >= n):
-            raise ValueError(f"view coords outside [0, {n})")
 
 
 def evaluate(view, w):
@@ -181,9 +184,9 @@ def reduce_by_words(decoder, multiset_size, corpus, tolerance, rng):
         views = []
         for i in range(decoder.k):
             rows = [sample_view(decoder.views[i], rng) for _ in range(multiset_size)]
-            views.append(views_of(
-                [(uniform, row if isinstance(row, LocalView) else LocalView(row.coords, column_fold(row))) for row in rows]
-            ))
+            views.append(views_of(decoder.n, [
+                (uniform, row if isinstance(row, LocalView) else LocalView(row.coords, column_fold(row))) for row in rows
+            ]))
         reduced = NonAdaptiveDecoder(
             k=decoder.k, n=decoder.n, locality=decoder.locality, views=tuple(views)
         )

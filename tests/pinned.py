@@ -18,11 +18,13 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 
 from rldc.cli import main
+from rldc.exact import format_fraction
 from rldc.harness import random_set_system
 from rldc.rng import derive_rng
-from rldc.set_system import WeightedSetSystem, system_to_json
+from rldc.set_system import SetSystem, WeightedSetSystem
 
 # "{pin}" stands for the input file that write_pin_input makes.
 PINS = (
@@ -76,6 +78,16 @@ PINS = (
     (("preprocess", "--code", "shared-pivot:kappa=5,r=8,k=2", "--seed", "1"),
      "f7d169aee74eb80e07070edfebfe067660f92bee982e917cd7c8b5f244f2ef69"),
 )
+
+
+def system_to_json(obj: SetSystem | WeightedSetSystem) -> dict:
+    """The JSON form that system_from_json reads: {"n":..., "sets":[[...]...],
+    "weights":["a/b",...]}, with no weights field for a bare SetSystem."""
+    if isinstance(obj, WeightedSetSystem):
+        doc = system_to_json(obj.system)
+        doc["weights"] = [format_fraction(Fraction(m, obj.total)) for m in obj.masses]
+        return doc
+    return {"n": obj.universe_size, "sets": [list(s) for s in obj.sets]}
 
 
 def write_pin_input(directory: str) -> str:

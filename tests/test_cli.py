@@ -11,12 +11,12 @@ import time
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from pinned import PINS, run_pin, write_pin_input
+from pinned import PINS, run_pin, system_to_json, write_pin_input
 
 import rldc
 from rldc import harness
 from rldc.cli import main
-from rldc.set_system import SetSystem, WeightedSetSystem, system_to_json
+from rldc.set_system import SetSystem, WeightedSetSystem
 
 
 @pytest.fixture

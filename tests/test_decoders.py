@@ -20,7 +20,6 @@ from rldc.decoders import (
     corrupt,
     hadamard_code,
     identity_code,
-    local_view_system,
     parse_code_spec,
     repetition_code,
     shared_pivot_code,
@@ -83,7 +82,7 @@ def test_repetition_r1_matches_identity():
 
 
 def test_constant_reject_predicate():
-    views = (views_of([(Fraction(1), LocalView((0,), (REJECT, REJECT)))]),)
+    views = (views_of(2, [(Fraction(1), LocalView((0,), (REJECT, REJECT)))]),)
     dec = NonAdaptiveDecoder(k=1, n=2, locality=1, views=views)
     for w in ((0, 0), (1, 1)):
         out, _ = decode(dec, w, 0, random.Random(0))
@@ -333,13 +332,13 @@ def test_adaptive_decode():
 # conversion and serialization
 
 
-def test_local_view_system_orders_match():
+def test_view_list_is_its_weighted_set_system():
     _, dec = hadamard_code(3)
-    weighted = local_view_system(dec, 1)
-    assert len(weighted.system.sets) == len(dec.views[1])
-    for set_, (wt, view) in zip(weighted.system.sets, dec.views[1]):
-        assert set_ == view.coords
-    assert sum(weighted.weights, Fraction(0)) == 1
+    views = dec.views[1]
+    assert views.universe_size == dec.n and len(views.sets) == len(views.masses) == len(views)
+    for set_, mass, (wt, view) in zip(views.sets, views.masses, views):
+        assert set_ == view.coords and Fraction(mass, views.total) == wt
+    assert sum(views.masses) == views.total
 
 
 def test_parse_code_spec_errors():
@@ -415,14 +414,14 @@ def test_rows_match_entry_by_entry_views(case, scale, seed):
     n, locality, raw = case
 
     def entries():
-        views = EntryViews([(w, LocalView(coords, table)) for w, coords, table in raw])
+        views = EntryViews(n, [(w, LocalView(coords, table)) for w, coords, table in raw])
         check_entry_decoder(n, locality, views)
         return views
 
     def rows():
         masses, common = integer_masses([w for w, _, _ in raw])
         views = ExplicitViews(
-            tuple(coords for _, coords, _ in raw), tuple(table for _, _, table in raw),
+            n, tuple(coords for _, coords, _ in raw), tuple(table for _, _, table in raw),
             tuple(scale * m for m in masses), scale * common,  # an unreduced denominator samples the same
         )
         NonAdaptiveDecoder(k=1, n=n, locality=locality, views=(views,))
@@ -561,7 +560,7 @@ def product_rows(draw):
     width = len(base[0].coords)
     base.append(LocalView(coords(width, width), tuple(list(base[0].table))))
     base.append(view(base[0].coords))
-    product = ProductViews(views_of([(Fraction(1, len(base)), v) for v in base]), draw(st.integers(1, 4)))
+    product = ProductViews(views_of(6, [(Fraction(1, len(base)), v) for v in base]), draw(st.integers(1, 4)))
     rng = random.Random(draw(st.integers(0, 2**32)))
     rows = [sample_view(product, rng) for _ in range(draw(st.integers(1, 12)))]
     return rows + [unanimity_of([base[0], base[-1], base[0]]), unanimity_of([])]
@@ -591,3 +590,15 @@ def test_product_view_size_capped_by_coverage():
     # eight runs of pivot + one copy merge into at most the pivot and all 8 copies
     assert ProductViews(dec.views[0], 8).max_view_size() == 10
     assert ProductViews(dec.views[0], 3).max_view_size() == 9
+
+
+def test_view_list_checks_its_universe():
+    with pytest.raises(ValueError, match=r"view coords outside \[0, 2\)"):
+        ExplicitViews(2, ((0,), (2,)), ((0, 1),) * 2, (1, 1), 2)
+    views = ExplicitViews(3, ((0,), (2,)), ((0, 1),) * 2, (1, 1), 2)
+    with pytest.raises(ValueError, match=r"index 0 has views over \[0, 3\), not \[0, 4\)"):
+        NonAdaptiveDecoder(k=1, n=4, locality=1, views=(views,))
+    # an amplified list keeps its base's universe, and has len(base) ** times coin outcomes
+    product = ProductViews(views, 3)
+    assert product.universe_size == 3 and len(product) == 8
+    NonAdaptiveDecoder(k=1, n=3, locality=2, views=(product,))

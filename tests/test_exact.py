@@ -166,7 +166,7 @@ def test_integer_masses_decide_like_fraction_sums(weights):
     trees = (tuple((w, 0) for w in weights),)
     system = SetSystem(count, tuple((j,) for j in range(count)))
     for build in (
-        lambda: views_of(views),
+        lambda: views_of(count, views),
         lambda: AdaptiveDecoder(1, count, 1, trees),
         lambda: WeightedSetSystem.from_weights(system, weights),
     ):
@@ -175,8 +175,8 @@ def test_integer_masses_decide_like_fraction_sums(weights):
         if error is not None:
             assert sum_error in error
     if total != 1:
-        assert rejection(lambda: views_of(views)) == f"view weights must sum to 1, got {total}"
+        assert rejection(lambda: views_of(count, views)) == f"view weights must sum to 1, got {total}"
     if sum_error is None:
         weighted = WeightedSetSystem.from_weights(system, weights)
         assert (list(weighted.masses), weighted.total) == fraction_sum_masses(weights)
-        assert weighted.weights == tuple(Fraction(w) for w in weights)
+        assert [Fraction(m, weighted.total) for m in weighted.masses] == list(map(Fraction, weights))

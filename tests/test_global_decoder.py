@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import math
 import random
 import statistics
@@ -14,14 +15,16 @@ from hypothesis import strategies as st
 from oracles import views_of
 from sample_draws import EDGE_PROBABILITIES, MAX_N, drawn_probabilities, same_draws
 
+from rldc import decoders, set_system
 from rldc.daisy import HeavyDaisy, build_daisy_sequence, default_extraction_scale, pick_heavy_level
 from rldc.decoders import (
     REJECT,
+    AdaptiveDecoder,
     LocalView,
     NonAdaptiveDecoder,
+    TreeNode,
     hadamard_code,
     identity_code,
-    local_view_system,
     parse_code_spec,
     shared_pivot_code,
 )
@@ -43,6 +46,8 @@ from rldc.global_decoder import (
     sample_coordinates,
 )
 from rldc.harness import _audit_index, run_global_trials
+from rldc.preprocessing import amplify, flatten_adaptive
+from rldc.set_system import SetSystem, WeightedSetSystem
 
 
 # A package with the views and the daisy it was compiled from, which the
@@ -53,8 +58,7 @@ Compiled = namedtuple("Compiled", "pkg views daisy")
 def compiled_index(dec, i):
     """Index i's package, with its views and the heavy daisy rebuilt the way
     build_index_package builds it."""
-    weighted = local_view_system(dec, i)
-    daisy = pick_heavy_level(build_daisy_sequence(weighted.system, dec.locality), weighted)
+    daisy = pick_heavy_level(build_daisy_sequence(dec.views[i], dec.locality), dec.views[i])
     return Compiled(build_index_package(dec, i), tuple(view for _, view in dec.views[i]), daisy)
 
 
@@ -169,6 +173,7 @@ def test_fully_queried_petals_star():
 def test_empty_petals_never_queried():
     # A member entirely inside the kernel is never usable.
     views = views_of(
+        2,
         [
             (Fraction(1, 2), LocalView((0,), (0, 1))),
             (Fraction(1, 2), LocalView((0, 1), (0, 1, 1, 0))),
@@ -272,6 +277,46 @@ def test_audit_flags_an_empty_kernel_decoding_the_wrong_bit():
     outcome = decode_index(pkg, sample_of(range(code.n), word), kernel_cap=20)
     assert outcome.status == DECODED and outcome.bit == 0 and outcome.unanimous == ((0, 0),)
     assert _audit_index(pkg, outcome, word, x[2]) == (False, 1)
+
+
+def test_views_that_query_nothing_decode():
+    # a coin that reads no coordinate beside one that reads coordinate 0: the
+    # empty row joins the heavy level, sits in no group and is never fully
+    # queried, so its REJECT never blocks a decision
+    trees = (((Fraction(1, 2), TreeNode(0, 0, 1)), (Fraction(1, 2), None)),)
+    dec = flatten_adaptive(AdaptiveDecoder(k=1, n=2, locality=1, trees=trees))
+    assert dec.views[0].sets == ((0,), ())
+    (pkg,) = build_decode_packages(dec)
+    assert pkg.kernel_order == () and len(pkg.groups) == 1
+    for word in itertools.product((0, 1), repeat=2):
+        for flags in itertools.product((0, 1), repeat=2):
+            out = decode_index(pkg, SampleBytes.of(word, bytes(flags)), kernel_cap=20)
+            assert out.fully_queried == flags[0]
+            assert (out.status, out.bit) == ((DECODED, word[0]) if flags[0] else (NO_CONSENSUS, None))
+
+
+def test_packages_read_the_view_lists_in_place(monkeypatch):
+    # every row and mass was checked when the decoder was built: compiling
+    # its packages builds no set system and checks no row again
+    _, dec = hadamard_code(8)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in (SetSystem, WeightedSetSystem):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    for module in (set_system, decoders):
+        monkeypatch.setattr(module, "rows_increasing", counted("rows_increasing", set_system.rows_increasing))
+    assert len(build_decode_packages(dec)) == dec.k
+    assert not calls
+    WeightedSetSystem.uniform(SetSystem(2, ((0,), (1,))))  # the spies see a set system
+    assert calls == {"SetSystem": 1, "WeightedSetSystem": 1, "rows_increasing": 1}
+    with pytest.raises(TypeError, match="only explicit view lists"):
+        build_index_package(amplify(dec, Fraction(1, 4)), 0)
 
 
 def test_packages_keep_little_beside_the_decoder():
@@ -476,7 +521,7 @@ def _package(views, kernel, n, members=None):
     default), with the views and the daisy."""
     members = tuple(range(len(views))) if members is None else members
     daisy = HeavyDaisy(1, members, kernel, 3, PowerBound(Fraction(1), n, Fraction(0)), Fraction(1))
-    rows = views_of([(Fraction(1, len(views)), view) for view in views])
+    rows = views_of(n, [(Fraction(1, len(views)), view) for view in views])
     return Compiled(IndexDecodePackage.of(0, daisy, rows), views, daisy)
 
 

@@ -81,6 +81,18 @@ def test_negative_control_tamper_detected():
     assert labels[0] == "daisy" and labels[1] == 64
 
 
+def test_tamper_breaking_the_partition_is_recorded():
+    # dropping a member of the last level breaks the partition: the suite
+    # records it with its replay label and looks for no heavy level there
+    def tamper(system, levels):
+        return levels[:-1] + (replace(levels[-1], members=levels[-1].members[1:]),)
+
+    reports = run_daisy_claim_suite([(64, 2)], 2, master_seed=1, tamper=tamper)
+    assert reports["partition"].instances == 2 and reports["partition"].violations == 2
+    assert reports["partition"].violation_seeds == [("daisy", 64, 2, idx, "cover", 63, 64) for idx in range(2)]
+    assert reports["pigeonhole"].instances == 0
+
+
 def test_audit_catches_fake_partition():
     system = random_set_system(16, 16, 2, random.Random(3))
     levels = build_daisy_sequence(system, 2, Fraction(1))

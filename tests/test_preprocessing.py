@@ -141,7 +141,7 @@ def test_amplify_preserves_completeness_exactly():
 
 def test_amplify_planted_error_is_power():
     # One of three uniform coins errs on this word: base wrong rate 1/3.
-    views = views_of([(Fraction(1, 3), LocalView((c,), (0, 1))) for c in range(3)])
+    views = views_of(3, [(Fraction(1, 3), LocalView((c,), (0, 1))) for c in range(3)])
     dec = NonAdaptiveDecoder(k=1, n=3, locality=1, views=(views,))
     word = (1, 0, 0)  # true bit 0; coin 0 answers 1
     assert output_distribution(dec, word, 0)[1] == Fraction(1, 3)
@@ -195,6 +195,13 @@ def test_reduce_hadamard_m6():
     assert randomness_complexity(reduced) == 8  # ceil(log2 64) + 2
 
 
+def test_randomness_complexity_of_an_amplified_decoder():
+    _, dec = hadamard_code(4)
+    amp = amplify(dec, Fraction(1, 16))  # R = 4 runs of 8 views: 8^4 coin outcomes
+    assert len(amp.views[0]) == 8**4
+    assert randomness_complexity(amp) == 12 == (8**4 - 1).bit_length()
+
+
 def test_reduce_refuses_oversized_tables_before_sampling():
     _, dec = hadamard_code(6)
     amp = amplify(dec, Fraction(1, 1024))  # R = 10: rows of up to 2^20 entries
@@ -242,7 +249,7 @@ def test_reduced_rows_share_one_table_per_shape():
     doc = decoder_to_json(reduced)
     assert len({id(table) for index in doc["indices"] for table in index["tables"]}) == len(tables)
     fresh = replace(reduced, views=tuple(
-        views_of([(wt, LocalView(view.coords, tuple(list(view.table)))) for wt, view in views])
+        views_of(reduced.n, [(wt, LocalView(view.coords, tuple(list(view.table)))) for wt, view in views])
         for views in reduced.views
     ))
     assert json.dumps(decoder_to_json(fresh), indent=2, sort_keys=True) == json.dumps(doc, indent=2, sort_keys=True)
@@ -300,7 +307,8 @@ def test_reduce_rows_over_no_coordinates(epsilon):
     code, dec = hadamard_code(3)
     base = [view for _, view in dec.views[0]]
     rows = [LocalView((), (REJECT,)), LocalView((), (1,)), base[0], base[3]]
-    decoder = NonAdaptiveDecoder(k=1, n=code.n, locality=2, views=(views_of([(Fraction(1, 4), row) for row in rows]),))
+    views = views_of(code.n, [(Fraction(1, 4), row) for row in rows])
+    decoder = NonAdaptiveDecoder(k=1, n=code.n, locality=2, views=(views,))
     decoder = amplify(decoder, epsilon) if epsilon else decoder
     corpus = _random_corpus(replace(code, k=1), 16, random.Random(2))
     report = _assert_reduces_like_words(decoder, 9, corpus, Fraction(1), 4)
@@ -344,7 +352,7 @@ def reducible_decoders(draw):
         )
         if draw(st.integers(0, 3)) == 0:
             masses[draw(st.integers(0, len(rows) - 1))] += 2**35 + draw(st.integers(0, 2**8))
-        base = ExplicitViews(tuple(rows), tuple(tables), tuple(masses), sum(masses))
+        base = ExplicitViews(n, tuple(rows), tuple(tables), tuple(masses), sum(masses))
         views.append(base if reps == 1 and draw(st.booleans()) else ProductViews(base, reps))
     locality = max(1, max(v.max_view_size() for v in views))
     return NonAdaptiveDecoder(k=len(views), n=n, locality=locality, views=tuple(views))
