@@ -49,10 +49,12 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 MAX_TABLE_ENTRIES = 1 << 23
 
 # Most local views a built-in code may build, each message index counting as
-# 4 views more: `rldc simulate` peaks at about 90 B per Hadamard view plus about
-# 1.1 KB per index.  Runs at the budget peaked at 0.13-0.37 GB (CHANGES.md).
+# INDEX_VIEWS views more.  `rldc simulate --trials 1 --no-audit` peaks at about
+# 93 B per Hadamard view (hadamard:m=15 to 16) and 1.15 KB per index
+# (identity:k=100000 to 200000); 1.15 KB / 93 B = 12.4, rounded up.  Runs at
+# the budget peak at 0.11-0.37 GB (CHANGES.md).
 MAX_VIEWS = 1 << 20
-INDEX_VIEWS = 4
+INDEX_VIEWS = 13
 
 
 def _check_views(views: int, k: int) -> None:
@@ -61,6 +63,11 @@ def _check_views(views: int, k: int) -> None:
             f"{views} local views over {k} indices exceed the budget of {MAX_VIEWS} "
             f"(each index counts as {INDEX_VIEWS} views)"
         )
+
+
+def _check_universe(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"a decoder needs at least one coordinate, got n={n}")
 
 
 def _check_symbol(value) -> None:
@@ -128,6 +135,7 @@ class AdaptiveDecoder:
     trees: tuple[tuple[tuple[Fraction, "TreeNode | int | None"], ...], ...]
 
     def __post_init__(self) -> None:
+        _check_universe(self.n)
         if len(self.trees) != self.k:
             raise ValueError("one tree distribution per message index required")
         for i, dist in enumerate(self.trees):
@@ -342,6 +350,7 @@ class NonAdaptiveDecoder:
     views: "tuple[ExplicitViews | ProductViews, ...]"
 
     def __post_init__(self) -> None:
+        _check_universe(self.n)
         if len(self.views) != self.k:
             raise ValueError("one view list per message index required")
         for i, view_set in enumerate(self.views):

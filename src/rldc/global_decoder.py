@@ -7,6 +7,7 @@ Twister at once, the words that one rng.random() per coordinate would use,
 and gives the same sample.  The sampler's keep marks, one 0/1 byte per
 coordinate, are the sample's flags: SampleBytes pairs them with bits, the
 bit read at each flagged coordinate, and the word is read nowhere else.
+Each string is also made into one little-endian integer, once per sample.
 Per index, a heavy daisy extracted from the decoder's query distribution
 supplies petals; members whose petal is nonempty and fully inside Q become
 usable partial views.  Since the kernel is typically unsampled, the decoder
@@ -25,12 +26,14 @@ split by (table, row length) and each bucket's rows are read a column at a
 time.  A group stands for the members that share a table object: the
 offsets of their petal coordinates from the first petal coordinate c0, the
 table bits of those coordinates and the kernel pairs.  It gives each c0 in
-[lo, hi) a one-byte lane and marks the occupied lanes.  Per group the filter
-ANDs the lane mask with one flags slice per petal offset, and the completion
-ORs the matching bits slices together, keeps the full lanes with
+[lo, hi) a one-byte lane and marks the occupied lanes.  Per petal offset d
+the filter ANDs the lane mask with the flags integer shifted down to
+coordinate lo + d, and the completion ORs the bits integer shifted the same
+way (and up to the petal position), keeps the full lanes with
 bytes.translate and maps each through the group's table of petal bits to
-table index: a few whole-slice integer operations per group, none per
-member.  Every built-in code has one group per index.
+table index: a few whole-integer operations per group, no byte slice
+converted per group and nothing per member.  Every built-in code has one
+group per index.
 
 One enumeration per (index, sample) serves the decoder and the audit in
 harness.py.  complete_views turns each fully queried view into its table, the
@@ -151,10 +154,20 @@ class IndexDecodePackage:
 @dataclass(frozen=True)
 class SampleBytes:
     """A run's sample, shared by every index, as two byte strings indexed by
-    coordinate: flags[j] is 1 where j was sampled, bits[j] the bit read there."""
+    coordinate: flags[j] is 1 where j was sampled, bits[j] the bit read there.
+
+    flags_int and bits_int are the same strings read as little-endian
+    integers, made once here; byte j of either sits at bit 8j, so a group
+    reads the bytes from c on by shifting right by 8c."""
 
     flags: bytes
     bits: bytes
+    flags_int: int = field(init=False, compare=False, repr=False)
+    bits_int: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "flags_int", int.from_bytes(self.flags, "little"))
+        object.__setattr__(self, "bits_int", int.from_bytes(self.bits, "little"))
 
     @classmethod
     def of(cls, word: Sequence[int], flags: bytes | bytearray) -> "SampleBytes":
@@ -308,28 +321,33 @@ def fully_queried_petals(pkg: IndexDecodePackage, sample: SampleBytes) -> tuple[
     """Per group of pkg, the lanes of the members whose petal lies entirely
     inside the sample: the lane mask with byte c0 - lo at 1 for each.
 
+    Per petal offset d the sample's flags integer is shifted down to
+    coordinate lo + d and ANDed in; the lane mask keeps hi - lo bytes of it.
     Members lying wholly inside the kernel have empty petals, sit in no
     group and are never fully queried.
     """
-    flags = sample.flags
+    flags = sample.flags_int
     fulls = []
     for g in pkg.groups:
         full = g.lanes
         for d in g.offsets:
-            full &= int.from_bytes(flags[g.lo + d:g.hi + d], "little")
+            full &= flags >> 8 * (g.lo + d)
         fulls.append(full)
     return tuple(fulls)
 
 
-def _full_lane_bytes(g: PetalGroup, full: int, bits: bytes) -> list[bytes]:
+def _full_lane_bytes(g: PetalGroup, full: int, bits: int) -> list[bytes]:
     """Per index table of g, one byte per full lane in lane order: 0x80 | the
-    bits read at that table's (up to 7) petal positions."""
+    bits read at that table's (up to 7) petal positions.  `bits` is the
+    sample's bits integer; petal position t of the table reads it shifted
+    down to coordinate lo + d and up by t, and the full lanes keep hi - lo
+    bytes of that."""
     keep, flag = full * 0x7F, full << LANE_BITS
     lanes = []
     for q in range(len(g.index)):
         packed = 0
         for t, d in enumerate(g.offsets[q * LANE_BITS:(q + 1) * LANE_BITS]):
-            packed |= int.from_bytes(bits[g.lo + d:g.hi + d], "little") << t
+            packed |= bits >> 8 * (g.lo + d) << t
         lanes.append((packed & keep | flag).to_bytes(g.hi - g.lo, "little").translate(None, b"\0"))
     return lanes
 
@@ -343,7 +361,7 @@ def complete_views(pkg: IndexDecodePackage, sample: SampleBytes) -> tuple:
     for g, full in zip(pkg.groups, fully_queried_petals(pkg, sample)):
         if not full:
             continue
-        lanes = _full_lane_bytes(g, full, sample.bits)
+        lanes = _full_lane_bytes(g, full, sample.bits_int)
         columns = [map(index.__getitem__, column) for index, column in zip(g.index, lanes)]
         bases = columns[0] if len(columns) == 1 else map(sum, zip(*columns))
         completion += zip(repeat(g.table), bases, repeat(g.pairs))
@@ -358,8 +376,8 @@ def _decode_without_kernel(pkg: IndexDecodePackage, sample: SampleBytes) -> Inde
     for g, full in zip(pkg.groups, fully_queried_petals(pkg, sample)):
         if not full:
             continue
-        queried += full.bit_count()
-        lanes = _full_lane_bytes(g, full, sample.bits)
+        lanes = _full_lane_bytes(g, full, sample.bits_int)
+        queried += len(lanes[0])  # every full lane byte has 0x80 set, so translate kept each
         if len(lanes) == 1:
             bases = map(g.index[0].__getitem__, set(lanes[0]))
         else:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rldc.decoders import (
+    INDEX_VIEWS,
     MAX_VIEWS,
     REJECT,
     AdaptiveDecoder,
@@ -28,6 +29,7 @@ from rldc.decoders import (
 
 from rldc import rng as rng_module
 from rldc.exact import integer_masses
+from rldc.preprocessing import flatten_adaptive
 from rldc.rng import randbelow_many
 
 from sample_draws import DRAW_BOUNDS, MAX_COUNT
@@ -159,10 +161,20 @@ def test_hadamard_guard():
         hadamard_code(10**12)  # refused without computing 2^(m-1)
 
 
+# the most indices identity_code builds: each is one view plus INDEX_VIEWS
+IDENTITY_MAX_K = MAX_VIEWS // (INDEX_VIEWS + 1)
+
+
+def test_view_budget_boundary():
+    assert identity_code(IDENTITY_MAX_K)[0].k == IDENTITY_MAX_K
+    with pytest.raises(ValueError, match="exceed the budget"):
+        identity_code(IDENTITY_MAX_K + 1)
+
+
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: identity_code(MAX_VIEWS // 5 + 1),
+        lambda: identity_code(IDENTITY_MAX_K + 1),
         lambda: repetition_code(1, MAX_VIEWS - 3),
         lambda: repetition_code(100_000, 100_000),
         lambda: shared_pivot_code(1, MAX_VIEWS // 4, 4),
@@ -317,6 +329,14 @@ def test_tree_validation():
             k=1, n=1, locality=1,
             trees=(((Fraction(1), TreeNode(0, TreeNode(1, 0, 1), 1)),),),
         )  # too deep / out of range
+
+
+def test_decoders_over_no_coordinates_are_refused():
+    with pytest.raises(ValueError, match="n=0"):
+        flatten_adaptive(AdaptiveDecoder(k=1, n=0, locality=1, trees=(((Fraction(1), 0),),)))
+    views = ExplicitViews(0, ((),), ((1,),), (1,), 1)
+    with pytest.raises(ValueError, match="n=0"):
+        NonAdaptiveDecoder(k=1, n=0, locality=1, views=(views,))
 
 
 def test_adaptive_decode():

@@ -690,3 +690,24 @@ def test_compiled_filter_matches_reference_in_order_on_builtin_codes(spec, data)
     sample = data.draw(st.sets(st.integers(0, code.n - 1)))
     for compiled in indices:
         _check_compiled_filter(compiled, {j: word[j] for j in sample}, ordered=True)
+
+
+@pytest.mark.parametrize("spec, lo", [("hadamard:m=12", 0), ("shared-pivot:kappa=5,r=64,k=16", 5)])
+def test_decode_matches_reference_at_full_width(spec, lo):
+    # samples of the whole word from the sampler, at the default p and at 0.9:
+    # Hadamard groups span 4095 lanes, and shared-pivot lanes start past the kernel
+    code, indices = _builtin_packages(spec)
+    assert min(g.lo for compiled in indices for g in compiled.pkg.groups) == lo
+    locality = parse_code_spec(spec)[1].locality
+    for seed in range(3):
+        rng = random.Random(seed)
+        word = list(code.encode(tuple(rng.randrange(2) for _ in range(code.k))))
+        for j in rng.sample(range(code.n), seed):  # a few corruptions, none at seed 0
+            word[j] ^= 1
+        for p in (default_sampling_probability(code.n, locality), 0.9):
+            sample = sample_coordinates(word, p, rng)
+            sampled_values = {j: word[j] for j in compress(range(code.n), sample.flags)}
+            for compiled in indices:
+                for strict in (False, True):
+                    want = reference_decode(compiled, sampled_values, 20, strict)
+                    assert decode_index(compiled.pkg, sample, 20, strict) == want
