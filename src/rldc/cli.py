@@ -116,7 +116,6 @@ def _cmd_simulate(args) -> int:
         query_budget=args.budget,
         strict=args.strict,
         audit=not args.no_audit,
-        timing=args.timing,
     )
     if args.fmt == "csv":
         header = ["trial", "success", "queries", "per_index"]

@@ -351,6 +351,8 @@ class NonAdaptiveDecoder:
 
     def __post_init__(self) -> None:
         _check_universe(self.n)
+        if self.locality < 1:
+            raise ValueError(f"a non-adaptive decoder needs locality >= 1, got locality={self.locality}")
         if len(self.views) != self.k:
             raise ValueError("one view list per message index required")
         for i, view_set in enumerate(self.views):

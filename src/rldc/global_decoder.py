@@ -22,10 +22,10 @@ carries the SampleBytes that the audit in harness.py works from.
 Packages are compiled once into groups (PetalGroup) and keep only the kernel
 order and the groups, not the daisy or the views.  They compile from the
 decoder's rows (decoders.ExplicitViews): the heavy daisy's members are
-split by (table, row length) and each bucket's rows are read a column at a
-time.  A group stands for the members that share a table object: the
-offsets of their petal coordinates from the first petal coordinate c0, the
-table bits of those coordinates and the kernel pairs.  It gives each c0 in
+split by table object and each bucket's rows are read a column at a time.
+A group stands for the members that share a table object: the offsets of
+their petal coordinates from the first petal coordinate c0, the table bits
+of those coordinates and the kernel pairs.  It gives each c0 in
 [lo, hi) a one-byte lane and marks the occupied lanes.  Per petal offset d
 the filter ANDs the lane mask with the flags integer shifted down to
 coordinate lo + d, and the completion ORs the bits integer shifted the same
@@ -44,11 +44,11 @@ its most significant bit, so counting a upward is lexicographic order.  The
 outcome keeps the completion and what the decoder scanned of it, and the
 audit resumes the scan where the decoder stopped.
 
-An empty kernel (2-query codes such as Hadamard) has one assignment and
-needs no completion: views with equal lane bytes output the same, so the
-index decodes iff the distinct lane bytes of its groups, mapped through the
-index and the table, give exactly one non-REJECT bit.  The outcome then
-keeps no completion, and the audit has nothing past the decoder's stop.
+An empty kernel (2-query codes such as Hadamard) is the case with one
+assignment, a = 0, and runs the same core.  Views with equal lane bytes
+output the same there, so complete_views keeps one triple per distinct lane
+key of each group; the index decodes iff they give one non-REJECT bit, and
+the audit has nothing past the decoder's stop.
 
 On a valid codeword the assignment matching the true kernel values makes
 every completed view output the true bit, and no assignment can achieve
@@ -62,7 +62,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
-from operator import getitem, sub
+from operator import sub
 from random import Random
 from typing import Iterator, Mapping, Sequence
 
@@ -185,9 +185,9 @@ class SampleBytes:
 
 @dataclass(frozen=True)
 class IndexOutcome:
-    """How one index decoded, with its completion (empty if none was made,
-    and for an empty kernel, which is decided from distinct lane bytes) and
-    every unanimous (assignment, bit) with assignment < assignments_tried."""
+    """How one index decoded: how many views were fully queried, its
+    completion (empty if none was made) and every unanimous (assignment,
+    bit) with assignment < assignments_tried."""
 
     status: str
     bit: int | None
@@ -237,18 +237,19 @@ def build_decode_packages(decoder: NonAdaptiveDecoder) -> tuple[IndexDecodePacka
 def _petal_groups(
     views: ExplicitViews, members: Sequence[int], kernel_order: tuple[int, ...]
 ) -> tuple[PetalGroup, ...]:
-    """Group members a (table, row length) bucket at a time, in the order of
-    each bucket's first member.  A bucket's rows are read by columns when
-    each column lies wholly outside the kernel or is one kernel coordinate
-    throughout, and each petal column sits at a fixed offset from the first;
-    otherwise they are keyed row by row.  Members with empty petals are left
-    out: they are never fully queried."""
+    """Group members a table object's bucket at a time, in the order of each
+    bucket's first member; ExplicitViews sizes a table by its row, so a
+    bucket's rows have one length.  They are read by columns when each column
+    lies wholly outside the kernel or is one kernel coordinate throughout,
+    and each petal column sits at a fixed offset from the first; otherwise
+    they are keyed row by row.  Members with empty petals are left out:
+    they are never fully queried."""
     width = len(kernel_order)
     slot = {e: 1 << (width - 1 - j) for j, e in enumerate(kernel_order)}
     rows, tables = views.sets, views.tables
     buckets = defaultdict(list)
     for m in members:
-        buckets[id(tables[m]), len(rows[m])].append(m)
+        buckets[id(tables[m])].append(m)
     groups = []
     for bucket in buckets.values():
         bucket_rows = tuple(map(rows.__getitem__, bucket))
@@ -352,43 +353,24 @@ def _full_lane_bytes(g: PetalGroup, full: int, bits: int) -> list[bytes]:
     return lanes
 
 
-def complete_views(pkg: IndexDecodePackage, sample: SampleBytes) -> tuple:
-    """The completion core: one (table, base index, kernel pairs) triple per
-    fully queried view, empty when no petal is.  The base index holds the
-    view's sampled petal bits; each kernel coordinate it reads is a
-    (table bit, assignment bit) pair."""
-    completion = []
-    for g, full in zip(pkg.groups, fully_queried_petals(pkg, sample)):
-        if not full:
-            continue
-        lanes = _full_lane_bytes(g, full, sample.bits_int)
-        columns = [map(index.__getitem__, column) for index, column in zip(g.index, lanes)]
-        bases = columns[0] if len(columns) == 1 else map(sum, zip(*columns))
-        completion += zip(repeat(g.table), bases, repeat(g.pairs))
-    return tuple(completion)
-
-
-def _decode_without_kernel(pkg: IndexDecodePackage, sample: SampleBytes) -> IndexOutcome:
-    """decode_index for an empty kernel: its one assignment is unanimous iff
-    the fully queried views output one non-REJECT bit, and views with equal
-    lane bytes output the same, so only the distinct lane bytes are read."""
-    outputs, queried = set(), 0
+def complete_views(pkg: IndexDecodePackage, sample: SampleBytes) -> tuple[int, tuple]:
+    """The completion core: the count of fully queried views and one
+    (table, base index, kernel pairs) triple per such view, or with an empty
+    kernel per distinct lane key of a group (equal lane bytes output the
+    same).  The base index holds the view's sampled petal bits; each kernel
+    coordinate it reads is a (table bit, assignment bit) pair."""
+    queried, completion = 0, []
     for g, full in zip(pkg.groups, fully_queried_petals(pkg, sample)):
         if not full:
             continue
         lanes = _full_lane_bytes(g, full, sample.bits_int)
         queried += len(lanes[0])  # every full lane byte has 0x80 set, so translate kept each
-        if len(lanes) == 1:
-            bases = map(g.index[0].__getitem__, set(lanes[0]))
-        else:
-            bases = (sum(map(getitem, g.index, key)) for key in set(zip(*lanes)))
-        outputs.update(map(g.table.__getitem__, bases))
-    if not queried:
-        return IndexOutcome(NO_CONSENSUS, None, 0, 0)
-    if len(outputs) == 1 and REJECT not in outputs:
-        bit = outputs.pop()
-        return IndexOutcome(DECODED, bit, queried, 1, unanimous=((0, bit),))
-    return IndexOutcome(NO_CONSENSUS, None, queried, 1)
+        if not pkg.kernel_order:  # distinct keys in every group is ROADMAP item 2, which waits for item 1
+            lanes = [set(lanes[0])] if len(lanes) == 1 else list(zip(*set(zip(*lanes))))
+        columns = [map(index.__getitem__, column) for index, column in zip(g.index, lanes)]
+        bases = columns[0] if len(columns) == 1 else map(sum, zip(*columns))
+        completion += zip(repeat(g.table), bases, repeat(g.pairs))
+    return queried, tuple(completion)
 
 
 def kernel_assignment(pkg: IndexDecodePackage, word: Sequence[int]) -> int:
@@ -426,18 +408,15 @@ def decode_index(
     completed views unanimously outputs b.  The default
     rule returns at the first unanimous assignment in lexicographic order;
     strict mode scans all assignments and answers only when a single bit
-    value ever achieves unanimity.  An empty kernel is decided from the
-    distinct lane bytes of the fully queried views, with no completion kept;
-    both modes agree there, since there is one assignment.
+    value ever achieves unanimity.  An empty kernel has one assignment, so
+    both modes try it alone and agree.
     """
     width = len(pkg.kernel_order)
     if width > kernel_cap:
         return IndexOutcome(KERNEL_TOO_LARGE, None, 0, 0)
-    if not width:
-        return _decode_without_kernel(pkg, sample)
 
-    completion = complete_views(pkg, sample)
-    if not completion:
+    queried, completion = complete_views(pkg, sample)
+    if not queried:
         return IndexOutcome(NO_CONSENSUS, None, 0, 0)
 
     scan = unanimous_assignments(completion, width)
@@ -445,7 +424,7 @@ def decode_index(
     tried = unanimous[0][0] + 1 if unanimous and not strict else 1 << width
     bits = {bit for _, bit in unanimous}
     status, bit = (DECODED, bits.pop()) if len(bits) == 1 else (NO_CONSENSUS, None)
-    return IndexOutcome(status, bit, len(completion), tried, completion, unanimous)
+    return IndexOutcome(status, bit, queried, tried, completion, unanimous)
 
 
 def run_global_decoder(

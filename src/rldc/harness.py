@@ -282,7 +282,7 @@ class TrialRow:
     success: bool
     queries: int
     statuses: tuple[str, ...]
-    wall_ms: float
+    wall_ms: float = field(compare=False, repr=False)
 
 
 @dataclass
@@ -342,7 +342,6 @@ def run_global_trials(
     query_budget: int | None = None,
     strict: bool = False,
     audit: bool = True,
-    timing: bool = False,
 ) -> GlobalTrialStats:
     """Seeded global-decoder runs on fresh random valid codewords.
 
@@ -359,7 +358,7 @@ def run_global_trials(
     stats = GlobalTrialStats(code.name, trials, master_seed)
 
     for t in range(trials):
-        start = time.perf_counter() if timing else 0.0
+        start = time.perf_counter()
         rng = derive_rng(master_seed, "trial", t)
         x = tuple(rng.randrange(2) for _ in range(code.k))
         word = code.encode(x)
@@ -378,7 +377,7 @@ def run_global_trials(
                     stats.label(t, "soundness", pkg.index)
 
         ok = run.message == x
-        wall = (time.perf_counter() - start) * 1000 if timing else 0.0
+        wall = (time.perf_counter() - start) * 1000
         stats.successes += ok
         statuses = ("aborted",) * code.k if run.aborted else tuple(r.code() for r in run.results)
         stats.rows.append(TrialRow(t, ok, run.total_queries, statuses, wall))

@@ -339,6 +339,13 @@ def test_decoders_over_no_coordinates_are_refused():
         NonAdaptiveDecoder(k=1, n=0, locality=1, views=(views,))
 
 
+def test_non_adaptive_decoders_below_locality_one_are_refused():
+    # refused where it is made, not later inside build_decode_packages' daisy levels
+    views = ExplicitViews(1, ((),), ((0,),), (1,), 1)
+    with pytest.raises(ValueError, match="locality >= 1"):
+        NonAdaptiveDecoder(k=1, n=1, locality=0, views=(views,))
+
+
 def test_adaptive_decode():
     tree = TreeNode(0, 0, TreeNode(1, REJECT, 1))
     dec = AdaptiveDecoder(k=1, n=2, locality=2, trees=(((Fraction(1), tree),),))

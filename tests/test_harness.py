@@ -216,7 +216,7 @@ def test_config_validation(monkeypatch):
 
 def test_global_trials_report_structure():
     code, dec = parse_code_spec("hadamard:m=5")
-    stats = run_global_trials(code, dec, 8, master_seed=21, timing=True)
+    stats = run_global_trials(code, dec, 8, master_seed=21)
     assert len(stats.rows) == 8
     assert stats.rows[0].trial == 0
     assert all(len(r.statuses) == code.k for r in stats.rows)
