@@ -37,7 +37,7 @@ from .global_decoder import (
     run_global_decoder,
     unanimous_assignments,
 )
-from .rng import derive_rng
+from .rng import derive_rng, randbelow_many, sorted_samples
 from .set_system import (
     SetSystem,
     WeightedSetSystem,
@@ -96,15 +96,14 @@ class ClaimReport:
 
 
 def random_set_system(n: int, set_count: int, set_size: int, rng: Random) -> SetSystem:
-    """set_count uniformly random distinct-element sets of exactly set_size."""
-    universe = list(range(n))  # rng.sample draws the same sets, faster than from a range
-    return SetSystem(
-        n, tuple(tuple(sorted(rng.sample(universe, set_size))) for _ in range(set_count))
-    )
+    """set_count uniformly random distinct-element sets of exactly set_size:
+    those of set_count rng.sample calls, drawn in batches."""
+    return SetSystem(n, tuple(sorted_samples(rng, n, set_count, set_size)))
 
 
 def random_masses(count: int, rng: Random) -> tuple[int, ...]:
-    return tuple(rng.randrange(1, 1000) for _ in range(count))
+    """The values of count rng.randrange(1, 1000) calls, leaving rng as they would."""
+    return tuple(value + 1 for value in randbelow_many(rng, 999, count))
 
 
 def random_daisy_instance(
@@ -139,7 +138,8 @@ def random_daisy_instance(
             petal = rng.sample(available, size)
             for e in petal:
                 usage[e] += 1
-            available = [e for e in available if usage[e] < degree_bound]
+                if usage[e] == degree_bound:
+                    available.remove(e)
         inside = rng.sample(kernel, rng.randint(0 if petal else 1, min(2, kernel_size)))
         sets.append(tuple(sorted(petal + inside)))
     if not sets:

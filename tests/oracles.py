@@ -1,16 +1,18 @@
-"""Reference semantics of local decoders for the tests: exact output
+"""Reference semantics for the tests: of local decoders, exact output
 distributions, decoding by one sampled coin, the entry-by-entry view list
 that ExplicitViews's rows replace, and the plain forms of the mask
-computations."""
+computations; of the claim suites, the random instances drawn call by call."""
 
 import functools
 import itertools
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 from rldc.decoders import REJECT, ExplicitViews, LocalView, NonAdaptiveDecoder, ProductViews, UnanimityView, run_tree
 from rldc.exact import integer_masses
 from rldc.preprocessing import RETRIES, ReductionFailedError, ReductionReport
+from rldc.set_system import SetSystem
 
 
 def views_of(n, entries):
@@ -212,3 +214,50 @@ def reduce_by_words(decoder, multiset_size, corpus, tolerance, rng):
         if report.passed:
             return reduced, report
     raise ReductionFailedError(report)
+
+
+def random_set_system(n, set_count, set_size, rng):
+    """set_count sorted rng.sample(range(n), set_size) calls."""
+    universe = list(range(n))
+    return SetSystem(
+        n, tuple(tuple(sorted(rng.sample(universe, set_size))) for _ in range(set_count))
+    )
+
+
+def random_masses(count, rng):
+    """count rng.randrange(1, 1000) calls."""
+    return tuple(rng.randrange(1, 1000) for _ in range(count))
+
+
+def random_daisy_instance(rng):
+    """harness.random_daisy_instance with the available elements rebuilt by a
+    filter after every petal."""
+    n = rng.choice((64, 128, 256, 512, 1024))
+    petal_bound = rng.randint(1, 4)
+    degree_bound = rng.randint(1, 4)
+    kernel_size = rng.randint(1, max(2, n // 16))
+    elements = list(range(n))
+    rng.shuffle(elements)
+    kernel = elements[:kernel_size]
+    outside = elements[kernel_size:]
+
+    usage = Counter()
+    available = list(outside)
+    sets = []
+    target = rng.randint(1, n)
+    while len(sets) < target and available:
+        if rng.random() < 0.05:
+            petal = []
+        else:
+            size = rng.randint(1, petal_bound)
+            if size > len(available):
+                break
+            petal = rng.sample(available, size)
+            for e in petal:
+                usage[e] += 1
+            available = [e for e in available if usage[e] < degree_bound]
+        inside = rng.sample(kernel, rng.randint(0 if petal else 1, min(2, kernel_size)))
+        sets.append(tuple(sorted(petal + inside)))
+    if not sets:
+        sets.append((kernel[0],))
+    return SetSystem(n, tuple(sets)), frozenset(kernel), petal_bound, degree_bound

@@ -27,6 +27,9 @@ from rldc.decoders import parse_code_spec
 from rldc.rng import derive_rng, derive_seed
 from rldc.set_system import verify_daisy
 
+import oracles
+from sample_draws import outcome, same_masses, same_set_system, set_system_cases
+
 
 def test_rng_streams_are_stable_and_distinct():
     assert derive_seed(7, "trial", 0) == derive_seed(7, "trial", 0)
@@ -41,6 +44,20 @@ def test_random_set_system_shape():
     system = random_set_system(32, 32, 3, random.Random(0))
     assert len(system.sets) == 32
     assert all(len(s) == 3 == len(set(s)) for s in system.sets)
+
+
+def test_random_set_system_draws_as_rng_sample():
+    # both sides of both pool bounds, and the errors of sizes 0 and above n
+    assert [case for case in set_system_cases() if not same_set_system(*case)] == []
+
+
+def test_random_masses_draw_as_randrange():
+    assert all(same_masses(count, seed) for seed in range(5) for count in (0, 1, 1344))
+
+
+def test_random_daisy_instance_keeps_the_rebuilt_available_list():
+    for seed in range(40):
+        assert outcome(random_daisy_instance, seed) == outcome(oracles.random_daisy_instance, seed)
 
 
 def test_random_daisy_instance_always_valid():
