@@ -9,11 +9,13 @@ optional --timing flag adds wall-clock times and intentionally breaks that.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import sys
+from dataclasses import asdict, astuple, fields
 
 from .daisy import build_daisy_sequence, extraction_report, pick_heavy_level
 from .decoders import decoder_to_json, parse_code_spec
@@ -22,6 +24,7 @@ from .global_decoder import KERNEL_CAP
 from .harness import (
     CLAIM_IDS,
     WRAPUP_MAX_K,
+    ScalingRow,
     make_in_radius_corpus,
     run_global_trials,
     scaling_study,
@@ -42,27 +45,18 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = True, fmt: str | N
         parser.add_argument("--format", choices=("csv", "json"), default=fmt, dest="fmt")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
-def _emit_json(doc, out: str | None) -> None:
-    """Stream doc to the output; stdout also gets a trailing newline."""
-    if out is None:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        with open(out, "w") as fh:
+def _write(doc, out: str | None) -> None:
+    """Write CSV text as it is, or stream a JSON document, with a final newline on stdout only."""
+    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
+        if isinstance(doc, str):
+            fh.write(doc)
+        else:
             json.dump(doc, fh, indent=2, sort_keys=True)
+            if out is None:
+                fh.write("\n")
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: list) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -70,18 +64,20 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _cmd_extract_daisy(args) -> int:
+def _cmd_extract_daisy(args) -> tuple[int, dict]:
     with open(args.infile) as fh:
-        weighted = system_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"set-system JSON in {args.infile!r} is nested too deeply") from None
+    weighted = system_from_json(doc)
     scale = parse_fraction(args.scale) if args.scale is not None else None
     levels = build_daisy_sequence(weighted.system, args.ell, scale)
-    heavy = pick_heavy_level(levels, weighted)
-    report = extraction_report(weighted.system, levels, heavy)
-    _emit_json(report, args.out)
-    return 0 if report["verification"]["ok"] else 1
+    report = extraction_report(weighted.system, levels, pick_heavy_level(levels, weighted))
+    return (0 if report["verification"]["ok"] else 1), report
 
 
-def _cmd_preprocess(args) -> int:
+def _cmd_preprocess(args) -> tuple[int, dict]:
     code, decoder = parse_code_spec(args.code)
     rng = derive_rng(args.seed, "preprocess")
     corpus = make_in_radius_corpus(code, args.corpus_size, rng)
@@ -93,135 +89,59 @@ def _cmd_preprocess(args) -> int:
             literal_epsilon=args.epsilon_mode == "original",
         )
     except ReductionFailedError as failure:
-        _emit_json({"report": failure.report.to_json(), "decoder": None}, args.out)
-        return 1
-    doc = {
-        "report": report.to_json(),
-        "coin_bits": randomness_complexity(reduced),
-        "decoder": decoder_to_json(reduced),
-    }
-    _emit_json(doc, args.out)
-    return 0
+        return 1, {"report": failure.report.to_json(), "decoder": None}
+    return 0, {"report": report.to_json(), "coin_bits": randomness_complexity(reduced), "decoder": decoder_to_json(reduced)}
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[int, str | dict]:
     code, decoder = parse_code_spec(args.code)
     stats = run_global_trials(
-        code,
-        decoder,
-        args.trials,
-        args.seed,
-        kernel_cap=args.kmax,
-        p=args.p,
-        query_budget=args.budget,
-        strict=args.strict,
-        audit=not args.no_audit,
+        code, decoder, args.trials, args.seed, kernel_cap=args.kmax, p=args.p, query_budget=args.budget,
+        strict=args.strict, audit=not args.no_audit,
     )
+    status = 1 if stats.wrong_bits + stats.completeness_violations + stats.soundness_violations else 0
+    header = ["trial", "success", "queries", "per_index", "wall_time_ms"][: 4 + args.timing]  # wall_time_ms with --timing only
     if args.fmt == "csv":
-        header = ["trial", "success", "queries", "per_index"]
-        if args.timing:
-            header.append("wall_time_ms")
-        rows = []
-        for row in stats.rows:
-            record = [row.trial, int(row.success), row.queries, ";".join(row.statuses)]
-            if args.timing:
-                record.append(f"{row.wall_ms:.3f}")
-            rows.append(record)
-        _emit(_csv_text(header, rows), args.out)
-    else:
-        _emit_json(
-            {
-                "code": stats.code_name,
-                "trials": stats.trials,
-                "seed": stats.seed,
-                "success_rate": stats.success_rate,
-                "mean_queries": stats.mean_queries,
-                "max_queries": stats.max_queries,
-                "wrong_bits": stats.wrong_bits,
-                "completeness_violations": stats.completeness_violations,
-                "soundness_violations": stats.soundness_violations,
-                "rows": [
-                    {
-                        "trial": r.trial,
-                        "success": r.success,
-                        "queries": r.queries,
-                        "per_index": list(r.statuses),
-                        **({"wall_time_ms": round(r.wall_ms, 3)} if args.timing else {}),
-                    }
-                    for r in stats.rows
-                ],
-            },
-            args.out,
-        )
-    bad = stats.wrong_bits + stats.completeness_violations + stats.soundness_violations
-    return 1 if bad else 0
+        rows = [(r.trial, int(r.success), r.queries, ";".join(r.statuses), f"{r.wall_ms:.3f}") for r in stats.rows]
+        return status, _csv_text(header, [row[: len(header)] for row in rows])
+    rows = [(r.trial, r.success, r.queries, list(r.statuses), round(r.wall_ms, 3)) for r in stats.rows]
+    return status, {
+        "code": stats.code_name, "trials": stats.trials, "seed": stats.seed, "success_rate": stats.success_rate,
+        "mean_queries": stats.mean_queries, "max_queries": stats.max_queries, "wrong_bits": stats.wrong_bits,
+        "completeness_violations": stats.completeness_violations, "soundness_violations": stats.soundness_violations,
+        "rows": [dict(zip(header, row)) for row in rows],
+    }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str | list]:
     reports = verify_claims(
         claims=args.claims, seed=args.seed, instances=args.instances, daisies=args.daisies,
         trials=args.trials, wrapup_max=args.wrapup_max,
     )
+    status = 1 if any(r.violations for r in reports) else 0
     if args.fmt == "json":
-        _emit_json([r.to_json() for r in reports], args.out)
-    else:
-        rows = [
-            [r.claim, r.instances, r.violations,
-             "" if r.worst_margin is None else repr(r.worst_margin)]
-            for r in reports
-        ]
-        _emit(_csv_text(["claim", "instances", "violations", "worst_margin"], rows), args.out)
-    return 1 if any(r.violations for r in reports) else 0
+        return status, [r.to_json() for r in reports]
+    rows = [[r.claim, r.instances, r.violations, r.worst_margin] for r in reports]  # None writes as ""
+    return status, _csv_text(["claim", "instances", "violations", "worst_margin"], rows)
 
 
-def _cmd_scaling(args) -> int:
+def _cmd_scaling(args) -> tuple[int, str | dict]:
     sizes = [int(s) for s in args.sizes.split(",")]
     result = scaling_study(args.family, sizes, args.trials, args.seed, p=args.p)
-    if args.fmt == "csv":
-        rows = [
-            [row.n, row.trials, repr(row.success_rate), repr(row.mean_queries), row.max_queries]
-            for row in result.rows
-        ]
-        text = _csv_text(
-            ["n", "trials", "success_rate", "mean_queries", "max_queries"], rows
-        )
-        if result.exponent is not None:
-            text += f"# fitted_exponent,{result.exponent!r}\n"
-        for n, reason in result.skipped:
-            text += f"# skipped,{n},{reason}\n"
-        _emit(text, args.out)
-    else:
-        _emit_json(
-            {
-                "family": result.family,
-                "rows": [
-                    {
-                        "n": row.n,
-                        "trials": row.trials,
-                        "success_rate": row.success_rate,
-                        "mean_queries": row.mean_queries,
-                        "max_queries": row.max_queries,
-                    }
-                    for row in result.rows
-                ],
-                "fitted_exponent": result.exponent,
-                "residuals": list(result.residuals),
-                "skipped": [{"n": n, "reason": reason} for n, reason in result.skipped],
-            },
-            args.out,
-        )
-    return 0
+    if args.fmt == "json":
+        return 0, {
+            "family": result.family, "rows": [asdict(row) for row in result.rows], "fitted_exponent": result.exponent,
+            "residuals": list(result.residuals), "skipped": [{"n": n, "reason": reason} for n, reason in result.skipped],
+        }
+    text = _csv_text([f.name for f in fields(ScalingRow)], [astuple(row) for row in result.rows])  # floats write as repr
+    if result.exponent is not None:
+        text += f"# fitted_exponent,{result.exponent!r}\n"
+    return 0, text + "".join(f"# skipped,{n},{reason}\n" for n, reason in result.skipped)
 
 
-def _cmd_wrapup(args) -> int:
-    violations = 0
-    docs = []
-    for k in range(1, args.k + 1):
-        report = wrapup_sanity(k)
-        violations += report.violations
-        docs.append(report.to_json() | {"k": k})
-    _emit_json(docs, args.out)
-    return 1 if violations else 0
+def _cmd_wrapup(args) -> tuple[int, list]:
+    reports = [wrapup_sanity(k) for k in range(1, args.k + 1)]
+    return (1 if any(r.violations for r in reports) else 0), [r.to_json() | {"k": k} for k, r in enumerate(reports, 1)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +227,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"{flag} must be >= {low}, got {value}")
             if value is not None and high is not None and value > high:
                 raise ValueError(f"{flag} must be <= {high}, got {value}")
-        status = args.func(args)
+        status, doc = args.func(args)
+        _write(doc, args.out)
         sys.stdout.flush()
         return status
     except BrokenPipeError:  # the reader closed stdout; silence the final flush

@@ -27,7 +27,7 @@ from itertools import chain, compress, repeat
 from operator import add, ge, le, lt, not_
 
 from .decoders import ExplicitViews
-from .exact import PowerBound, floor_power_bound
+from .exact import PowerBound, floor_power_bound, format_fraction
 from .set_system import (
     ContractError,
     SetSystem,
@@ -73,7 +73,7 @@ class HeavyDaisy:
             "kernel": sorted(self.kernel),
             "petal_bound": self.petal_bound,
             "degree_bound": self.degree_bound.to_json(),
-            "density": f"{self.density.numerator}/{self.density.denominator}",
+            "density": format_fraction(self.density),
         }
 
 

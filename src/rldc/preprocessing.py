@@ -36,7 +36,7 @@ from .decoders import (
     table_masks,
     tree_coords,
 )
-from .exact import integer_masses
+from .exact import format_fraction, integer_masses
 
 RETRIES = 3  # resampling attempts after the first, before reduction fails
 
@@ -128,10 +128,10 @@ class ReductionReport:
         return {
             "multiset_size": self.multiset_size,
             "validation_corpus_size": self.validation_corpus_size,
-            "max_wrong_rate": f"{self.max_wrong_rate.numerator}/{self.max_wrong_rate.denominator}",
+            "max_wrong_rate": format_fraction(self.max_wrong_rate),
             "passed": self.passed,
             "attempts": self.attempts,
-            "entry_rates": [f"{r.numerator}/{r.denominator}" for r in self.entry_rates],
+            "entry_rates": [format_fraction(r) for r in self.entry_rates],
         }
 
 

@@ -65,11 +65,8 @@ class SetSystem:
         for idx, members in enumerate(sets):  # name the first bad set
             if len(members) == 0:
                 raise ValueError(f"set {idx} is empty")
-            prev = -1
-            for e in members:
-                if e <= prev:
-                    raise ValueError(f"set {idx} is not strictly sorted: {members}")
-                prev = e
+            if not all(map(lt, members, members[1:])):
+                raise ValueError(f"set {idx} is not strictly sorted: {members}")
             if members[0] < 0 or members[-1] >= n:
                 raise ValueError(f"set {idx} has elements outside [0, {n})")
 

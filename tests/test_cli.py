@@ -483,6 +483,26 @@ def test_empty_rational_is_usage_error(argv, star_json, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 2000 + "]" * 2000, "set-system JSON in {path!r} is nested too deeply"),
+        ('{"n": 4, "sets": [[-3, 1]]}', "set 0 has elements outside [0, 4)"),
+    ],
+    ids=["deep", "negative"],
+)
+def test_deep_or_negative_input_is_one_error_line(text, message, tmp_path, capsys):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["extract-daisy", "--in", path, "--ell", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"rldc: error: {message.format(path=path)}\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: every argument vector ends in exit 0, 1 or 2, never a traceback
 
@@ -499,6 +519,7 @@ FUZZ_FILES = {
     "nested": '{"n": 4, "sets": [[[0]]]}',
     "negweights": '{"n": 4, "sets": [[0], [1]], "weights": ["-1/2", "3/2"]}',
     "text": "not json",
+    "deep": "[" * 2000 + "]" * 2000,
 }
 CODES = (
     "hadamard:m=2", "hadamard:m=4", "identity:k=3", "repetition:k=2,r=3",
@@ -604,6 +625,7 @@ def fuzz_paths(tmp_path_factory):
 @example(argv=["extract-daisy", "--in", "{star}", "--ell", "2", "--c", "1e999"])
 @example(argv=["extract-daisy", "--in", "{huge}", "--ell", "1"])
 @example(argv=["extract-daisy", "--in", "{huge}", "--ell", "2"])
+@example(argv=["extract-daisy", "--in", "{deep}", "--ell", "2"])
 def test_cli_fuzz_exits_with_a_documented_code(argv, fuzz_paths):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

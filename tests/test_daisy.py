@@ -275,3 +275,22 @@ def test_levels_match_per_set_counting(case):
             assert list(petal_degrees(system, lvl.members, kernel).items()) == list(
                 per_element_petal_degrees(system, lvl.members, kernel).items()
             )
+
+
+@st.composite
+def repeated_set_systems(draw):
+    """Up to 60 sets of at most ell elements over [n], n <= 40, drawn from a
+    pool of at most 8 sets, so repeats pile degree onto a few elements."""
+    n = draw(st.integers(1, 40))
+    ell = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(ell, n)), min_size=1, max_size=8))
+    sets = draw(st.lists(st.sampled_from([tuple(sorted(s)) for s in pool]), min_size=1, max_size=60))
+    return SetSystem(n, tuple(sets)), ell
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_set_systems())
+def test_audit_finds_nothing_at_the_default_scale(case):
+    system, ell = case
+    levels = build_daisy_sequence(system, ell)  # default_extraction_scale
+    assert audit_daisy_levels(system, ell, levels) == {"partition": [], "coresub": [], "external": []}

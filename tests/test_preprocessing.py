@@ -114,6 +114,44 @@ def test_flatten_equivalence_exhaustive():
                 assert frozenset(view.coords) == tree_coords(tree)
 
 
+@st.composite
+def adaptive_decoders(draw):
+    """One or two indices over n <= 8, each drawing among up to four random
+    decision trees of depth <= 3 with positive rational weights."""
+    n = draw(st.integers(1, 8))
+
+    def tree(depth, used):
+        free = [c for c in range(n) if c not in used]
+        if depth == 0 or not free or draw(st.integers(0, 3)) == 0:
+            return draw(st.sampled_from((0, 1, REJECT)))
+        coord = draw(st.sampled_from(free))
+        return TreeNode(coord, tree(depth - 1, used | {coord}), tree(depth - 1, used | {coord}))
+
+    trees = []
+    for _ in range(draw(st.integers(1, 2))):
+        masses = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+        trees.append(tuple((Fraction(m, sum(masses)), tree(3, frozenset())) for m in masses))
+    return AdaptiveDecoder(k=len(trees), n=n, locality=3, trees=tuple(trees))
+
+
+def walk(node, w):
+    """A decision tree's output on w, walked here rather than by run_tree."""
+    while isinstance(node, TreeNode):
+        node = node.if_one if w[node.coord] else node.if_zero
+    return node
+
+
+@settings(max_examples=150, deadline=None)
+@given(adaptive_decoders())
+def test_flattened_views_match_the_trees_on_every_word(dec):
+    flat = flatten_adaptive(dec)
+    for dist, views in zip(dec.trees, flat.views, strict=True):
+        views = list(views)
+        assert [wt for wt, _ in views] == [wt for wt, _ in dist]
+        for w in itertools.product((0, 1), repeat=dec.n):
+            assert [view.read_and_evaluate(w) for _, view in views] == [walk(tree, w) for _, tree in dist]
+
+
 # ---------------------------------------------------------------------------
 # amplify
 

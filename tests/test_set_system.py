@@ -84,6 +84,8 @@ def test_set_validation():
         SetSystem(2, ((0, 2),))  # out of range
     with pytest.raises(ValueError):
         SetSystem(2, ((1, 0),))  # unsorted
+    with pytest.raises(ValueError, match=r"^set 0 has elements outside \[0, 4\)$"):
+        SetSystem(4, ((-3, 1),))  # sorted, with a negative element
     with pytest.raises(ValueError):
         SetSystem(0, ())
 
