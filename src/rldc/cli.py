@@ -72,8 +72,8 @@ def _cmd_extract_daisy(args) -> tuple[int, dict]:
             raise ValueError(f"set-system JSON in {args.infile!r} is nested too deeply") from None
     weighted = system_from_json(doc)
     scale = parse_fraction(args.scale) if args.scale is not None else None
-    levels = build_daisy_sequence(weighted.system, args.ell, scale)
-    report = extraction_report(weighted.system, levels, pick_heavy_level(levels, weighted))
+    levels = build_daisy_sequence(weighted, args.ell, scale)
+    report = extraction_report(weighted, levels, pick_heavy_level(levels, weighted.masses))
     return (0 if report["verification"]["ok"] else 1), report
 
 

@@ -25,16 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import add, ge, le, lt, not_
+from typing import Sequence
 
-from .decoders import ExplicitViews
 from .exact import PowerBound, floor_power_bound, format_fraction
-from .set_system import (
-    ContractError,
-    SetSystem,
-    WeightedSetSystem,
-    covered_elements,
-    verify_daisy,
-)
+from .set_system import ContractError, SetSystem, covered_elements, verify_daisy
 
 
 @dataclass(frozen=True)
@@ -93,12 +87,12 @@ def default_extraction_scale(support_size: int, n: int, ell: int) -> PowerBound:
 
 
 def build_daisy_sequence(
-    system: SetSystem | ExplicitViews, ell: int, c: PowerBound | Fraction | None = None
+    system: SetSystem, ell: int, c: PowerBound | Fraction | None = None
 ) -> tuple[DaisyLevel, ...]:
     """Run the level construction on a system whose sets have size <= ell.
 
-    It reads `universe_size` and `sets` alone: a SetSystem or a decoder
-    index's ExplicitViews, whose empty sets join level 1.  Residual
+    The system may be a decoder index's view list (decoders.ExplicitViews),
+    read in place; its empty sets join level 1.  Residual
     collection T_1 is the whole system; at level i the kernel is
     K_i = {j : deg over T_i of j > c * n**(i/ell)}, the members are the
     residual sets with at most i elements outside K_i, and T_{i+1} drops
@@ -106,8 +100,6 @@ def build_daisy_sequence(
     scale c is read as PowerBound(c, n, 0), and None as default_extraction_scale.
     """
     n = system.universe_size
-    if n < 1:
-        raise ValueError(f"universe size must be positive, got {n}")
     if ell < 1:
         raise ValueError(f"level count must be >= 1, got {ell}")
     if c is None:
@@ -160,21 +152,21 @@ def partition_check(levels: tuple[DaisyLevel, ...], size: int) -> tuple[bool, in
     return len(listed) == size and set(listed) == set(range(size)), len(listed)
 
 
-def pick_heavy_level(levels: tuple[DaisyLevel, ...], weighted: WeightedSetSystem | ExplicitViews) -> HeavyDaisy:
+def pick_heavy_level(levels: tuple[DaisyLevel, ...], masses: Sequence[int]) -> HeavyDaisy:
     """Select the smallest level with weight >= 1/l; it exists by pigeonhole.
 
-    It reads `masses` and `total` alone: a WeightedSetSystem or a decoder
-    index's ExplicitViews.  The levels must come from build_daisy_sequence
-    over the same sets (checked: the member lists partition the masses).
+    Set j weighs masses[j] / sum(masses): the masses of a WeightedSetSystem
+    or of a decoder index's view list, or any positive integers.  The levels
+    must come from build_daisy_sequence over the same sets (checked: the
+    member lists partition the masses).
     """
     if not levels:
         raise ContractError("empty level sequence")
     ell = len(levels)
-    if not partition_check(levels, len(weighted.masses))[0]:
+    if not partition_check(levels, len(masses))[0]:
         raise ContractError("levels do not partition the weighted system's support")
 
-    masses = weighted.masses
-    total = weighted.total
+    total = sum(masses)
     for level in levels:
         mass = sum(map(masses.__getitem__, level.members))
         if ell * mass >= total:

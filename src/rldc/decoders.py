@@ -7,8 +7,9 @@ and must be exact on valid codewords.
 Non-adaptive decoders are stored per message index as rows (ExplicitViews)
 over the universe [0, n): a sorted coordinate tuple and a truth table per view
 (rows of one shape share the table object), and integer masses over one
-common total.  The list is the index's weighted set system: daisy extraction
-reads it in place, and every row and mass is checked once, when the list is
+common total.  The list is the index's weighted set system, a
+set_system.WeightedSetSystem with a table per row, which daisy extraction
+reads in place; WeightedSetSystem checks its rows and masses once, when it is
 made.  LocalView objects are made only when a list is iterated.  Weights stay
 exact: the sum-to-1 and positivity checks are integer sums, and draws pick
 row numbers by the masses over their least common denominator, so a seeded
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, chain, compress, cycle, repeat
 from operator import itemgetter
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import format_fraction, integer_masses
 from .rng import randbelow_many
-from .set_system import rows_increasing
+from .set_system import WeightedSetSystem
 
 Symbol = int | None  # 0, 1, or REJECT
 REJECT = None
@@ -256,45 +257,36 @@ def table_masks(table, literals: Sequence[int], full: int) -> tuple[int, int]:
     return masks[1], masks[0]
 
 
-class ExplicitViews:
-    """One message index's weighted view list as rows over [0, universe_size):
-    its weighted set system, which daisy extraction reads in place.
+@dataclass(frozen=True, slots=True)
+class ExplicitViews(WeightedSetSystem):
+    """One message index's weighted view list: its weighted set system over
+    [0, universe_size), which daisy extraction reads in place, with a truth
+    table per row.
 
     sets[j] holds view j's coordinates (strictly increasing, possibly none),
-    tables[j] its truth table (rows of one shape share the object) and
-    masses[j] / total its weight.  Every row is checked once, a column at a
-    time; a bad row raises the error its LocalView would.  Iterating yields
-    (weight, LocalView), making the views once per list; draw picks rows.
+    masses[j] / total its weight and tables[j] its truth table (rows of one
+    shape share the object).  Beside the checks of a WeightedSetSystem, the
+    list checks that it is not empty and that each table covers its row.
+    Iterating yields (weight, LocalView), making the views once per list;
+    draw picks rows.
     """
 
-    __slots__ = ("universe_size", "sets", "tables", "masses", "total", "_views", "_draw")
+    tables: tuple
+    _views: "tuple[LocalView, ...] | None" = field(default=None, init=False, compare=False, repr=False)
+    _draw: "tuple[tuple[int, ...], int] | None" = field(default=None, init=False, compare=False, repr=False)
 
-    def __init__(self, universe_size: int, sets: tuple[tuple[int, ...], ...], tables: tuple, masses: tuple, total: int):
-        if not sets:
+    def __post_init__(self) -> None:
+        if not self.sets:
             raise ValueError("a decoder index needs at least one view")
-        if not len(sets) == len(tables) == len(masses):
-            raise ValueError("one table and one mass per row required")
-        shapes = set(zip(map(len, sets), map(len, tables)))
-        if any(size != 1 << width for width, size in shapes) or not rows_increasing(sets):
-            for coords, table in zip(sets, tables):
-                LocalView(coords, table)  # raises the first bad row's error
-        queried = tuple(filter(None, sets))
-        if queried and (min(map(itemgetter(0), queried)) < 0 or max(map(itemgetter(-1), queried)) >= universe_size):
-            raise ValueError(f"view coords outside [0, {universe_size})")
-        if sum(masses) != total:
-            raise ValueError(f"view weights must sum to 1, got {Fraction(sum(masses), total)}")
-        if min(masses) <= 0:
-            raise ValueError("view weights must be positive")
-        self.universe_size, self.sets, self.tables = universe_size, sets, tables
-        self.masses, self.total = masses, total
-        self._views = self._draw = None
-
-    def __len__(self) -> int:
-        return len(self.sets)
+        WeightedSetSystem.__post_init__(self)
+        if len(self.tables) != len(self.sets):
+            raise ValueError("one table per set required")
+        if any(size != 1 << width for width, size in set(zip(map(len, self.sets), map(len, self.tables)))):
+            raise ValueError("table must cover all assignments of the query set")
 
     def __iter__(self) -> Iterator[tuple[Fraction, LocalView]]:
         if self._views is None:
-            self._views = tuple(map(LocalView, self.sets, self.tables))
+            object.__setattr__(self, "_views", tuple(map(LocalView, self.sets, self.tables)))
         return zip(map(Fraction, self.masses, repeat(self.total)), self._views)
 
     def draw(self, rng: Random, count: int) -> list[int]:
@@ -303,7 +295,7 @@ class ExplicitViews:
         uniform masses the value is the row number."""
         if self._draw is None:  # the cumulative masses over the masses' lcd, and that denominator
             unit = math.gcd(self.total, *self.masses)
-            self._draw = tuple(accumulate(m // unit for m in self.masses)), self.total // unit
+            object.__setattr__(self, "_draw", (tuple(accumulate(m // unit for m in self.masses)), self.total // unit))
         cum, span = self._draw
         values = randbelow_many(rng, span, count)
         return values if span == len(cum) else list(map(bisect_right, repeat(cum), values))
@@ -425,7 +417,7 @@ def repetition_code(k: int, r: int) -> tuple[Code, NonAdaptiveDecoder]:
     )
     tables, masses = (_READ_BIT,) * r, (1,) * r
     views = tuple(
-        ExplicitViews(n, tuple(zip(range(i * r, (i + 1) * r))), tables, masses, r) for i in range(k)
+        ExplicitViews(n, tuple(zip(range(i * r, (i + 1) * r))), masses, r, tables) for i in range(k)
     )
     return code, NonAdaptiveDecoder(k=k, n=n, locality=1, views=views)
 
@@ -474,7 +466,7 @@ def hadamard_code(m: int) -> tuple[Code, NonAdaptiveDecoder]:
     for i in range(m):
         clear = (1,) * (1 << i) + (0,) * (1 << i)
         rows = tuple(zip(compress(coords, cycle(clear)), compress(coords, cycle(clear[::-1]))))
-        views.append(ExplicitViews(n, rows, tables, masses, half))
+        views.append(ExplicitViews(n, rows, masses, half, tables))
     return code, NonAdaptiveDecoder(k=m, n=n, locality=2, views=tuple(views))
 
 
@@ -515,7 +507,7 @@ def shared_pivot_code(kappa: int, r: int, k: int) -> tuple[Code, NonAdaptiveDeco
     tables, masses = (table,) * r, (1,) * r
     views = tuple(
         ExplicitViews(
-            n, tuple(map(pivot.__add__, zip(range(kappa + i * r, kappa + (i + 1) * r)))), tables, masses, r
+            n, tuple(map(pivot.__add__, zip(range(kappa + i * r, kappa + (i + 1) * r)))), masses, r, tables
         )
         for i in range(k)
     )

@@ -226,7 +226,7 @@ def build_index_package(decoder: NonAdaptiveDecoder, i: int) -> IndexDecodePacka
     views = decoder.views[i]
     if not isinstance(views, ExplicitViews):
         raise TypeError("only explicit view lists compile to packages; reduce the coin space first")
-    heavy = pick_heavy_level(build_daisy_sequence(views, decoder.locality), views)
+    heavy = pick_heavy_level(build_daisy_sequence(views, decoder.locality), views.masses)
     return IndexDecodePackage.of(i, heavy, views)
 
 

@@ -38,13 +38,7 @@ from .global_decoder import (
     unanimous_assignments,
 )
 from .rng import derive_rng, randbelow_many, sorted_samples
-from .set_system import (
-    SetSystem,
-    WeightedSetSystem,
-    covered_elements,
-    petal_degrees,
-    verify_daisy,
-)
+from .set_system import SetSystem, covered_elements, petal_degrees, verify_daisy
 
 CLAIM_IDS = (
     "coresub",
@@ -237,8 +231,7 @@ def run_daisy_claim_suite(
             if found["partition"]:
                 continue
 
-            weighted = WeightedSetSystem.from_masses(system, random_masses(len(system), rng))
-            heavy = pick_heavy_level(levels, weighted)
+            heavy = pick_heavy_level(levels, random_masses(len(system), rng))
             reports["pigeonhole"].instances += 1
             if heavy.density * ell < 1:
                 reports["pigeonhole"].record(labels + ("pigeonhole",))

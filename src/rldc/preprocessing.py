@@ -68,7 +68,7 @@ def flatten_adaptive(decoder: AdaptiveDecoder) -> NonAdaptiveDecoder:
             rows.append(coords)
             tables.append(tuple(table))
         masses, common = integer_masses([weight for weight, _ in dist])
-        views.append(ExplicitViews(decoder.n, tuple(rows), tuple(tables), tuple(masses), common))
+        views.append(ExplicitViews(decoder.n, tuple(rows), tuple(masses), common, tuple(tables)))
     locality = max([1] + [view_set.max_view_size() for view_set in views])
     return NonAdaptiveDecoder(
         k=decoder.k, n=decoder.n, locality=locality, views=tuple(views)
@@ -213,7 +213,8 @@ def reduce_randomness(
                 while wrong:
                     counts[(wrong & -wrong).bit_length() - 1] += 1
                     wrong &= wrong - 1
-            views.append(ExplicitViews(decoder.n, *zip(*rows), (1,) * multiset_size, multiset_size))
+            sets, row_tables = zip(*rows)
+            views.append(ExplicitViews(decoder.n, sets, (1,) * multiset_size, multiset_size, row_tables))
             worst = list(map(max, worst, counts))
         entry_rates = tuple(Fraction(count, multiset_size) for count in worst)
         max_wrong_rate = max(entry_rates, default=Fraction(0))

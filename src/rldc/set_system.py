@@ -5,11 +5,15 @@ degree_cap t): every petal (set minus K) has at most s elements and every
 element outside K lies in at most t petals; t = 1 is a "simple daisy".  The
 cap t is an integer, as degrees are: "degree > c * n**(i/l)" is exactly
 "degree > floor(c * n**(i/l))".  These systems model the query distributions
-of non-adaptive local decoders (a decoder index's decoders.ExplicitViews has
-the same universe_size, sets, masses and total), so:
+of non-adaptive local decoders: a decoder index's view list
+(decoders.ExplicitViews) is a WeightedSetSystem with a truth table per set.
+SetSystem checks the sets and WeightedSetSystem the weights, once, when a
+system is made.  So:
 
 - set identity is positional (index into the stored list) and duplicates are
   allowed with multiplicity, giving multiset semantics;
+- a set may be empty (a view that queries nothing), but not in the input
+  that system_from_json reads;
 - weights are exact rationals kept internally as integer masses over their
   least common denominator (exact.integer_masses), so weight sums, the
   sum-to-1 and positivity checks and the 1/l pigeonhole bound are integer
@@ -45,29 +49,30 @@ def rows_increasing(rows: Sequence[tuple[int, ...]]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetSystem:
-    """An ordered collection of nonempty subsets of [0, universe_size)."""
+    """An ordered collection of subsets of [0, universe_size), each a strictly
+    increasing tuple; a set may be empty (a view that queries nothing)."""
 
     universe_size: int
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = self.universe_size
+        n, sets = self.universe_size, self.sets
         if n < 1:
             raise ValueError(f"universe size must be positive, got {n}")
-        sets = self.sets
-        if not sets or (
-            all(sets) and rows_increasing(sets)
-            and min(map(itemgetter(0), sets)) >= 0 and max(map(itemgetter(-1), sets)) < n
+        queried = sets if all(sets) else tuple(filter(None, sets))
+        if not queried or (
+            rows_increasing(queried)
+            and min(map(itemgetter(0), queried)) >= 0 and max(map(itemgetter(-1), queried)) < n
         ):
             return
         for idx, members in enumerate(sets):  # name the first bad set
-            if len(members) == 0:
-                raise ValueError(f"set {idx} is empty")
-            if not all(map(lt, members, members[1:])):
-                raise ValueError(f"set {idx} is not strictly sorted: {members}")
-            if members[0] < 0 or members[-1] >= n:
+            for a, b in zip(members, members[1:]):
+                if a >= b:
+                    detail = f"repeats element {a}" if a == b else f"is not strictly sorted: {members}"
+                    raise ValueError(f"set {idx} {detail}")
+            if members and (members[0] < 0 or members[-1] >= n):
                 raise ValueError(f"set {idx} has elements outside [0, {n})")
 
     def __len__(self) -> int:
@@ -81,43 +86,37 @@ class SetSystem:
         return out
 
 
-@dataclass(frozen=True)
-class WeightedSetSystem:
+@dataclass(frozen=True, slots=True)
+class WeightedSetSystem(SetSystem):
     """A SetSystem plus one positive rational weight per set, summing to 1.
 
-    Weights are stored as integer masses with a shared total so that weight
-    sums reduce to integer sums.
+    Weights are stored as integer masses with a shared total (masses[j] /
+    total is set j's weight), so weight sums reduce to integer sums.
     """
 
-    system: SetSystem
     masses: tuple[int, ...]
     total: int
 
     def __post_init__(self) -> None:
-        if len(self.masses) != len(self.system.sets):
+        SetSystem.__post_init__(self)  # by name: a slotted dataclass has no zero-argument super()
+        if len(self.masses) != len(self.sets):
             raise ValueError("one weight per set required")
-        if self.masses and min(self.masses) <= 0:
-            raise ValueError("weights must be positive")
         if sum(self.masses) != self.total:
             raise ValueError("weights must sum to exactly 1")
-
-    @classmethod
-    def from_masses(cls, system: SetSystem, masses: Sequence[int]) -> "WeightedSetSystem":
-        return cls(system, tuple(masses), sum(masses))
+        if self.masses and min(self.masses) <= 0:
+            raise ValueError("weights must be positive")
 
     @classmethod
     def from_weights(cls, system: SetSystem, weights: Sequence[Fraction]) -> "WeightedSetSystem":
         masses, common = integer_masses([Fraction(w) for w in weights])
-        if sum(masses) != common:
-            raise ValueError("weights must sum to exactly 1")
-        return cls(system, tuple(masses), common)
+        return cls(system.universe_size, system.sets, tuple(masses), common)
 
     @classmethod
     def uniform(cls, system: SetSystem) -> "WeightedSetSystem":
         count = len(system.sets)
         if count == 0:
             raise ValueError("cannot weight an empty collection")
-        return cls(system, (1,) * count, count)
+        return cls(system.universe_size, system.sets, (1,) * count, count)
 
 
 @dataclass(frozen=True)
@@ -205,6 +204,8 @@ def system_from_json(doc: dict) -> WeightedSetSystem:
             tuple(sorted(_expect(e, int) for e in _expect(s, list))) for s in _expect(v, list)
         )),
     )
+    if () in system.sets:  # a view list may hold an empty row, an input system may not
+        raise ValueError(f"set {system.sets.index(())} is empty")
     if "weights" in doc:
         weights = read("weights", lambda v: [
             parse_fraction(w if type(w) is str else _expect(w, int)) for w in _expect(v, list)

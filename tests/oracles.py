@@ -19,7 +19,7 @@ def views_of(n, entries):
     """ExplicitViews over [0, n) holding (weight, LocalView) entries as rows."""
     masses, common = integer_masses([weight for weight, _ in entries])
     rows = tuple(view.coords for _, view in entries)
-    return ExplicitViews(n, rows, tuple(view.table for _, view in entries), tuple(masses), common)
+    return ExplicitViews(n, rows, tuple(masses), common, tuple(view.table for _, view in entries))
 
 
 def mass_table(weights):
@@ -36,21 +36,27 @@ def draw(table, rng):
 
 class EntryViews:
     """A view list over [0, n) kept entry by entry: one (weight, LocalView)
-    pair per view, checked pair by pair and sampled through mass_table."""
+    pair per raw (weight, coords, table) entry, checked entry by entry with
+    the texts of ExplicitViews and sampled through mass_table."""
 
-    def __init__(self, n, entries):
-        if not entries:
+    def __init__(self, n, raw):
+        if not raw:
             raise ValueError("a decoder index needs at least one view")
-        for _, view in entries:
-            if view.coords and (view.coords[0] < 0 or view.coords[-1] >= n):
-                raise ValueError(f"view coords outside [0, {n})")
-        masses, common = integer_masses([wt for wt, _ in entries])
-        total = sum(masses)
-        if total != common:
-            raise ValueError(f"view weights must sum to 1, got {Fraction(total, common)}")
+        for j, (_, coords, _) in enumerate(raw):
+            for a, b in zip(coords, coords[1:]):
+                if a == b:
+                    raise ValueError(f"set {j} repeats element {a}")
+                if a > b:
+                    raise ValueError(f"set {j} is not strictly sorted: {coords}")
+            if coords and (coords[0] < 0 or coords[-1] >= n):
+                raise ValueError(f"set {j} has elements outside [0, {n})")
+        masses, common = integer_masses([wt for wt, _, _ in raw])
+        if sum(masses) != common:
+            raise ValueError("weights must sum to exactly 1")
         if any(m <= 0 for m in masses):
-            raise ValueError("view weights must be positive")
-        self.n, self.entries = n, tuple(entries)
+            raise ValueError("weights must be positive")
+        self.n = n
+        self.entries = tuple((wt, LocalView(coords, table)) for wt, coords, table in raw)  # checks each table
 
     def __len__(self):
         return len(self.entries)
@@ -82,8 +88,8 @@ def sample_view(view_set, rng):
 
 @functools.lru_cache(maxsize=64)
 def _entries(view_set):
-    """A view list's entries and their mass table; the cache keeps the list
-    alive, so its key is never another list's."""
+    """A view list's entries and their mass table, cached by the list's
+    value: equal lists have equal entries."""
     entries = list(view_set)
     return entries, mass_table([wt for wt, _ in entries])
 

@@ -80,14 +80,13 @@ PINS = (
 )
 
 
-def system_to_json(obj: SetSystem | WeightedSetSystem) -> dict:
+def system_to_json(obj: SetSystem) -> dict:
     """The JSON form that system_from_json reads: {"n":..., "sets":[[...]...],
     "weights":["a/b",...]}, with no weights field for a bare SetSystem."""
+    doc = {"n": obj.universe_size, "sets": [list(s) for s in obj.sets]}
     if isinstance(obj, WeightedSetSystem):
-        doc = system_to_json(obj.system)
         doc["weights"] = [format_fraction(Fraction(m, obj.total)) for m in obj.masses]
-        return doc
-    return {"n": obj.universe_size, "sets": [list(s) for s in obj.sets]}
+    return doc
 
 
 def write_pin_input(directory: str) -> str:

@@ -488,8 +488,10 @@ def test_empty_rational_is_usage_error(argv, star_json, capsys):
     [
         ("[" * 2000 + "]" * 2000, "set-system JSON in {path!r} is nested too deeply"),
         ('{"n": 4, "sets": [[-3, 1]]}', "set 0 has elements outside [0, 4)"),
+        ('{"n": 4, "sets": [[2, 1, 2]]}', "set 0 repeats element 2"),
+        ('{"n": 4, "sets": [[]]}', "set 0 is empty"),
     ],
-    ids=["deep", "negative"],
+    ids=["deep", "negative", "repeat", "empty"],
 )
 def test_deep_or_negative_input_is_one_error_line(text, message, tmp_path, capsys):
     path = str(tmp_path / "bad.json")

@@ -69,7 +69,7 @@ def test_pick_heavy_level_examples():
     # disjoint pairs, uniform weights: densities (0, 1) -> s = 2
     system = SetSystem(4, ((0, 1), (2, 3)))
     levels = build_daisy_sequence(system, 2, Fraction(1, 2))
-    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system))
+    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system).masses)
     assert heavy.level == 2 and heavy.density == 1
     assert heavy.petal_bound == 2
 
@@ -77,13 +77,13 @@ def test_pick_heavy_level_examples():
     system = SetSystem(8, ((0,), (1,), (2,), (3, 4)))
     levels = build_daisy_sequence(system, 2, Fraction(1, 2))
     assert levels[0].members == (0, 1, 2) and levels[1].members == (3,)
-    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system))
+    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system).masses)
     assert heavy.level == 1 and heavy.density == Fraction(3, 4)
 
     # single level carries all weight
     system = SetSystem(3, ((0,), (1,)))
     levels = build_daisy_sequence(system, 1, Fraction(2, 3))
-    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system))
+    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system).masses)
     assert heavy.level == 1 and heavy.density == 1
 
 
@@ -92,13 +92,13 @@ def test_pick_heavy_level_contract():
     levels = build_daisy_sequence(system, 2, Fraction(1, 2))
     other = WeightedSetSystem.uniform(SetSystem(4, ((0, 1),)))
     with pytest.raises(ContractError):
-        pick_heavy_level(levels, other)
+        pick_heavy_level(levels, other.masses)
 
 
 def test_heavy_daisy_certificate_verifies():
     system = SetSystem(8, tuple((0, j) for j in range(1, 8)))
     levels = build_daisy_sequence(system, 2, Fraction(7, 8))
-    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system))
+    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system).masses)
     assert heavy.kernel == frozenset({0})
     assert isinstance(heavy.degree_bound, PowerBound)
     cap = floor_power_bound(heavy.degree_bound)
@@ -144,6 +144,44 @@ def test_pluck_overlapping_members():
     assert len(chosen) * 2 * 2 * 2 >= 5
 
 
+@st.composite
+def valid_daisies(draw):
+    """(system, kernel, s, t): a valid t-daisy with petal bound s over [0, n),
+    all of whose sets are members; a set may add up to two kernel elements,
+    and may be empty."""
+    n = draw(st.integers(1, 24))
+    s, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kernel = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    degree = Counter()
+    sets = []
+    for _ in range(draw(st.integers(1, 16))):
+        free = [e for e in range(n) if e not in kernel and degree[e] < t]
+        petal = draw(st.sets(st.sampled_from(free), max_size=s)) if free else set()
+        inside = draw(st.sets(st.sampled_from(sorted(kernel)), max_size=2)) if kernel else set()
+        degree.update(petal)
+        sets.append(tuple(sorted(petal | inside)))
+    return SetSystem(n, tuple(sets)), frozenset(kernel), s, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_daisies())
+def test_plucked_daisy_is_simple_and_meets_the_size_bound(daisy):
+    # each kept petal has at most s elements, each in at most t petals, so a
+    # pick discards at most t * s**2 petal elements, and with s = 1 exactly
+    # one; the petal union holds at least covered - |kernel| elements, so this
+    # implies the bound pluck_simple_daisy's docstring states
+    system, kernel, s, t = daisy
+    members = tuple(range(len(system)))
+    assert verify_daisy(system, members, kernel, s, t).ok
+    chosen = pluck_simple_daisy(system, members, kernel, s, t)
+    assert verify_daisy(system, chosen, kernel, s, 1).ok
+    petal_union = set().union(*system.sets) - kernel
+    if s == 1:
+        assert len(chosen) == len(petal_union)
+    else:
+        assert len(chosen) * t * s * s >= len(petal_union)
+
+
 def test_pluck_rejects_invalid_daisy():
     system = SetSystem(3, ((0, 1), (0, 2)))
     with pytest.raises(ContractError):
@@ -180,10 +218,7 @@ def test_sequence_guarantees_random_systems(n, ell):
             assert verify_daisy(system, lvl.members, lvl.kernel, i, cap).ok
 
         # heavy level + pluck output is a simple daisy inside the members
-        weighted = WeightedSetSystem.from_masses(
-            system, [rng.randint(1, 999) for _ in range(n)]
-        )
-        heavy = pick_heavy_level(levels, weighted)
+        heavy = pick_heavy_level(levels, [rng.randint(1, 999) for _ in range(n)])
         assert heavy.density >= Fraction(1, ell)
         chosen = pluck_simple_daisy(
             system, heavy.members, heavy.kernel, heavy.petal_bound,
@@ -199,7 +234,7 @@ def test_ell_one_edge_config():
     sets = [(rng.randrange(n),) for _ in range(n)]
     system = SetSystem(n, tuple(sets))
     levels = build_daisy_sequence(system, 1, Fraction(1))
-    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system))
+    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system).masses)
     assert heavy.level == 1
     chosen = pluck_simple_daisy(
         system, heavy.members, heavy.kernel, heavy.petal_bound,

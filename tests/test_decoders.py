@@ -31,6 +31,7 @@ from rldc import rng as rng_module
 from rldc.exact import integer_masses
 from rldc.preprocessing import flatten_adaptive
 from rldc.rng import randbelow_many
+from rldc.set_system import WeightedSetSystem
 
 from sample_draws import DRAW_BOUNDS, MAX_COUNT
 from oracles import (
@@ -334,14 +335,17 @@ def test_tree_validation():
 def test_decoders_over_no_coordinates_are_refused():
     with pytest.raises(ValueError, match="n=0"):
         flatten_adaptive(AdaptiveDecoder(k=1, n=0, locality=1, trees=(((Fraction(1), 0),),)))
-    views = ExplicitViews(0, ((),), ((1,),), (1,), 1)
+    # a view list over no coordinates is refused where it is built, and so is a decoder
+    with pytest.raises(ValueError, match="universe size must be positive, got 0"):
+        ExplicitViews(0, ((),), (1,), 1, ((1,),))
+    views = ExplicitViews(1, ((),), (1,), 1, ((1,),))
     with pytest.raises(ValueError, match="n=0"):
         NonAdaptiveDecoder(k=1, n=0, locality=1, views=(views,))
 
 
 def test_non_adaptive_decoders_below_locality_one_are_refused():
     # refused where it is made, not later inside build_decode_packages' daisy levels
-    views = ExplicitViews(1, ((),), ((0,),), (1,), 1)
+    views = ExplicitViews(1, ((),), (1,), 1, ((0,),))
     with pytest.raises(ValueError, match="locality >= 1"):
         NonAdaptiveDecoder(k=1, n=1, locality=0, views=(views,))
 
@@ -362,10 +366,19 @@ def test_adaptive_decode():
 def test_view_list_is_its_weighted_set_system():
     _, dec = hadamard_code(3)
     views = dec.views[1]
+    assert isinstance(views, WeightedSetSystem)
     assert views.universe_size == dec.n and len(views.sets) == len(views.masses) == len(views)
     for set_, mass, (wt, view) in zip(views.sets, views.masses, views):
         assert set_ == view.coords and Fraction(mass, views.total) == wt
     assert sum(views.masses) == views.total
+
+
+def test_view_lists_keep_no_instance_dict():
+    # INDEX_VIEWS was measured with slotted lists; a __dict__ on every list
+    # would add to each message index's cost unseen by the view budget
+    for build in (lambda: identity_code(3), lambda: hadamard_code(3), lambda: shared_pivot_code(2, 2, 2)):
+        _, dec = build()
+        assert not any(hasattr(views, "__dict__") for views in dec.views)
 
 
 def test_parse_code_spec_errors():
@@ -441,15 +454,16 @@ def test_rows_match_entry_by_entry_views(case, scale, seed):
     n, locality, raw = case
 
     def entries():
-        views = EntryViews(n, [(w, LocalView(coords, table)) for w, coords, table in raw])
+        views = EntryViews(n, raw)
         check_entry_decoder(n, locality, views)
         return views
 
     def rows():
         masses, common = integer_masses([w for w, _, _ in raw])
         views = ExplicitViews(
-            n, tuple(coords for _, coords, _ in raw), tuple(table for _, _, table in raw),
+            n, tuple(coords for _, coords, _ in raw),
             tuple(scale * m for m in masses), scale * common,  # an unreduced denominator samples the same
+            tuple(table for _, _, table in raw),
         )
         NonAdaptiveDecoder(k=1, n=n, locality=locality, views=(views,))
         return views
@@ -620,9 +634,9 @@ def test_product_view_size_capped_by_coverage():
 
 
 def test_view_list_checks_its_universe():
-    with pytest.raises(ValueError, match=r"view coords outside \[0, 2\)"):
-        ExplicitViews(2, ((0,), (2,)), ((0, 1),) * 2, (1, 1), 2)
-    views = ExplicitViews(3, ((0,), (2,)), ((0, 1),) * 2, (1, 1), 2)
+    with pytest.raises(ValueError, match=r"^set 1 has elements outside \[0, 2\)$"):
+        ExplicitViews(2, ((0,), (2,)), (1, 1), 2, ((0, 1),) * 2)
+    views = ExplicitViews(3, ((0,), (2,)), (1, 1), 2, ((0, 1),) * 2)
     with pytest.raises(ValueError, match=r"index 0 has views over \[0, 3\), not \[0, 4\)"):
         NonAdaptiveDecoder(k=1, n=4, locality=1, views=(views,))
     # an amplified list keeps its base's universe, and has len(base) ** times coin outcomes

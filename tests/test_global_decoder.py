@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 from oracles import views_of
 from sample_draws import EDGE_PROBABILITIES, MAX_N, drawn_probabilities, same_draws
 
-from rldc import decoders, set_system
+from rldc import set_system
 from rldc.daisy import HeavyDaisy, build_daisy_sequence, default_extraction_scale, pick_heavy_level
 from rldc.decoders import (
     REJECT,
     AdaptiveDecoder,
+    ExplicitViews,
     LocalView,
     NonAdaptiveDecoder,
     TreeNode,
@@ -58,7 +59,7 @@ Compiled = namedtuple("Compiled", "pkg views daisy")
 def compiled_index(dec, i):
     """Index i's package, with its views and the heavy daisy rebuilt the way
     build_index_package builds it."""
-    daisy = pick_heavy_level(build_daisy_sequence(dec.views[i], dec.locality), dec.views[i])
+    daisy = pick_heavy_level(build_daisy_sequence(dec.views[i], dec.locality), dec.views[i].masses)
     return Compiled(build_index_package(dec, i), tuple(view for _, view in dec.views[i]), daisy)
 
 
@@ -318,14 +319,13 @@ def test_packages_read_the_view_lists_in_place(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for cls in (SetSystem, WeightedSetSystem):
+    for cls in (SetSystem, WeightedSetSystem, ExplicitViews):
         monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
-    for module in (set_system, decoders):
-        monkeypatch.setattr(module, "rows_increasing", counted("rows_increasing", set_system.rows_increasing))
+    monkeypatch.setattr(set_system, "rows_increasing", counted("rows_increasing", set_system.rows_increasing))
     assert len(build_decode_packages(dec)) == dec.k
     assert not calls
-    WeightedSetSystem.uniform(SetSystem(2, ((0,), (1,))))  # the spies see a set system
-    assert calls == {"SetSystem": 1, "WeightedSetSystem": 1, "rows_increasing": 1}
+    ExplicitViews(2, ((0,), (1,)), (1, 1), 2, ((0, 1),) * 2)  # the spies see a view list, checked once
+    assert calls == {"ExplicitViews": 1, "WeightedSetSystem": 1, "SetSystem": 1, "rows_increasing": 1}
     with pytest.raises(TypeError, match="only explicit view lists"):
         build_index_package(amplify(dec, Fraction(1, 4)), 0)
 

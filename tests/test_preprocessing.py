@@ -191,6 +191,47 @@ def test_amplify_planted_error_is_power():
     assert dist[REJECT] == 1 - Fraction(1, 3) ** 4 - Fraction(2, 3) ** 4
 
 
+@st.composite
+def planted_decoders(draw):
+    """(decoder, word, planted): per index, up to four weighted views, each
+    planted to output the true bit, the wrong bit or REJECT on the word (its
+    table is free off the word's bits), and planted[i] = (true bit, weight of
+    the views planted wrong, weight of those planted right)."""
+    n = draw(st.integers(1, 4))
+    word = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    planted, lists = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        bit = draw(st.integers(0, 1))
+        entries, weight = [], {0: 0, 1: 0, REJECT: 0}
+        masses = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+        for mass in masses:
+            coords = tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=2))))
+            table = draw(st.lists(st.sampled_from((0, 1, REJECT)), min_size=1 << len(coords), max_size=1 << len(coords)))
+            out = table[sum(word[c] << j for j, c in enumerate(coords))] = draw(st.sampled_from((0, 1, REJECT)))
+            weight[out] += Fraction(mass, sum(masses))
+            entries.append((Fraction(mass, sum(masses)), LocalView(coords, tuple(table))))
+        planted.append((bit, weight[1 - bit], weight[bit]))
+        lists.append(views_of(n, entries))
+    return NonAdaptiveDecoder(k=len(lists), n=n, locality=2, views=tuple(lists)), word, planted
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_decoders(), st.sampled_from((Fraction(1, 3), Fraction(1, 5), Fraction(1, 8), Fraction(2, 31))))
+def test_amplified_error_is_the_base_error_to_the_power_r(case, epsilon):
+    # R = ceil(log2(1/epsilon)) runs output a bit only when all agree, so the
+    # wrong bit's weight is the base's to the R-th power, exactly, and so is the true bit's
+    dec, word, planted = case
+    reps = ((epsilon.denominator - 1) // epsilon.numerator).bit_length()
+    amp = amplify(dec, epsilon)
+    assert amp.locality == reps * dec.locality
+    for i, (bit, wrong, right) in enumerate(planted):
+        base = output_distribution(dec, word, i)
+        assert (base.get(1 - bit, 0), base.get(bit, 0)) == (wrong, right)
+        dist = output_distribution(amp, word, i)
+        assert (dist.get(1 - bit, 0), dist.get(bit, 0)) == (wrong**reps, right**reps)
+        assert dist.get(REJECT, 0) == 1 - wrong**reps - right**reps
+
+
 def test_amplify_rejects_bad_epsilon():
     _, dec = hadamard_code(2)
     with pytest.raises(ValueError):
@@ -390,7 +431,7 @@ def reducible_decoders(draw):
         )
         if draw(st.integers(0, 3)) == 0:
             masses[draw(st.integers(0, len(rows) - 1))] += 2**35 + draw(st.integers(0, 2**8))
-        base = ExplicitViews(n, tuple(rows), tuple(tables), tuple(masses), sum(masses))
+        base = ExplicitViews(n, tuple(rows), tuple(masses), sum(masses), tuple(tables))
         views.append(base if reps == 1 and draw(st.booleans()) else ProductViews(base, reps))
     locality = max(1, max(v.max_view_size() for v in views))
     return NonAdaptiveDecoder(k=len(views), n=n, locality=locality, views=tuple(views))

@@ -38,9 +38,8 @@ def test_weight_complement_is_exact():
     for _ in range(50):
         count = rng.randint(1, 40)
         system = SetSystem(16, tuple((rng.randrange(16),) for _ in range(count)))
-        w = WeightedSetSystem.from_masses(
-            system, [rng.randint(1, 999) for _ in range(count)]
-        )
+        masses = tuple(rng.randint(1, 999) for _ in range(count))
+        w = WeightedSetSystem(system.universe_size, system.sets, masses, sum(masses))
         scope = [i for i in range(count) if rng.random() < 0.5]
         rest = [i for i in range(count) if i not in scope]
         assert sum(weights(w)[i] for i in scope) + sum(weights(w)[i] for i in rest) == 1
@@ -67,7 +66,7 @@ def test_weights_must_sum_to_one():
     with pytest.raises(ValueError):
         WeightedSetSystem.from_weights(system, [Fraction(1, 2), Fraction(1, 3)])
     with pytest.raises(ValueError):
-        WeightedSetSystem.from_masses(system, [1, 0])
+        WeightedSetSystem(system.universe_size, system.sets, (1, 0), 1)
 
 
 def test_multiset_semantics_allows_duplicates():
@@ -78,8 +77,9 @@ def test_multiset_semantics_allows_duplicates():
 
 
 def test_set_validation():
-    with pytest.raises(ValueError):
-        SetSystem(2, ((),))  # empty set
+    assert SetSystem(2, ((), (1,))).sets == ((), (1,))  # a view may query nothing
+    with pytest.raises(ValueError, match=r"^set 0 is empty$"):
+        system_from_json({"n": 2, "sets": [[]]})  # an input set may not be empty
     with pytest.raises(ValueError):
         SetSystem(2, ((0, 2),))  # out of range
     with pytest.raises(ValueError):
@@ -151,7 +151,7 @@ def test_json_round_trip():
     )
     doc = json.loads(json.dumps(system_to_json(w)))
     back = system_from_json(doc)
-    assert back.system == system
+    assert (back.universe_size, back.sets) == (system.universe_size, system.sets)
     assert weights(back) == weights(w)
 
     bare = json.loads(json.dumps(system_to_json(system)))
