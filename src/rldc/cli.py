@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import asdict, astuple, fields
 
-from .daisy import build_daisy_sequence, extraction_report, pick_heavy_level
+from .daisy import MAX_LEVELS, build_daisy_sequence, extraction_report, pick_heavy_level
 from .decoders import decoder_to_json, parse_code_spec
 from .exact import parse_fraction
 from .global_decoder import KERNEL_CAP
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Bounds of the numeric flags, by argparse dest: (dest, lowest, highest or None).
 BOUNDS = (
-    ("seed", 0, (1 << 64) - 1), ("trials", 1, None), ("ell", 1, None), ("kmax", 0, None),
+    ("seed", 0, (1 << 64) - 1), ("trials", 1, None), ("ell", 1, MAX_LEVELS), ("kmax", 0, None),
     ("budget", 0, None), ("instances", 0, None), ("daisies", 0, None), ("corpus_size", 0, None),
     ("wrapup_max", 0, WRAPUP_MAX_K), ("k", 0, WRAPUP_MAX_K), ("multiset_factor", 1, None),
 )

@@ -13,8 +13,8 @@ weight (one exists by pigeonhole), and pluck_simple_daisy greedily thins a
 t-daisy down to pairwise-disjoint petals while keeping a guaranteed fraction
 of the covered elements.
 
-A scale c is a PowerBound (a rational one is converted once, at entry) and
-level i's threshold is c * n**(i/l).  Integer degrees are compared with its
+A rational scale c is converted to a PowerBound once, at entry, and level
+i's threshold is c * n**(i/l).  Integer degrees are compared with its
 floor, and a daisy is passed as its parts with an integer degree_cap.
 """
 
@@ -71,6 +71,11 @@ class HeavyDaisy:
         }
 
 
+# Most levels build_daisy_sequence makes: each exact floor raises to the ell-th power,
+# so on 2 sets ell = 1000 took 0.02 s at n = 4 and 0.39 s at n = 2^20 (CHANGES.md).
+MAX_LEVELS = 1000
+
+
 def default_extraction_scale(support_size: int, n: int, ell: int) -> PowerBound:
     """Scale parameter for daisy extraction on a decoder's query distribution.
 
@@ -86,9 +91,7 @@ def default_extraction_scale(support_size: int, n: int, ell: int) -> PowerBound:
     return PowerBound(ratio, n, 0) if floor.cmp(ratio) < 0 else floor
 
 
-def build_daisy_sequence(
-    system: SetSystem, ell: int, c: PowerBound | Fraction | None = None
-) -> tuple[DaisyLevel, ...]:
+def build_daisy_sequence(system: SetSystem, ell: int, c: Fraction | None = None) -> tuple[DaisyLevel, ...]:
     """Run the level construction on a system whose sets have size <= ell.
 
     The system may be a decoder index's view list (decoders.ExplicitViews),
@@ -96,18 +99,13 @@ def build_daisy_sequence(
     collection T_1 is the whole system; at level i the kernel is
     K_i = {j : deg over T_i of j > c * n**(i/ell)}, the members are the
     residual sets with at most i elements outside K_i, and T_{i+1} drops
-    them.  The ell member tuples always partition the input.  A rational
+    them.  The ell member tuples always partition the input.  The rational
     scale c is read as PowerBound(c, n, 0), and None as default_extraction_scale.
     """
     n = system.universe_size
-    if ell < 1:
-        raise ValueError(f"level count must be >= 1, got {ell}")
-    if c is None:
-        c = default_extraction_scale(len(system.sets), n, ell)
-    elif not isinstance(c, PowerBound):
-        c = PowerBound(c, n, 0)
-    if c.base != n:
-        raise ValueError("scale parameter uses a different base than the universe")
+    if not 1 <= ell <= MAX_LEVELS:
+        raise ValueError(f"level count must be in [1, {MAX_LEVELS}], got {ell}")
+    c = default_extraction_scale(len(system.sets), n, ell) if c is None else PowerBound(c, n, 0)
     sets = system.sets
     sizes = tuple(map(len, sets))
     if sets and max(sizes) > ell:

@@ -10,7 +10,7 @@ over the universe [0, n): a sorted coordinate tuple and a truth table per view
 common total.  The list is the index's weighted set system, a
 set_system.WeightedSetSystem with a table per row, which daisy extraction
 reads in place; WeightedSetSystem checks its rows and masses once, when it is
-made.  LocalView objects are made only when a list is iterated.  Weights stay
+made.  The list keeps no cache: iterating makes LocalViews anew.  Weights stay
 exact: the sum-to-1 and positivity checks are integer sums, and draws pick
 row numbers by the masses over their least common denominator, so a seeded
 run is reproducible and matches the exact distribution.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain, compress, cycle, repeat
 from operator import itemgetter
@@ -257,7 +257,7 @@ def table_masks(table, literals: Sequence[int], full: int) -> tuple[int, int]:
     return masks[1], masks[0]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ExplicitViews(WeightedSetSystem):
     """One message index's weighted view list: its weighted set system over
     [0, universe_size), which daisy extraction reads in place, with a truth
@@ -267,43 +267,39 @@ class ExplicitViews(WeightedSetSystem):
     masses[j] / total its weight and tables[j] its truth table (rows of one
     shape share the object).  Beside the checks of a WeightedSetSystem, the
     list checks that it is not empty and that each table covers its row.
-    Iterating yields (weight, LocalView), making the views once per list;
-    draw picks rows.
+    Iterating yields (weight, LocalView), making the views anew; draw picks
+    rows.
     """
 
+    __slots__ = ("tables",)
     tables: tuple
-    _views: "tuple[LocalView, ...] | None" = field(default=None, init=False, compare=False, repr=False)
-    _draw: "tuple[tuple[int, ...], int] | None" = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.sets:
             raise ValueError("a decoder index needs at least one view")
-        WeightedSetSystem.__post_init__(self)
+        super().__post_init__()
         if len(self.tables) != len(self.sets):
             raise ValueError("one table per set required")
         if any(size != 1 << width for width, size in set(zip(map(len, self.sets), map(len, self.tables)))):
             raise ValueError("table must cover all assignments of the query set")
 
     def __iter__(self) -> Iterator[tuple[Fraction, LocalView]]:
-        if self._views is None:
-            object.__setattr__(self, "_views", tuple(map(LocalView, self.sets, self.tables)))
-        return zip(map(Fraction, self.masses, repeat(self.total)), self._views)
+        return zip(map(Fraction, self.masses, repeat(self.total)), map(LocalView, self.sets, self.tables))
 
     def draw(self, rng: Random, count: int) -> list[int]:
         """The row numbers of `count` draws by mass, each the row that one
         rng.randrange over the masses' least common denominator picks; with
         uniform masses the value is the row number."""
-        if self._draw is None:  # the cumulative masses over the masses' lcd, and that denominator
-            unit = math.gcd(self.total, *self.masses)
-            object.__setattr__(self, "_draw", (tuple(accumulate(m // unit for m in self.masses)), self.total // unit))
-        cum, span = self._draw
-        values = randbelow_many(rng, span, count)
-        return values if span == len(cum) else list(map(bisect_right, repeat(cum), values))
+        unit = math.gcd(self.total, *self.masses)
+        cum = tuple(accumulate(m // unit for m in self.masses))  # cum[-1] is the masses' lcd
+        values = randbelow_many(rng, cum[-1], count)
+        return values if cum[-1] == len(cum) else list(map(bisect_right, repeat(cum), values))
 
     def max_view_size(self) -> int:
         return max(map(len, self.sets))
 
 
+@dataclass(frozen=True, slots=True)
 class ProductViews:
     """The coin space of `times` independent runs of a base view list.
 
@@ -311,13 +307,12 @@ class ProductViews:
     product: a coin outcome is `times` independent draws of base rows.
     """
 
-    __slots__ = ("base", "times")
+    base: ExplicitViews
+    times: int
 
-    def __init__(self, base: ExplicitViews, times: int):
-        if times < 1:
+    def __post_init__(self) -> None:
+        if self.times < 1:
             raise ValueError("need at least one repetition")
-        self.base = base
-        self.times = times
 
     @property
     def universe_size(self) -> int:

@@ -8,7 +8,7 @@ cap t is an integer, as degrees are: "degree > c * n**(i/l)" is exactly
 of non-adaptive local decoders: a decoder index's view list
 (decoders.ExplicitViews) is a WeightedSetSystem with a truth table per set.
 SetSystem checks the sets and WeightedSetSystem the weights, once, when a
-system is made.  So:
+system is made; system_from_json makes one.  So:
 
 - set identity is positional (index into the stored list) and duplicates are
   allowed with multiplicity, giving multiset semantics;
@@ -86,7 +86,7 @@ class SetSystem:
         return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class WeightedSetSystem(SetSystem):
     """A SetSystem plus one positive rational weight per set, summing to 1.
 
@@ -94,11 +94,12 @@ class WeightedSetSystem(SetSystem):
     total is set j's weight), so weight sums reduce to integer sums.
     """
 
+    __slots__ = ("masses", "total")
     masses: tuple[int, ...]
     total: int
 
     def __post_init__(self) -> None:
-        SetSystem.__post_init__(self)  # by name: a slotted dataclass has no zero-argument super()
+        super().__post_init__()
         if len(self.masses) != len(self.sets):
             raise ValueError("one weight per set required")
         if sum(self.masses) != self.total:
@@ -107,16 +108,17 @@ class WeightedSetSystem(SetSystem):
             raise ValueError("weights must be positive")
 
     @classmethod
-    def from_weights(cls, system: SetSystem, weights: Sequence[Fraction]) -> "WeightedSetSystem":
+    def from_weights(
+        cls, universe_size: int, sets: tuple[tuple[int, ...], ...], weights: Sequence[Fraction]
+    ) -> "WeightedSetSystem":
         masses, common = integer_masses([Fraction(w) for w in weights])
-        return cls(system.universe_size, system.sets, tuple(masses), common)
+        return cls(universe_size, sets, tuple(masses), common)
 
     @classmethod
-    def uniform(cls, system: SetSystem) -> "WeightedSetSystem":
-        count = len(system.sets)
-        if count == 0:
+    def uniform(cls, universe_size: int, sets: tuple[tuple[int, ...], ...]) -> "WeightedSetSystem":
+        if not sets:
             raise ValueError("cannot weight an empty collection")
-        return cls(system.universe_size, system.sets, (1,) * count, count)
+        return cls(universe_size, sets, (1,) * len(sets), len(sets))
 
 
 @dataclass(frozen=True)
@@ -198,17 +200,17 @@ def system_from_json(doc: dict) -> WeightedSetSystem:
         except (TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"set-system JSON field {name!r} is ill-typed: {err}") from None
 
-    system = SetSystem(
-        read("n", lambda v: _expect(v, int)),
-        read("sets", lambda v: tuple(
-            tuple(sorted(_expect(e, int) for e in _expect(s, list))) for s in _expect(v, list)
-        )),
-    )
-    if () in system.sets:  # a view list may hold an empty row, an input system may not
-        raise ValueError(f"set {system.sets.index(())} is empty")
+    n = read("n", lambda v: _expect(v, int))
+    sets = read("sets", lambda v: tuple(
+        tuple(sorted(_expect(e, int) for e in _expect(s, list))) for s in _expect(v, list)
+    ))
     if "weights" in doc:
         weights = read("weights", lambda v: [
             parse_fraction(w if type(w) is str else _expect(w, int)) for w in _expect(v, list)
         ])
-        return WeightedSetSystem.from_weights(system, weights)
-    return WeightedSetSystem.uniform(system)
+        system = WeightedSetSystem.from_weights(n, sets, weights)
+    else:
+        system = WeightedSetSystem.uniform(n, sets)
+    if () in sets:  # a view list may hold an empty row, an input system may not
+        raise ValueError(f"set {sets.index(())} is empty")
+    return system

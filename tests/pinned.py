@@ -94,7 +94,7 @@ def write_pin_input(directory: str) -> str:
     system = random_set_system(256, 256, 3, derive_rng(0, "pin"))
     path = os.path.join(directory, "pin.json")
     with open(path, "w") as fh:
-        json.dump(system_to_json(WeightedSetSystem.uniform(system)), fh)
+        json.dump(system_to_json(WeightedSetSystem.uniform(system.universe_size, system.sets)), fh)
     return path
 
 

@@ -16,6 +16,7 @@ from pinned import PINS, run_pin, system_to_json, write_pin_input
 import rldc
 from rldc import harness
 from rldc.cli import main
+from rldc.daisy import MAX_LEVELS
 from rldc.set_system import SetSystem, WeightedSetSystem
 
 
@@ -23,7 +24,7 @@ from rldc.set_system import SetSystem, WeightedSetSystem
 def star_json(tmp_path):
     system = SetSystem(8, tuple((0, j) for j in range(1, 8)))
     path = tmp_path / "star.json"
-    path.write_text(json.dumps(system_to_json(WeightedSetSystem.uniform(system))))
+    path.write_text(json.dumps(system_to_json(WeightedSetSystem.uniform(system.universe_size, system.sets))))
     return path
 
 
@@ -157,6 +158,11 @@ def _run_under_other_interpreters(name):
 def test_pinned_table_under_other_interpreters():
     # the table is stdlib-only, so interpreters without pytest can run it
     _run_under_other_interpreters("pinned.py")
+
+
+def test_layout_under_other_interpreters():
+    # Python 3.10 lays out slotted dataclass subclasses differently
+    _run_under_other_interpreters("layout.py")
 
 
 def test_sample_draws_under_other_interpreters():
@@ -363,6 +369,19 @@ def test_bad_trials_or_seed_is_usage_error(argv, star_json, capsys):
     assert captured.err.startswith("rldc: error: --")
     assert "_" not in captured.err
     assert captured.out == ""
+
+
+def test_ell_above_max_levels_is_one_error_line(star_json, capsys):
+    # refused before the input is read: the levels cost about ell^2 exact powers
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["extract-daisy", "--in", str(star_json), "--ell", str(MAX_LEVELS + 1)])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"rldc: error: --ell must be <= {MAX_LEVELS}, got {MAX_LEVELS + 1}\n"
+    assert captured.out == ""
+    assert main(["extract-daisy", "--in", str(star_json), "--ell", str(MAX_LEVELS), "--out", os.devnull]) == 0
 
 
 def test_largest_seed_accepted():

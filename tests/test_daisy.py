@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rldc.daisy import (
+    MAX_LEVELS,
     build_daisy_sequence,
     default_extraction_scale,
     pick_heavy_level,
@@ -57,6 +58,13 @@ def test_oversized_set_rejected():
         build_daisy_sequence(system, 2, Fraction(1))
 
 
+def test_level_count_bounded_before_any_work():
+    system = SetSystem(4, ((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match=rf"^level count must be in \[1, {MAX_LEVELS}\], got {MAX_LEVELS + 1}$"):
+        build_daisy_sequence(system, MAX_LEVELS + 1)
+    assert len(build_daisy_sequence(system, MAX_LEVELS)) == MAX_LEVELS
+
+
 def test_strict_threshold_boundary():
     # Threshold (1/2) * 4**(1/2) == 1 exactly: degree 1 stays out, degree 2 goes in.
     system = SetSystem(4, ((0, 1), (0, 2)))
@@ -69,7 +77,7 @@ def test_pick_heavy_level_examples():
     # disjoint pairs, uniform weights: densities (0, 1) -> s = 2
     system = SetSystem(4, ((0, 1), (2, 3)))
     levels = build_daisy_sequence(system, 2, Fraction(1, 2))
-    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system).masses)
+    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system.universe_size, system.sets).masses)
     assert heavy.level == 2 and heavy.density == 1
     assert heavy.petal_bound == 2
 
@@ -77,20 +85,20 @@ def test_pick_heavy_level_examples():
     system = SetSystem(8, ((0,), (1,), (2,), (3, 4)))
     levels = build_daisy_sequence(system, 2, Fraction(1, 2))
     assert levels[0].members == (0, 1, 2) and levels[1].members == (3,)
-    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system).masses)
+    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system.universe_size, system.sets).masses)
     assert heavy.level == 1 and heavy.density == Fraction(3, 4)
 
     # single level carries all weight
     system = SetSystem(3, ((0,), (1,)))
     levels = build_daisy_sequence(system, 1, Fraction(2, 3))
-    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system).masses)
+    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system.universe_size, system.sets).masses)
     assert heavy.level == 1 and heavy.density == 1
 
 
 def test_pick_heavy_level_contract():
     system = SetSystem(4, ((0, 1), (2, 3)))
     levels = build_daisy_sequence(system, 2, Fraction(1, 2))
-    other = WeightedSetSystem.uniform(SetSystem(4, ((0, 1),)))
+    other = WeightedSetSystem.uniform(4, ((0, 1),))
     with pytest.raises(ContractError):
         pick_heavy_level(levels, other.masses)
 
@@ -98,7 +106,7 @@ def test_pick_heavy_level_contract():
 def test_heavy_daisy_certificate_verifies():
     system = SetSystem(8, tuple((0, j) for j in range(1, 8)))
     levels = build_daisy_sequence(system, 2, Fraction(7, 8))
-    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system).masses)
+    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system.universe_size, system.sets).masses)
     assert heavy.kernel == frozenset({0})
     assert isinstance(heavy.degree_bound, PowerBound)
     cap = floor_power_bound(heavy.degree_bound)
@@ -234,7 +242,7 @@ def test_ell_one_edge_config():
     sets = [(rng.randrange(n),) for _ in range(n)]
     system = SetSystem(n, tuple(sets))
     levels = build_daisy_sequence(system, 1, Fraction(1))
-    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system).masses)
+    heavy = pick_heavy_level(levels, WeightedSetSystem.uniform(system.universe_size, system.sets).masses)
     assert heavy.level == 1
     chosen = pluck_simple_daisy(
         system, heavy.members, heavy.kernel, heavy.petal_bound,
@@ -296,7 +304,7 @@ def leveled_systems(draw):
 @given(leveled_systems())
 def test_levels_match_per_set_counting(case):
     system, ell, c = case
-    levels = build_daisy_sequence(system, ell, c)
+    levels = build_daisy_sequence(system, ell, None if isinstance(c, PowerBound) else c)
     assert [(lvl.members, lvl.kernel, lvl.threshold) for lvl in levels] == per_set_levels(
         system, ell, c
     )

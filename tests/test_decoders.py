@@ -477,7 +477,6 @@ def test_rows_match_entry_by_entry_views(case, scale, seed):
     got = list(views)
     assert [(w, v.coords, v.table) for w, v in got] == [(w, v.coords, v.table) for w, v in reference]
     assert all(v.table is table for (_, v), (_, _, table) in zip(got, raw))
-    assert all(a is b for (_, a), (_, b) in zip(got, views))  # made once per list
     # one batch of 12 draws picks the rows that 12 draws of the reference pick
     ours, theirs = random.Random(seed), random.Random(seed)
     drawn = views.draw(ours, 12)

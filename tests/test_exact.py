@@ -168,7 +168,7 @@ def test_integer_masses_decide_like_fraction_sums(weights):
     for build in (
         lambda: views_of(count, views),
         lambda: AdaptiveDecoder(1, count, 1, trees),
-        lambda: WeightedSetSystem.from_weights(system, weights),
+        lambda: WeightedSetSystem.from_weights(count, system.sets, weights),
     ):
         error = rejection(build)
         assert (error is None) == (sum_error is None)
@@ -177,6 +177,6 @@ def test_integer_masses_decide_like_fraction_sums(weights):
     if total != 1:
         assert rejection(lambda: views_of(count, views)) == "weights must sum to exactly 1"
     if sum_error is None:
-        weighted = WeightedSetSystem.from_weights(system, weights)
+        weighted = WeightedSetSystem.from_weights(count, system.sets, weights)
         assert (list(weighted.masses), weighted.total) == fraction_sum_masses(weights)
         assert [Fraction(m, weighted.total) for m in weighted.masses] == list(map(Fraction, weights))

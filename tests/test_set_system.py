@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from layout import layout_errors
 from pinned import system_to_json
 
+from rldc import set_system
 from rldc.set_system import (
     SetSystem,
     WeightedSetSystem,
@@ -64,7 +66,7 @@ def test_handshake_identity():
 def test_weights_must_sum_to_one():
     system = SetSystem(2, ((0,), (1,)))
     with pytest.raises(ValueError):
-        WeightedSetSystem.from_weights(system, [Fraction(1, 2), Fraction(1, 3)])
+        WeightedSetSystem.from_weights(2, system.sets, [Fraction(1, 2), Fraction(1, 3)])
     with pytest.raises(ValueError):
         WeightedSetSystem(system.universe_size, system.sets, (1, 0), 1)
 
@@ -72,7 +74,7 @@ def test_weights_must_sum_to_one():
 def test_multiset_semantics_allows_duplicates():
     system = SetSystem(2, ((0, 1), (0, 1), (0, 1)))
     assert petal_degrees(system, range(3), frozenset())[0] == 3
-    w = WeightedSetSystem.uniform(system)
+    w = WeightedSetSystem.uniform(2, system.sets)
     assert weights(w)[0] + weights(w)[2] == Fraction(2, 3)
 
 
@@ -146,9 +148,7 @@ def test_verify_daisy_matches_brute_force():
 
 def test_json_round_trip():
     system = SetSystem(5, ((0, 2), (1, 3, 4), (0,)))
-    w = WeightedSetSystem.from_weights(
-        system, [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]
-    )
+    w = WeightedSetSystem.from_weights(5, system.sets, [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)])
     doc = json.loads(json.dumps(system_to_json(w)))
     back = system_from_json(doc)
     assert (back.universe_size, back.sets) == (system.universe_size, system.sets)
@@ -163,3 +163,21 @@ def test_json_round_trip():
 def test_json_rejects_duplicate_elements():
     with pytest.raises(ValueError):
         system_from_json({"n": 3, "sets": [[0, 0, 1]]})
+
+
+def test_json_checks_rows_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(set_system, "rows_increasing", lambda rows: calls.append(rows) or True)
+    system_from_json({"n": 3, "sets": [[0, 1], [1, 2]]})
+    system_from_json({"n": 3, "sets": [[0, 1], [1, 2]], "weights": ["1/3", "2/3"]})
+    assert calls == [((0, 1), (1, 2))] * 2
+
+
+def test_json_reports_an_ill_typed_field_before_the_rows():
+    with pytest.raises(ValueError, match="^set-system JSON field 'weights' is ill-typed: expected int, got float$"):
+        system_from_json({"n": 3, "sets": [[0, 0, 1]], "weights": [1.0]})
+
+
+def test_row_types_add_only_their_own_slots():
+    # tests/layout.py, also run under the other installed Pythons by tests/test_cli.py
+    assert layout_errors() == []
