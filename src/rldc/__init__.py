@@ -49,6 +49,7 @@ from .harness import (
     wrapup_sanity,
 )
 from .preprocessing import (
+    AmplifiedDecoder,
     ReductionFailedError,
     ReductionReport,
     amplify,

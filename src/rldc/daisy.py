@@ -73,7 +73,10 @@ class HeavyDaisy:
 
 # Most levels build_daisy_sequence makes: each exact floor raises to the ell-th power,
 # so on 2 sets ell = 1000 took 0.02 s at n = 4 and 0.39 s at n = 2^20 (CHANGES.md).
+# The cost tracks ell * n.bit_length(): 0.42-0.49 s at 25,000 (ell = 1000, n = 2^24; ell = 100,
+# n = 2^256), 0.59-0.94 s at 30,750-33,000 (ell = 30, n = 2^1024; ell = 1000, n = 2^32).
 MAX_LEVELS = 1000
+MAX_LEVEL_BITS = 25_000
 
 
 def default_extraction_scale(support_size: int, n: int, ell: int) -> PowerBound:
@@ -105,6 +108,8 @@ def build_daisy_sequence(system: SetSystem, ell: int, c: Fraction | None = None)
     n = system.universe_size
     if not 1 <= ell <= MAX_LEVELS:
         raise ValueError(f"level count must be in [1, {MAX_LEVELS}], got {ell}")
+    if ell * n.bit_length() > MAX_LEVEL_BITS:
+        raise ValueError(f"ell * n.bit_length() = {ell} * {n.bit_length()} exceeds {MAX_LEVEL_BITS}")
     c = default_extraction_scale(len(system.sets), n, ell) if c is None else PowerBound(c, n, 0)
     sets = system.sets
     sizes = tuple(map(len, sets))

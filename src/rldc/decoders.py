@@ -13,7 +13,10 @@ reads in place; WeightedSetSystem checks its rows and masses once, when it is
 made.  The list keeps no cache: iterating makes LocalViews anew.  Weights stay
 exact: the sum-to-1 and positivity checks are integer sums, and draws pick
 row numbers by the masses over their least common denominator, so a seeded
-run is reproducible and matches the exact distribution.
+run is reproducible and matches the exact distribution.  A NonAdaptiveDecoder
+holds only such lists, and refuses any other where it is built; an amplified
+decoder (preprocessing.AmplifiedDecoder) is a base decoder and a run count,
+which only randomness reduction reads.
 
 table_masks evaluates a table on a set of points at once as bit masks: it
 makes an amplified coin outcome (a UnanimityView of drawn rows) one table and
@@ -30,7 +33,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, chain, compress, cycle, repeat
+from itertools import accumulate, compress, cycle, repeat
 from operator import itemgetter
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
@@ -299,34 +302,6 @@ class ExplicitViews(WeightedSetSystem):
         return max(map(len, self.sets))
 
 
-@dataclass(frozen=True, slots=True)
-class ProductViews:
-    """The coin space of `times` independent runs of a base view list.
-
-    Represents the amplified decoder's views without materialising the full
-    product: a coin outcome is `times` independent draws of base rows.
-    """
-
-    base: ExplicitViews
-    times: int
-
-    def __post_init__(self) -> None:
-        if self.times < 1:
-            raise ValueError("need at least one repetition")
-
-    @property
-    def universe_size(self) -> int:
-        return self.base.universe_size
-
-    def __len__(self) -> int:
-        return len(self.base) ** self.times
-
-    def max_view_size(self) -> int:
-        """`times` base views merged, but no more than all the base covers."""
-        covered = set(chain.from_iterable(self.base.sets))
-        return min(self.base.max_view_size() * self.times, len(covered))
-
-
 @dataclass(frozen=True)
 class NonAdaptiveDecoder:
     """Per message index, a weighted list of (query set, predicate) pairs over [0, n)."""
@@ -334,7 +309,7 @@ class NonAdaptiveDecoder:
     k: int
     n: int
     locality: int
-    views: "tuple[ExplicitViews | ProductViews, ...]"
+    views: tuple[ExplicitViews, ...]
 
     def __post_init__(self) -> None:
         _check_universe(self.n)
@@ -343,6 +318,8 @@ class NonAdaptiveDecoder:
         if len(self.views) != self.k:
             raise ValueError("one view list per message index required")
         for i, view_set in enumerate(self.views):
+            if not isinstance(view_set, ExplicitViews):
+                raise TypeError(f"index {i} holds a {type(view_set).__name__}, not an ExplicitViews view list")
             if view_set.universe_size != self.n:
                 raise ValueError(f"index {i} has views over [0, {view_set.universe_size}), not [0, {self.n})")
             if view_set.max_view_size() > self.locality:
@@ -565,16 +542,13 @@ def random_corruption(word: Sequence[int], flips: int, rng: Random) -> tuple[int
 def decoder_to_json(decoder: NonAdaptiveDecoder) -> dict:
     """One weighted set system per index plus the predicate truth tables.
 
-    REJECT serialises as JSON null.  Lazy (product) view lists must be
-    reduced to explicit lists first.  Rows that share a table tuple (as
+    REJECT serialises as JSON null.  Rows that share a table tuple (as
     reduce_randomness's rows of one shape do) share its list in the document,
     so it costs one list per distinct table; json.dump prints each use in full.
     """
     lists = {}  # id(table) -> its list; the decoder keeps every table alive meanwhile
     indices = []
     for view_set in decoder.views:
-        if not isinstance(view_set, ExplicitViews):
-            raise TypeError("serialise explicit decoders only; reduce the coin space first")
         for table in view_set.tables:
             if id(table) not in lists:
                 lists[id(table)] = list(table)

@@ -224,8 +224,6 @@ def build_index_package(decoder: NonAdaptiveDecoder, i: int) -> IndexDecodePacka
     """Extract the heavy daisy for index i at the default extraction scale
     from its view list, read in place, and compile its petal groups."""
     views = decoder.views[i]
-    if not isinstance(views, ExplicitViews):
-        raise TypeError("only explicit view lists compile to packages; reduce the coin space first")
     heavy = pick_heavy_level(build_daisy_sequence(views, decoder.locality), views.masses)
     return IndexDecodePackage.of(i, heavy, views)
 

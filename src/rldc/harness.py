@@ -13,7 +13,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from random import Random
 from typing import Callable, Collection, Sequence
 
@@ -67,9 +67,12 @@ class ClaimReport:
 
     def record(self, labels, margin: float | None = None) -> None:
         self.violations += 1
-        if len(self.violation_seeds) < MAX_LABELS:
-            self.violation_seeds.append(labels)
+        self.keep((labels,))
         self.note_margin(margin)
+
+    def keep(self, labels) -> None:
+        """Append violation labels in order until the report holds MAX_LABELS."""
+        self.violation_seeds.extend(islice(labels, max(0, MAX_LABELS - len(self.violation_seeds))))
 
     def note_margin(self, margin: float | None) -> None:
         if margin is not None and (self.worst_margin is None or margin < self.worst_margin):
@@ -546,7 +549,7 @@ def verify_claims(
         # The heavy-level pigeonhole is a corollary of the partition claim;
         # its violations surface under the fixed "partition" claim id.
         daisy["partition"].violations += daisy["pigeonhole"].violations
-        daisy["partition"].violation_seeds.extend(daisy["pigeonhole"].violation_seeds)
+        daisy["partition"].keep(daisy["pigeonhole"].violation_seeds)
         reports.extend(daisy[c] for c in daisy_wanted)
     if "simple-daisy-bound" in claims:
         reports.append(run_pluck_suite(daisies, seed))
@@ -561,7 +564,7 @@ def verify_claims(
             single = wrapup_sanity(k)
             merged.instances += single.instances
             merged.violations += single.violations
-            merged.violation_seeds.extend(single.violation_seeds)
+            merged.keep(single.violation_seeds)
             merged.note_margin(single.worst_margin)
         reports.append(merged)
     return reports

@@ -8,7 +8,8 @@ of linear size:
    replays the tree on the answers -- output-identical, locality up to 2**l.
 2. amplify runs R = ceil(log2(1/eps)) independent executions and answers b
    only on unanimity, driving the wrong-output probability below eps while
-   keeping valid-codeword decoding exact.
+   keeping valid-codeword decoding exact.  Its result, an AmplifiedDecoder,
+   is the base decoder and R; only reduce_randomness reads it.
 3. reduce_randomness redraws the decoder's coins from a sampled multiset of
    fixed size t, so the coin space costs only ceil(log2 t) random bits.  The
    underlying guarantee is existential over all in-radius inputs; at desk
@@ -30,7 +31,6 @@ from .decoders import (
     ExplicitViews,
     LocalView,
     NonAdaptiveDecoder,
-    ProductViews,
     UnanimityView,
     run_tree,
     table_masks,
@@ -85,27 +85,30 @@ def repetitions_for(epsilon: Fraction) -> int:
     return r
 
 
-def amplify(decoder: NonAdaptiveDecoder, epsilon: Fraction) -> NonAdaptiveDecoder:
+@dataclass(frozen=True)
+class AmplifiedDecoder:
+    """Unanimity over `times` independent runs of a base decoder, whose coin outcomes are never listed."""
+
+    base: NonAdaptiveDecoder
+    times: int
+
+    def __post_init__(self) -> None:
+        if self.times < 1:
+            raise ValueError("need at least one repetition")
+
+    @property
+    def locality(self) -> int:
+        return self.base.locality * self.times
+
+
+def amplify(decoder: NonAdaptiveDecoder, epsilon: Fraction) -> AmplifiedDecoder:
     """Unanimity over R = ceil(log2(1/eps)) independent parallel executions.
 
     The merged decoder outputs b in {0,1} iff all executions output b and
     REJECT otherwise, so valid-codeword decoding stays exact and the
-    wrong-output probability drops to at most (1/3)**R <= eps.  The coin
-    space is the R-fold product, held lazily.
+    wrong-output probability drops to at most (1/3)**R <= eps.
     """
-    reps = repetitions_for(Fraction(epsilon))
-    views = []
-    for i in range(decoder.k):
-        base = decoder.views[i]
-        if not isinstance(base, ExplicitViews):
-            raise TypeError("amplify expects an explicit coin space; reduce first")
-        views.append(ProductViews(base, reps))
-    return NonAdaptiveDecoder(
-        k=decoder.k,
-        n=decoder.n,
-        locality=decoder.locality * reps,
-        views=tuple(views),
-    )
+    return AmplifiedDecoder(decoder, repetitions_for(Fraction(epsilon)))
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,7 @@ class ReductionFailedError(RuntimeError):
 
 
 def reduce_randomness(
-    decoder: NonAdaptiveDecoder,
+    decoder: NonAdaptiveDecoder | AmplifiedDecoder,
     multiset_size: int,
     corpus: Sequence[tuple[Sequence[int], Sequence[int]]],
     tolerance: Fraction,
@@ -159,69 +162,70 @@ def reduce_randomness(
     decoding radius of its codeword; the report gives the exact worst fraction
     of rows whose output is neither the reference bit nor REJECT.  Over
     `tolerance`, the multisets are resampled up to RETRIES more times, and then
-    ReductionFailedError carries the final report.  It raises ValueError
-    before sampling for a negative tolerance, which no corpus can meet, and
-    for over MAX_TABLE_ENTRIES table entries or MAX_SAMPLED_PARTS sampled
-    parts (k x multiset x R) in all.  A row is R draws of base row numbers
-    (ExplicitViews.draw), and its parts are the distinct rows drawn.  The
-    corpus is checked as bit masks: bit t of column c is word t at c, and a
-    row's wrong words are `ones & ~truth | zeros & truth` over its parts'
-    table_masks, made at most once per base row.  A row's key is the positions
-    of its parts' coordinates among the merged ones and the parts' table
-    numbers (one per table value); a new key materializes through one shape
-    memo per call, so every row of a shape shares one table tuple.
+    ReductionFailedError carries the final report.  It raises ValueError before
+    sampling for a negative tolerance, which no corpus can meet, and for over
+    MAX_TABLE_ENTRIES table entries or MAX_SAMPLED_PARTS sampled parts (k x
+    multiset x R) in all.  A row is R draws of base row numbers
+    (ExplicitViews.draw; R = 1 for a plain decoder), and its parts are the
+    distinct rows drawn.  The corpus is checked as bit masks: bit t of column c
+    is word t at c, and a row's wrong words are `ones & ~truth | zeros & truth`
+    over its parts' table_masks, made at most once per base row.  A row's key
+    is the positions of its parts' coordinates among the merged ones and the
+    parts' table numbers (one per table value); a new key materializes through
+    one shape memo per call, so every row of a shape shares one table tuple.
     """
     if multiset_size < 1:
         raise ValueError("multiset size must be >= 1")
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    entries = sum(multiset_size << views.max_view_size() for views in decoder.views)
+    base, times = (decoder.base, decoder.times) if isinstance(decoder, AmplifiedDecoder) else (decoder, 1)
+    # a row merges `times` base rows, but reads no more than all its list covers
+    entries = sum(multiset_size << min(v.max_view_size() * times, len(set(chain.from_iterable(v.sets)))) for v in base.views)
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(f"reduction needs {entries} table entries, over {MAX_TABLE_ENTRIES}")
-    runs = [(v.base, v.times) if isinstance(v, ProductViews) else (v, 1) for v in decoder.views]
-    parts = multiset_size * sum(times for _, times in runs)
+    parts = multiset_size * times * base.k
     if parts > MAX_SAMPLED_PARTS:
         raise ValueError(f"reduction samples {parts} parts, over {MAX_SAMPLED_PARTS}")
     full = (1 << len(corpus)) - 1
-    columns = [sum(1 << t for t, (w, _) in enumerate(corpus) if w[c]) for c in range(decoder.n)]
-    truths = [sum(1 << t for t, (_, x) in enumerate(corpus) if x[i]) for i in range(decoder.k)]
-    objects, by_value = {id(t): t for base, _ in runs for t in base.tables}, {}  # ids stay valid: the decoder holds them
+    columns = [sum(1 << t for t, (w, _) in enumerate(corpus) if w[c]) for c in range(base.n)]
+    truths = [sum(1 << t for t, (_, x) in enumerate(corpus) if x[i]) for i in range(base.k)]
+    objects, by_value = {id(t): t for views in base.views for t in views.tables}, {}  # ids stay valid: the decoder holds them
     number = {key: by_value.setdefault(table, len(by_value)) for key, table in objects.items()}  # one per value
-    numbers = [list(map(number.__getitem__, map(id, base.tables))) for base, _ in runs]
-    masks = [[None] * len(base) for base, _ in runs]  # per base row, its table_masks over the corpus
+    numbers = [list(map(number.__getitem__, map(id, views.tables))) for views in base.views]
+    masks = [[None] * len(views) for views in base.views]  # per base row, its table_masks over the corpus
     shapes, tables = {}, {}  # row key -> its table; materialize's memo by shape
     for attempt in range(1, RETRIES + 2):
-        views, worst = [], [0] * len(corpus)
-        for (base, times), row_numbers, row_masks, truth in zip(runs, numbers, masks, truths):
+        reduced, worst = [], [0] * len(corpus)
+        for views, row_numbers, row_masks, truth in zip(base.views, numbers, masks, truths):
             rows, counts = [], [0] * len(corpus)
-            for drawn in zip(*[iter(base.draw(rng, multiset_size * times))] * times):  # `times` draws a row
+            for drawn in zip(*[iter(views.draw(rng, multiset_size * times))] * times):  # `times` draws a row
                 drawn = sorted(set(drawn))  # a repeated part changes neither the table nor the masks
-                coords = list(chain.from_iterable(map(base.sets.__getitem__, drawn)))
+                coords = list(chain.from_iterable(map(views.sets.__getitem__, drawn)))
                 merged = sorted(set(coords))
                 position = {c: q for q, c in enumerate(merged)}
                 key = (tuple(map(position.__getitem__, coords)), tuple(map(row_numbers.__getitem__, drawn)))
                 if key not in shapes:
-                    row_parts = tuple(map(LocalView, map(base.sets.__getitem__, drawn), map(base.tables.__getitem__, drawn)))
+                    row_parts = tuple(map(LocalView, map(views.sets.__getitem__, drawn), map(views.tables.__getitem__, drawn)))
                     shapes[key] = UnanimityView(row_parts, tuple(merged)).materialize(tables)
                 rows.append((tuple(merged), shapes[key]))
                 ones = zeros = full
                 for r in drawn:
                     if row_masks[r] is None:
-                        row_masks[r] = table_masks(base.tables[r], [columns[c] for c in base.sets[r]], full)
+                        row_masks[r] = table_masks(views.tables[r], [columns[c] for c in views.sets[r]], full)
                     ones, zeros = ones & row_masks[r][0], zeros & row_masks[r][1]
                 wrong = ones & ~truth | zeros & truth
                 while wrong:
                     counts[(wrong & -wrong).bit_length() - 1] += 1
                     wrong &= wrong - 1
             sets, row_tables = zip(*rows)
-            views.append(ExplicitViews(decoder.n, sets, (1,) * multiset_size, multiset_size, row_tables))
+            reduced.append(ExplicitViews(base.n, sets, (1,) * multiset_size, multiset_size, row_tables))
             worst = list(map(max, worst, counts))
         entry_rates = tuple(Fraction(count, multiset_size) for count in worst)
         max_wrong_rate = max(entry_rates, default=Fraction(0))
         passed = max_wrong_rate <= tolerance
         report = ReductionReport(multiset_size, len(corpus), max_wrong_rate, passed, attempt, entry_rates)
         if passed:
-            return NonAdaptiveDecoder(decoder.k, decoder.n, decoder.locality, tuple(views)), report
+            return NonAdaptiveDecoder(base.k, base.n, decoder.locality, tuple(reduced)), report
     raise ReductionFailedError(report)
 
 

@@ -9,9 +9,9 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
-from rldc.decoders import REJECT, ExplicitViews, LocalView, NonAdaptiveDecoder, ProductViews, UnanimityView, run_tree
+from rldc.decoders import REJECT, ExplicitViews, LocalView, NonAdaptiveDecoder, UnanimityView, run_tree
 from rldc.exact import integer_masses
-from rldc.preprocessing import RETRIES, ReductionFailedError, ReductionReport
+from rldc.preprocessing import RETRIES, AmplifiedDecoder, ReductionFailedError, ReductionReport
 from rldc.set_system import SetSystem
 
 
@@ -76,12 +76,21 @@ def unanimity_of(parts):
     return UnanimityView(tuple(parts), tuple(sorted({c for part in parts for c in part.coords})))
 
 
-def sample_view(view_set, rng):
+def runs(decoder, i):
+    """(index i's base view list, its run count): an AmplifiedDecoder's
+    times, or None for a plain decoder's list, run once as it is."""
+    base, times = (decoder.base, decoder.times) if isinstance(decoder, AmplifiedDecoder) else (decoder, None)
+    if i < 0 or i >= base.k:
+        raise ValueError(f"index {i} outside [0, {base.k})")
+    return base.views[i], times
+
+
+def sample_view(view_set, rng, times=None):
     """One coin outcome drawn through draw, one rng.randrange per part: a
-    view of an explicit list, or for a ProductViews the unanimity of `times`
-    base draws in draw order."""
-    if isinstance(view_set, ProductViews):
-        return unanimity_of([sample_view(view_set.base, rng) for _ in range(view_set.times)])
+    view of the list, or given `times` the unanimity of `times` draws in
+    draw order."""
+    if times is not None:
+        return unanimity_of([sample_view(view_set, rng) for _ in range(times)])
     entries, table = _entries(view_set)
     return entries[draw(table, rng)][1]
 
@@ -120,25 +129,25 @@ def evaluate(view, w):
     return verdict
 
 
-def product_entries(views):
-    """Every (weight, UnanimityView) of a ProductViews coin space."""
-    for combo in itertools.product(views.base, repeat=views.times):
+def product_entries(views, times):
+    """Every (weight, UnanimityView) of `times` independent runs of a list."""
+    for combo in itertools.product(views, repeat=times):
         weight = Fraction(1)
         for wt, _ in combo:
             weight *= wt
         yield weight, unanimity_of([view for _, view in combo])
 
 
-def coin_space(view_set):
-    """The (weight, view) entries of an explicit or a product view list."""
-    return product_entries(view_set) if isinstance(view_set, ProductViews) else iter(view_set)
+def coin_space(decoder, i):
+    """The (weight, view) entries of index i of a plain or an amplified decoder."""
+    views, times = runs(decoder, i)
+    return iter(views) if times is None else product_entries(views, times)
 
 
 def decode(decoder, w, i, rng):
     """Sample one view for index i and apply it to w: (output, queried set)."""
-    if i < 0 or i >= decoder.k:
-        raise ValueError(f"index {i} outside [0, {decoder.k})")
-    view = sample_view(decoder.views[i], rng)
+    view_set, times = runs(decoder, i)
+    view = sample_view(view_set, rng, times)
     return evaluate(view, w), frozenset(view.coords)
 
 
@@ -156,7 +165,7 @@ def adaptive_decode(decoder, w, i, rng):
 def output_distribution(decoder, w, i):
     """Exact output distribution of decoder(i) on oracle w over its coin space."""
     dist = {}
-    for weight, view in coin_space(decoder.views[i]):
+    for weight, view in coin_space(decoder, i):
         out = evaluate(view, w)
         dist[out] = dist.get(out, Fraction(0)) + weight
     return dist
@@ -187,21 +196,23 @@ def reduce_by_words(decoder, multiset_size, corpus, tolerance, rng):
     """reduce_randomness evaluated word by word: every row's column-folded
     table reads every corpus word, and the wrong rows are counted per index."""
     uniform = Fraction(1, multiset_size)
+    base = decoder.base if isinstance(decoder, AmplifiedDecoder) else decoder
     report = None
     for attempt in range(1, RETRIES + 2):
         views = []
-        for i in range(decoder.k):
-            rows = [sample_view(decoder.views[i], rng) for _ in range(multiset_size)]
-            views.append(views_of(decoder.n, [
+        for i in range(base.k):
+            view_set, times = runs(decoder, i)
+            rows = [sample_view(view_set, rng, times) for _ in range(multiset_size)]
+            views.append(views_of(base.n, [
                 (uniform, row if isinstance(row, LocalView) else LocalView(row.coords, column_fold(row))) for row in rows
             ]))
         reduced = NonAdaptiveDecoder(
-            k=decoder.k, n=decoder.n, locality=decoder.locality, views=tuple(views)
+            k=base.k, n=base.n, locality=decoder.locality, views=tuple(views)
         )
         entry_rates = []
         for word, message in corpus:
             entry_worst = Fraction(0)
-            for i in range(decoder.k):
+            for i in range(base.k):
                 wrong = sum(
                     1 for _, view in views[i]
                     if view.read_and_evaluate(word) not in (message[i], REJECT)

@@ -42,7 +42,7 @@ from rldc.preprocessing import (
 )
 from rldc.rng import derive_rng
 
-from oracles import evaluate, output_distribution, sample_view, wrong_rate
+from oracles import evaluate, output_distribution, runs, sample_view, wrong_rate
 
 SEED = 20250808
 
@@ -162,7 +162,8 @@ def test_c05_amplification():
         x = tuple(rng.randrange(2) for _ in range(code.k))
         word = random_corruption(code.encode(x), flips, rng)
         i = rng.randrange(code.k)
-        view = sample_view(amp.views[i], rng)
+        views, times = runs(amp, i)
+        view = sample_view(views, rng, times)
         out = evaluate(view, word)
         if out is not REJECT and out != x[i]:
             wrong += 1

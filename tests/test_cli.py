@@ -16,7 +16,7 @@ from pinned import PINS, run_pin, system_to_json, write_pin_input
 import rldc
 from rldc import harness
 from rldc.cli import main
-from rldc.daisy import MAX_LEVELS
+from rldc.daisy import MAX_LEVEL_BITS, MAX_LEVELS
 from rldc.set_system import SetSystem, WeightedSetSystem
 
 
@@ -382,6 +382,20 @@ def test_ell_above_max_levels_is_one_error_line(star_json, capsys):
     assert captured.err == f"rldc: error: --ell must be <= {MAX_LEVELS}, got {MAX_LEVELS + 1}\n"
     assert captured.out == ""
     assert main(["extract-daisy", "--in", str(star_json), "--ell", str(MAX_LEVELS), "--out", os.devnull]) == 0
+
+
+def test_levels_over_a_wide_n_are_one_error_line(tmp_path, capsys):
+    # refused before any level is built: the exact floors cost about ell * n.bit_length()
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 1 << 1024, "sets": [[0], [1]]}))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["extract-daisy", "--in", str(path), "--ell", "30"])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"rldc: error: ell * n.bit_length() = 30 * 1025 exceeds {MAX_LEVEL_BITS}\n"
+    assert captured.out == ""
 
 
 def test_largest_seed_accepted():

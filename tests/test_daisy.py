@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rldc.daisy import (
+    MAX_LEVEL_BITS,
     MAX_LEVELS,
     build_daisy_sequence,
     default_extraction_scale,
@@ -63,6 +64,15 @@ def test_level_count_bounded_before_any_work():
     with pytest.raises(ValueError, match=rf"^level count must be in \[1, {MAX_LEVELS}\], got {MAX_LEVELS + 1}$"):
         build_daisy_sequence(system, MAX_LEVELS + 1)
     assert len(build_daisy_sequence(system, MAX_LEVELS)) == MAX_LEVELS
+
+
+def test_levels_times_bits_of_n_bounded_before_any_work():
+    # the exact floors raise integers of about ell * n.bit_length() bits
+    wide = SetSystem(1 << 1024, ((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match=rf"^ell \* n.bit_length\(\) = 25 \* 1025 exceeds {MAX_LEVEL_BITS}$"):
+        build_daisy_sequence(wide, 25)
+    at_limit = SetSystem(1 << (MAX_LEVEL_BITS // MAX_LEVELS - 1), ((0, 1), (2, 3)))
+    assert len(build_daisy_sequence(at_limit, MAX_LEVELS)) == MAX_LEVELS
 
 
 def test_strict_threshold_boundary():

@@ -15,7 +15,6 @@ from rldc.decoders import (
     ExplicitViews,
     LocalView,
     NonAdaptiveDecoder,
-    ProductViews,
     TreeNode,
     UnanimityView,
     corrupt,
@@ -546,7 +545,7 @@ def test_materialize_product_samples(spec, times, seed):
     _, dec = parse_code_spec(spec)
     rng = random.Random(seed)
     for views in dec.views:
-        assert_materializes(sample_view(ProductViews(views, times), rng))
+        assert_materializes(sample_view(views, rng, times))
 
 
 @st.composite
@@ -600,9 +599,9 @@ def product_rows(draw):
     width = len(base[0].coords)
     base.append(LocalView(coords(width, width), tuple(list(base[0].table))))
     base.append(view(base[0].coords))
-    product = ProductViews(views_of(6, [(Fraction(1, len(base)), v) for v in base]), draw(st.integers(1, 4)))
+    views, times = views_of(6, [(Fraction(1, len(base)), v) for v in base]), draw(st.integers(1, 4))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    rows = [sample_view(product, rng) for _ in range(draw(st.integers(1, 12)))]
+    rows = [sample_view(views, rng, times) for _ in range(draw(st.integers(1, 12)))]
     return rows + [unanimity_of([base[0], base[-1], base[0]]), unanimity_of([])]
 
 
@@ -625,20 +624,16 @@ def test_materialize_without_parts_rejects():
     assert unanimity_of([]).materialize({}) == (REJECT,)
 
 
-def test_product_view_size_capped_by_coverage():
-    _, dec = shared_pivot_code(2, 8, 4)
-    # eight runs of pivot + one copy merge into at most the pivot and all 8 copies
-    assert ProductViews(dec.views[0], 8).max_view_size() == 10
-    assert ProductViews(dec.views[0], 3).max_view_size() == 9
-
-
 def test_view_list_checks_its_universe():
     with pytest.raises(ValueError, match=r"^set 1 has elements outside \[0, 2\)$"):
         ExplicitViews(2, ((0,), (2,)), (1, 1), 2, ((0, 1),) * 2)
     views = ExplicitViews(3, ((0,), (2,)), (1, 1), 2, ((0, 1),) * 2)
     with pytest.raises(ValueError, match=r"index 0 has views over \[0, 3\), not \[0, 4\)"):
         NonAdaptiveDecoder(k=1, n=4, locality=1, views=(views,))
-    # an amplified list keeps its base's universe, and has len(base) ** times coin outcomes
-    product = ProductViews(views, 3)
-    assert product.universe_size == 3 and len(product) == 8
-    NonAdaptiveDecoder(k=1, n=3, locality=2, views=(product,))
+
+
+def test_decoder_holds_only_explicit_view_lists():
+    views = ExplicitViews(3, ((0,), (2,)), (1, 1), 2, ((0, 1),) * 2)
+    for other in (list(views), EntryViews(3, [(Fraction(1, 2), (0,), (0, 1)), (Fraction(1, 2), (2,), (0, 1))])):
+        with pytest.raises(TypeError, match=rf"^index 1 holds a {type(other).__name__}, not an ExplicitViews view list$"):
+            NonAdaptiveDecoder(k=2, n=3, locality=1, views=(views, other))

@@ -47,7 +47,7 @@ from rldc.global_decoder import (
     sample_coordinates,
 )
 from rldc.harness import _audit_index, run_global_trials
-from rldc.preprocessing import amplify, flatten_adaptive
+from rldc.preprocessing import flatten_adaptive
 from rldc.set_system import SetSystem, WeightedSetSystem
 
 
@@ -326,8 +326,6 @@ def test_packages_read_the_view_lists_in_place(monkeypatch):
     assert not calls
     ExplicitViews(2, ((0,), (1,)), (1, 1), 2, ((0, 1),) * 2)  # the spies see a view list, checked once
     assert calls == {"ExplicitViews": 1, "WeightedSetSystem": 1, "SetSystem": 1, "rows_increasing": 1}
-    with pytest.raises(TypeError, match="only explicit view lists"):
-        build_index_package(amplify(dec, Fraction(1, 4)), 0)
 
 
 def test_packages_keep_little_beside_the_decoder():

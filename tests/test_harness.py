@@ -270,3 +270,24 @@ def test_trial_labels_capped_counts_exact():
     assert stats.wrong_bits == 40
     assert len(stats.violation_seeds) == MAX_LABELS
     assert stats.violation_seeds[-1] == (9, "trial", MAX_LABELS - 1, "wrong-bit", 0)
+
+
+def test_merged_claim_labels_capped_counts_exact(monkeypatch):
+    # the pigeonhole labels join partition's and every k's join wrapup's, in
+    # order, up to MAX_LABELS in all; the counts add up in full
+    def report(claim, count, *key):
+        made = ClaimReport(claim, instances=1)
+        for j in range(count):
+            made.record(key + (j,))
+        return made
+
+    suites = {c: report(c, 10, c) for c in ("coresub", "partition", "external")}
+    monkeypatch.setattr(harness, "run_daisy_claim_suite", lambda *_: suites | {
+        "pigeonhole": report("pigeonhole", MAX_LABELS, "pigeonhole")})
+    monkeypatch.setattr(harness, "wrapup_sanity", lambda k: report("wrapup", MAX_LABELS, "wrapup", k))
+    partition, wrapup = verify_claims(**SMALL | dict(claims=["partition", "wrapup"], wrapup_max=3))
+    assert (partition.violations, wrapup.violations) == (10 + MAX_LABELS, 3 * MAX_LABELS)
+    assert partition.violation_seeds == [("partition", j) for j in range(10)] + [
+        ("pigeonhole", j) for j in range(MAX_LABELS - 10)
+    ], "the pigeonhole labels were not capped"
+    assert wrapup.violation_seeds == [("wrapup", 1, j) for j in range(MAX_LABELS)], "the wrapup labels were not capped"

@@ -35,3 +35,41 @@ def test_modules_import_only_earlier_layers():
         imported = imported_modules(ast.parse(modules[name].read_text()))
         later = sorted(imported - set(LAYERS[:rank]))
         assert not later, f"rldc.{name} imports {later}, which are not before it in {LAYERS}"
+
+
+def unused_imports(tree: ast.Module, reexports: bool) -> list[str]:
+    """The names a module imports and never reads, each with its line.  A
+    name read only inside a string annotation counts as read; `__future__`
+    imports, and with `reexports` the package's own names, are exempt."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module == "__future__" or (reexports and node.level)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(alias.asname or alias.name).split(".")[0]: node.lineno for alias in node.names}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    nodes = list(ast.walk(tree))
+    for note in filter(None, annotations):
+        for text in ast.walk(note):
+            if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                nodes.extend(ast.walk(ast.parse(text.value, mode="eval")))
+    read = {node.id for node in nodes if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in read]
+
+
+def test_every_imported_name_is_read():
+    source = Path(rldc.__file__).parent
+    for path in sorted(source.glob("*.py")):
+        unused = unused_imports(ast.parse(path.read_text()), reexports=path.name == "__init__.py")
+        assert not unused, f"rldc.{path.stem} imports names it never reads: {unused}"
+
+
+def test_unused_import_check_sees_string_annotations():
+    tree = ast.parse("from a import B, C, D\nfrom .e import F\nx: 'B | None' = 1\ndef f(y: C) -> 'list[int]': pass")
+    assert unused_imports(tree, reexports=True) == ["D (line 1)"]
+    assert unused_imports(tree, reexports=False) == ["D (line 1)", "F (line 2)"]

@@ -15,7 +15,6 @@ from rldc.decoders import (
     ExplicitViews,
     LocalView,
     NonAdaptiveDecoder,
-    ProductViews,
     TreeNode,
     UnanimityView,
     decoder_to_json,
@@ -30,6 +29,7 @@ from rldc import preprocessing
 from rldc.harness import make_in_radius_corpus
 from rldc.preprocessing import (
     MAX_SAMPLED_PARTS,
+    AmplifiedDecoder,
     ReductionFailedError,
     amplify,
     epsilon_for_locality,
@@ -274,13 +274,6 @@ def test_reduce_hadamard_m6():
     assert randomness_complexity(reduced) == 8  # ceil(log2 64) + 2
 
 
-def test_randomness_complexity_of_an_amplified_decoder():
-    _, dec = hadamard_code(4)
-    amp = amplify(dec, Fraction(1, 16))  # R = 4 runs of 8 views: 8^4 coin outcomes
-    assert len(amp.views[0]) == 8**4
-    assert randomness_complexity(amp) == 12 == (8**4 - 1).bit_length()
-
-
 def test_reduce_refuses_oversized_tables_before_sampling():
     _, dec = hadamard_code(6)
     amp = amplify(dec, Fraction(1, 1024))  # R = 10: rows of up to 2^20 entries
@@ -288,6 +281,18 @@ def test_reduce_refuses_oversized_tables_before_sampling():
     state = rng.getstate()
     with pytest.raises(ValueError, match="1610612736 table entries"):
         reduce_randomness(amp, 4 * dec.n, [], Fraction(1), rng)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("epsilon, multiset_size", [(Fraction(1, 256), 4096), (Fraction(1, 8), 8192)])
+def test_reduce_budget_caps_a_row_at_its_lists_coverage(epsilon, multiset_size):
+    # R runs of the pivot and one of 8 copies merge into at most the pivot and
+    # all 8 copies: width min(3R, 10), so R = 8 charges 10, not 24, and R = 3 charges 9
+    _, dec = shared_pivot_code(2, 8, 4)
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=r"^reduction needs 16777216 table entries, over 8388608$"):
+        reduce_randomness(amplify(dec, epsilon), multiset_size, [], Fraction(1), rng)
     assert rng.getstate() == state
 
 
@@ -406,7 +411,7 @@ def test_failed_reduction_report_matches_word_by_word_reference(spec):
 def reducible_decoders(draw):
     """k <= 3 indices over n <= 10 coordinates, each 1-6 rows of 0-3
     coordinates with REJECT in the tables, run R = 1-4 times (R = 1 also as
-    the plain list): a row repeats an earlier table as a fresh tuple at other
+    the plain decoder): a row repeats an earlier table as a fresh tuple at other
     coordinates, and a twin row reads the same coordinates through its own
     table.  Masses are uniform or not, one reduced denominator above 2^32."""
     n, reps = draw(st.integers(1, 10)), draw(st.integers(1, 4))
@@ -431,10 +436,10 @@ def reducible_decoders(draw):
         )
         if draw(st.integers(0, 3)) == 0:
             masses[draw(st.integers(0, len(rows) - 1))] += 2**35 + draw(st.integers(0, 2**8))
-        base = ExplicitViews(n, tuple(rows), tuple(masses), sum(masses), tuple(tables))
-        views.append(base if reps == 1 and draw(st.booleans()) else ProductViews(base, reps))
+        views.append(ExplicitViews(n, tuple(rows), tuple(masses), sum(masses), tuple(tables)))
     locality = max(1, max(v.max_view_size() for v in views))
-    return NonAdaptiveDecoder(k=len(views), n=n, locality=locality, views=tuple(views))
+    decoder = NonAdaptiveDecoder(k=len(views), n=n, locality=locality, views=tuple(views))
+    return decoder if reps == 1 and draw(st.booleans()) else AmplifiedDecoder(decoder, reps)
 
 
 @st.composite
@@ -442,7 +447,8 @@ def reduction_cases(draw):
     """A generated decoder, a multiset size, a corpus (random, within one flip
     of one word with one message, or empty), a tolerance and a seed."""
     decoder = draw(reducible_decoders())
-    n, k = decoder.n, decoder.k
+    base = decoder.base if isinstance(decoder, AmplifiedDecoder) else decoder
+    n, k = base.n, base.k
     kind = draw(st.sampled_from(("random", "in-radius", "empty")))
     bits = lambda size: tuple(draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
     size = 0 if kind == "empty" else draw(st.integers(1, 6))
