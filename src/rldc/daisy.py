@@ -75,6 +75,10 @@ class HeavyDaisy:
 # so on 2 sets ell = 1000 took 0.02 s at n = 4 and 0.39 s at n = 2^20 (CHANGES.md).
 # The cost tracks ell * n.bit_length(): 0.42-0.49 s at 25,000 (ell = 1000, n = 2^24; ell = 100,
 # n = 2^256), 0.59-0.94 s at 30,750-33,000 (ell = 30, n = 2^1024; ell = 1000, n = 2^32).
+# An explicit scale c adds 3 per numerator bit (each floor binary-searches that many more bits)
+# and 1 per 4 denominator bits (they only widen the powers): at the limit, 3 sets over n = 16
+# took 0.12-0.26 s (numerator) and 0.01-0.59 s (denominator) for ell = 2 to 1000; uncharged,
+# ell = 100 took 43 s at a 1,000-bit numerator and 7.8 s at a 32,000-bit denominator.
 MAX_LEVELS = 1000
 MAX_LEVEL_BITS = 25_000
 
@@ -108,8 +112,12 @@ def build_daisy_sequence(system: SetSystem, ell: int, c: Fraction | None = None)
     n = system.universe_size
     if not 1 <= ell <= MAX_LEVELS:
         raise ValueError(f"level count must be in [1, {MAX_LEVELS}], got {ell}")
-    if ell * n.bit_length() > MAX_LEVEL_BITS:
-        raise ValueError(f"ell * n.bit_length() = {ell} * {n.bit_length()} exceeds {MAX_LEVEL_BITS}")
+    bits, charged = n.bit_length(), "n.bit_length()"
+    if c is not None:
+        bits += 3 * c.numerator.bit_length() + c.denominator.bit_length() // 4
+        charged = "(n.bit_length() + 3 * c's numerator bits + c's denominator bits // 4)"
+    if ell * bits > MAX_LEVEL_BITS:
+        raise ValueError(f"ell * {charged} = {ell} * {bits} exceeds {MAX_LEVEL_BITS}")
     c = default_extraction_scale(len(system.sets), n, ell) if c is None else PowerBound(c, n, 0)
     sets = system.sets
     sizes = tuple(map(len, sets))

@@ -23,10 +23,12 @@ Packages are compiled once into groups (PetalGroup) and keep only the kernel
 order and the groups, not the daisy or the views.  They compile from the
 decoder's rows (decoders.ExplicitViews): the heavy daisy's members are
 split by table object and each bucket's rows are read a column at a time.
-A group stands for the members that share a table object: the offsets of
-their petal coordinates from the first petal coordinate c0, the table bits
-of those coordinates and the kernel pairs.  It gives each c0 in
-[lo, hi) a one-byte lane and marks the occupied lanes.  Per petal offset d
+Columns whose rows disagree on the kernel coordinate they hold, or on the
+petal offset, split the bucket on their values; nothing is keyed row by
+row.  A group stands for the members of one part: the offsets of their
+petal coordinates from the first petal coordinate c0, the table bits of
+those coordinates and the kernel pairs.  It gives each c0 in [lo, hi) a
+one-byte lane and marks the occupied lanes.  Per petal offset d
 the filter ANDs the lane mask with the flags integer shifted down to
 coordinate lo + d, and the completion ORs the bits integer shifted the same
 way (and up to the petal position), keeps the full lanes with
@@ -64,7 +66,7 @@ from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from operator import sub
 from random import Random
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .daisy import HeavyDaisy, build_daisy_sequence, pick_heavy_level
 from .decoders import REJECT, ExplicitViews, NonAdaptiveDecoder
@@ -237,60 +239,49 @@ def _petal_groups(
 ) -> tuple[PetalGroup, ...]:
     """Group members a table object's bucket at a time, in the order of each
     bucket's first member; ExplicitViews sizes a table by its row, so a
-    bucket's rows have one length.  They are read by columns when each column
-    lies wholly outside the kernel or is one kernel coordinate throughout,
-    and each petal column sits at a fixed offset from the first; otherwise
-    they are keyed row by row.  Members with empty petals are left out:
-    they are never fully queried."""
+    bucket's rows have one length.  Each bucket is read by columns and split
+    only where its columns disagree.  Members with empty petals sit in no
+    group: they are never fully queried."""
     width = len(kernel_order)
     slot = {e: 1 << (width - 1 - j) for j, e in enumerate(kernel_order)}
     rows, tables = views.sets, views.tables
-    buckets = defaultdict(list)
-    for m in members:
-        buckets[id(tables[m])].append(m)
     groups = []
-    for bucket in buckets.values():
-        bucket_rows = tuple(map(rows.__getitem__, bucket))
-        for layout, c0s in _column_layout(list(zip(*bucket_rows)), slot) or _member_layouts(bucket_rows, slot):
-            if layout[0]:
-                groups += _lay_out(tables[bucket[0]], layout, c0s)
+    for part in _split(id(tables[m]) for m in members):
+        for key, c0s in _layouts(list(zip(*[rows[members[j]] for j in part])), slot):
+            groups += _lay_out(tables[members[part[0]]], key, c0s)
     return tuple(groups)
 
 
-def _column_layout(columns: list[tuple[int, ...]], slot: Mapping[int, int]):
-    """[(key, c0s)] for a regular bucket, else None.  A key is (petal
-    positions, petal offsets, kernel pairs)."""
-    positions, pairs = [], []
-    for j, col in enumerate(columns):
-        if slot.keys().isdisjoint(col):
-            positions.append(j)
-        elif col[0] in slot and col.count(col[0]) == len(col):
-            pairs.append((1 << j, slot[col[0]]))
-        else:
-            return None
-    c0s = columns[positions[0]] if positions else ()
-    offsets = [0] if positions else []
-    for j in positions[1:]:
-        diffs = set(map(sub, columns[j], c0s))
-        if len(diffs) != 1:
-            return None
-        offsets.append(diffs.pop())
-    return [((tuple(positions), tuple(offsets), tuple(pairs)), c0s)]
-
-
-def _member_layouts(bucket_rows: Sequence[tuple[int, ...]], slot: Mapping[int, int]):
-    """[(key, c0s)] with the bucket's rows split by their own keys."""
+def _split(keys: Iterable) -> list[list[int]]:
+    """The positions of keys grouped by key, in order of each key's first position."""
     parts = defaultdict(list)
-    for coords in bucket_rows:
-        petal = [(j, c) for j, c in enumerate(coords) if c not in slot]
-        c0 = petal[0][1] if petal else 0
-        key = (
-            tuple(j for j, _ in petal),
-            tuple(c - c0 for _, c in petal),
-            tuple((1 << j, slot[c]) for j, c in enumerate(coords) if c in slot),
-        )
-        parts[key].append(c0)
-    return list(parts.items())
+    for j, key in enumerate(keys):
+        parts[key].append(j)
+    return list(parts.values())
+
+
+def _layouts(columns: list[tuple[int, ...]], slot: Mapping[int, int]) -> Iterator[tuple[tuple, list[int]]]:
+    """(key, c0s) per part of a bucket, given as its columns; a key is (petal
+    positions, petal offsets, kernel pairs).  Each column reads every row's
+    kernel slot bit, 0 outside the kernel, and the columns whose slots
+    disagree split the rows on those slots.  Within a part c0 is the first
+    petal column, and the petal columns whose offsets from it disagree split
+    the part again on those offsets.  A part with no petal yields nothing."""
+    mixed = [col for col in columns if not slot.keys().isdisjoint(col) and (col[0] not in slot or col.count(col[0]) < len(col))]
+    if mixed:
+        for part in _split(zip(*(map(slot.get, col, repeat(0)) for col in mixed))):
+            yield from _layouts([tuple([col[r] for r in part]) for col in columns], slot)
+        return
+    positions = [j for j, col in enumerate(columns) if col[0] not in slot]
+    if not positions:
+        return
+    pairs = tuple((1 << j, slot[col[0]]) for j, col in enumerate(columns) if col[0] in slot)
+    c0s = columns[positions[0]]
+    uneven = [columns[j] for j in positions[1:] if len(set(map(sub, columns[j], c0s))) > 1]
+    for part in _split(zip(*(map(sub, col, c0s) for col in uneven))) if uneven else [range(len(c0s))]:
+        first = part[0]
+        offsets = tuple(columns[j][first] - c0s[first] for j in positions)
+        yield (tuple(positions), offsets, pairs), [c0s[r] for r in part]
 
 
 def _lay_out(table: tuple, key: tuple, c0s: Sequence[int]) -> list[PetalGroup]:

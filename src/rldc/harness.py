@@ -294,8 +294,8 @@ class GlobalTrialStats:
     violation_seeds: list = field(default_factory=list)
 
     def label(self, t: int, kind: str, index: int) -> None:
-        """Keep the replay label (seed, "trial", t, kind, index), up to MAX_LABELS."""
-        if len(self.violation_seeds) < MAX_LABELS:
+        """Keep the replay label (seed, "trial", t, kind, index), up to MAX_LABELS of each kind."""
+        if sum(label[3] == kind for label in self.violation_seeds) < MAX_LABELS:
             self.violation_seeds.append((self.seed, "trial", t, kind, index))
 
     @property

@@ -385,17 +385,25 @@ def test_ell_above_max_levels_is_one_error_line(star_json, capsys):
 
 
 def test_levels_over_a_wide_n_are_one_error_line(tmp_path, capsys):
-    # refused before any level is built: the exact floors cost about ell * n.bit_length()
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps({"n": 1 << 1024, "sets": [[0], [1]]}))
-    start = time.perf_counter()
-    with pytest.raises(SystemExit) as exc:
-        main(["extract-daisy", "--in", str(path), "--ell", "30"])
-    assert time.perf_counter() - start < 1
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"rldc: error: ell * n.bit_length() = 30 * 1025 exceeds {MAX_LEVEL_BITS}\n"
-    assert captured.out == ""
+    # refused before any level is built: the exact floors cost about ell * n.bit_length(),
+    # and an explicit scale adds 3 per numerator bit and 1 per 4 denominator bits
+    wide, three = tmp_path / "wide.json", tmp_path / "three.json"
+    wide.write_text(json.dumps({"n": 1 << 1024, "sets": [[0], [1]]}))
+    three.write_text(json.dumps({"n": 16, "sets": [[0, 1], [1, 2], [2, 3]]}))
+    scaled = "(n.bit_length() + 3 * c's numerator bits + c's denominator bits // 4)"
+    for path, argv, charge in [
+        (wide, ["--ell", "30"], "n.bit_length() = 30 * 1025"),
+        (three, ["--ell", "100", "--c", "1e4000"], f"{scaled} = 100 * {5 + 3 * (10**4000).bit_length()}"),
+        (three, ["--ell", "100", "--c", "1e-8000"], f"{scaled} = 100 * {5 + 3 + (10**8000).bit_length() // 4}"),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["extract-daisy", "--in", str(path), *argv])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"rldc: error: ell * {charge} exceeds {MAX_LEVEL_BITS}\n"
+        assert captured.out == ""
 
 
 def test_largest_seed_accepted():

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import compress
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import views_of
 from sample_draws import EDGE_PROBABILITIES, MAX_N, drawn_probabilities, same_draws
@@ -592,6 +592,16 @@ def grouped_cases(draw, empty_kernel=False):
     return _package(tuple(views), kernel, n, members), word, rng.randrange(2), set(range(n)) - missing
 
 
+# One shared table over rows where kernel coordinate 3 sits in column 1, 2 or 0
+# or in none, and where the column-2 rows' petal offsets differ: five groups.
+# Every view reads odd parity under the true assignment, so the index decodes 1.
+PARITY3 = (0, 1, 1, 0, 1, 0, 0, 1)
+MIXED_ROWS = ((1, 3, 5), (2, 3, 6), (0, 2, 3), (1, 2, 3), (4, 5, 7), (5, 6, 8), (3, 4, 6))
+MIXED_BUCKET = (
+    _package(tuple(LocalView(row, PARITY3) for row in MIXED_ROWS), frozenset({3}), 9),
+    [0, 0, 1, 0, 1, 1, 0, 1, 0], 1, set(range(9)) - {3},
+)
+
 # mostly the default cap, sometimes one that cuts the kernel off
 kernel_caps = st.one_of(st.just(20), st.integers(0, 6))
 
@@ -623,7 +633,11 @@ def test_completion_core_matches_reference_explicit_views(case, kernel_cap):
 
 @settings(max_examples=200, deadline=None)
 @given(grouped_cases(), kernel_caps)
+@example(MIXED_BUCKET, 20)
 def test_completion_core_matches_reference_grouped_views(case, kernel_cap):
+    if case is MIXED_BUCKET:
+        assert len(case[0].pkg.groups) == 5
+        assert decode_index(case[0].pkg, sample_of(case[3], case[1]), 20).bit == 1
     _check_against_reference(case, kernel_cap)
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -270,6 +271,23 @@ def test_trial_labels_capped_counts_exact():
     assert stats.wrong_bits == 40
     assert len(stats.violation_seeds) == MAX_LABELS
     assert stats.violation_seeds[-1] == (9, "trial", MAX_LABELS - 1, "wrong-bit", 0)
+
+
+def test_each_violation_kind_keeps_its_own_labels(monkeypatch):
+    # every index fails soundness, and index 0 also fails completeness from
+    # trial 3 on: the soundness labels must not crowd out completeness's
+    audits = Counter()
+
+    def audit(pkg, outcome, word, true_bit):
+        t, audits[pkg] = audits[pkg], audits[pkg] + 1  # one audit per trial
+        return not (pkg.index == 0 and t >= 3), 1
+
+    monkeypatch.setattr(harness, "_audit_index", audit)
+    reports = run_decoder_claim_suite(10, 0)
+    completeness, soundness = reports["completeness"], reports["soundness"]
+    assert (completeness.violations, soundness.violations) == (2 * 7, 10 * (10 + 16))
+    assert completeness.violation_seeds == [(0, "trial", t, "completeness", 0) for t in range(3, 8)] * 2
+    assert soundness.violation_seeds == [(0, "trial", 0, "soundness", i) for i in range(5)] * 2
 
 
 def test_merged_claim_labels_capped_counts_exact(monkeypatch):
