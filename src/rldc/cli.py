@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, astuple, fields
+from itertools import chain, repeat
 
 from .daisy import MAX_LEVELS, build_daisy_sequence, extraction_report, pick_heavy_level
 from .decoders import decoder_to_json, parse_code_spec
@@ -51,9 +52,41 @@ def _write(doc, out: str | None) -> None:
         if isinstance(doc, str):
             fh.write(doc)
         else:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            write_json(doc, fh)
             if out is None:
                 fh.write("\n")
+
+
+_SCALARS = frozenset({int, float, str, type(None)})  # exact types: a bool (True == 1) takes the stdlib path
+_ROW_CHUNK = 1024  # list entries per C-encoder call, so a 2^16-entry table is never one string
+
+
+def write_json(value, fh, pad: str = "\n") -> None:
+    """Write the text of json.dump(value, fh, indent=2, sort_keys=True), one
+    list at a time.  A non-empty list of scalars goes through the C encoder,
+    _ROW_CHUNK entries a call, with an item separator that carries the
+    newline and indent; dicts with str keys and other lists recurse; anything
+    else (empty containers, scalars, dicts with other keys) is the standard
+    library's text re-indented.  `pad` is the newline and indent before the
+    value's closing bracket."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value and all(type(key) is str for key in value):
+        for sep, key in zip(chain(("{" + inner,), repeat("," + inner)), sorted(value)):
+            fh.write(f"{sep}{json.dumps(key)}: ")
+            write_json(value[key], fh, inner)
+        fh.write(pad + "}")
+    elif isinstance(value, (list, tuple)) and value and not set(map(type, value)) <= _SCALARS:
+        for sep, item in zip(chain(("[" + inner,), repeat("," + inner)), value):
+            fh.write(sep)
+            write_json(item, fh, inner)
+        fh.write(pad + "]")
+    elif isinstance(value, (list, tuple)) and value:
+        for start in range(0, len(value), _ROW_CHUNK):
+            text = json.dumps(value[start : start + _ROW_CHUNK], separators=("," + inner, ": "))
+            fh.write(("," if start else "[") + inner + text[1:-1])
+        fh.write(pad + "]")
+    else:
+        fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", pad))
 
 
 def _csv_text(header: list[str], rows: list) -> str:
@@ -71,7 +104,7 @@ def _cmd_extract_daisy(args) -> tuple[int, dict]:
         except RecursionError:
             raise ValueError(f"set-system JSON in {args.infile!r} is nested too deeply") from None
     weighted = system_from_json(doc)
-    scale = parse_fraction(args.scale) if args.scale is not None else None
+    scale = parse_fraction(args.scale, "--c") if args.scale is not None else None
     levels = build_daisy_sequence(weighted, args.ell, scale)
     report = extraction_report(weighted, levels, pick_heavy_level(levels, weighted.masses))
     return (0 if report["verification"]["ok"] else 1), report
@@ -81,8 +114,8 @@ def _cmd_preprocess(args) -> tuple[int, dict]:
     code, decoder = parse_code_spec(args.code)
     rng = derive_rng(args.seed, "preprocess")
     corpus = make_in_radius_corpus(code, args.corpus_size, rng)
-    epsilon = parse_fraction(args.epsilon) if args.epsilon is not None else None  # unset: the pipeline's default
-    tolerance = parse_fraction(args.tolerance) if args.tolerance is not None else None
+    epsilon = parse_fraction(args.epsilon, "--epsilon") if args.epsilon is not None else None  # unset: the pipeline's default
+    tolerance = parse_fraction(args.tolerance, "--tolerance") if args.tolerance is not None else None
     try:
         reduced, report = preprocess_pipeline(
             decoder, epsilon, args.multiset_factor * code.n, corpus, tolerance, rng,

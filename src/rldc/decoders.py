@@ -97,9 +97,13 @@ class TreeNode:
 
 def tree_coords(tree) -> frozenset[int]:
     """All coordinates labelling internal nodes."""
-    if not isinstance(tree, TreeNode):
-        return frozenset()
-    return frozenset({tree.coord}) | tree_coords(tree.if_zero) | tree_coords(tree.if_one)
+    coords, nodes = set(), [tree]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, TreeNode):
+            coords.add(node.coord)
+            nodes += node.if_zero, node.if_one
+    return frozenset(coords)
 
 
 def validate_tree(tree, n: int, max_depth: int, _path: frozenset[int] = frozenset()) -> None:

@@ -27,12 +27,13 @@ from typing import Sequence
 
 from .decoders import (
     MAX_TABLE_ENTRIES,
+    REJECT,
     AdaptiveDecoder,
     ExplicitViews,
     LocalView,
     NonAdaptiveDecoder,
+    TreeNode,
     UnanimityView,
-    run_tree,
     table_masks,
     tree_coords,
 )
@@ -44,6 +45,14 @@ RETRIES = 3  # resampling attempts after the first, before reduction fails
 # 4.5 us each where rows repeat no part (an attempt at the budget takes 4.5 s and
 # peaks at 112 MB), 0.3 us where they repeat a few base views (CHANGES.md).
 MAX_SAMPLED_PARTS = 1 << 20
+
+# Most mask bits one reduction attempt may AND to materialize its row shapes,
+# charged as if every row were a new shape: per part, its table's non-REJECT
+# entries (2^p for a dense table over p coordinates) times 2^w for the row's w
+# merged coordinates.  Rows of two dense parts, each row a new shape over w = 16,
+# took 0.027-0.046 ns a charged bit: 1.9-2.3 s and 66-69 MB at this cap (p = 12
+# and 14, in-process on a 2-core x86-64 host; CHANGES.md).
+MAX_MASK_BITS = 1 << 36
 
 
 def flatten_adaptive(decoder: AdaptiveDecoder) -> NonAdaptiveDecoder:
@@ -61,10 +70,11 @@ def flatten_adaptive(decoder: AdaptiveDecoder) -> NonAdaptiveDecoder:
             coords = tuple(sorted(tree_coords(tree)))
             position = {c: j for j, c in enumerate(coords)}
             table = []
-            for idx in range(1 << len(coords)):
-                lookup = {c: (idx >> position[c]) & 1 for c in coords}
-                out, _ = run_tree(tree, lookup)
-                table.append(out)
+            for idx in range(1 << len(coords)):  # walk the tree on the values that idx gives coords
+                node = tree
+                while isinstance(node, TreeNode):
+                    node = node.if_one if idx >> position[node.coord] & 1 else node.if_zero
+                table.append(node)
             rows.append(coords)
             tables.append(tuple(table))
         masses, common = integer_masses([weight for weight, _ in dist])
@@ -164,8 +174,8 @@ def reduce_randomness(
     `tolerance`, the multisets are resampled up to RETRIES more times, and then
     ReductionFailedError carries the final report.  It raises ValueError before
     sampling for a negative tolerance, which no corpus can meet, and for over
-    MAX_TABLE_ENTRIES table entries or MAX_SAMPLED_PARTS sampled parts (k x
-    multiset x R) in all.  A row is R draws of base row numbers
+    MAX_TABLE_ENTRIES table entries, MAX_SAMPLED_PARTS sampled parts (k x
+    multiset x R) or MAX_MASK_BITS mask bits in all.  A row is R draws of base row numbers
     (ExplicitViews.draw; R = 1 for a plain decoder), and its parts are the
     distinct rows drawn.  The corpus is checked as bit masks: bit t of column c
     is word t at c, and a row's wrong words are `ones & ~truth | zeros & truth`
@@ -180,45 +190,54 @@ def reduce_randomness(
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     base, times = (decoder.base, decoder.times) if isinstance(decoder, AmplifiedDecoder) else (decoder, 1)
     # a row merges `times` base rows, but reads no more than all its list covers
-    entries = sum(multiset_size << min(v.max_view_size() * times, len(set(chain.from_iterable(v.sets)))) for v in base.views)
+    widths = [min(v.max_view_size() * times, len(set(chain.from_iterable(v.sets)))) for v in base.views]
+    entries = sum(multiset_size << width for width in widths)
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(f"reduction needs {entries} table entries, over {MAX_TABLE_ENTRIES}")
     parts = multiset_size * times * base.k
     if parts > MAX_SAMPLED_PARTS:
         raise ValueError(f"reduction samples {parts} parts, over {MAX_SAMPLED_PARTS}")
+    # a new row shape ANDs masks of 2^width bits for each non-REJECT entry of each part's table
+    dense = [max(len(t) - t.count(REJECT) for t in {id(t): t for t in v.tables}.values()) for v in base.views]
+    mask_bits = sum(multiset_size * times * most << width for most, width in zip(dense, widths))
+    if mask_bits > MAX_MASK_BITS:
+        raise ValueError(f"reduction may AND {mask_bits} mask bits, over {MAX_MASK_BITS}")
     full = (1 << len(corpus)) - 1
     columns = [sum(1 << t for t, (w, _) in enumerate(corpus) if w[c]) for c in range(base.n)]
     truths = [sum(1 << t for t, (_, x) in enumerate(corpus) if x[i]) for i in range(base.k)]
     objects, by_value = {id(t): t for views in base.views for t in views.tables}, {}  # ids stay valid: the decoder holds them
     number = {key: by_value.setdefault(table, len(by_value)) for key, table in objects.items()}  # one per value
     numbers = [list(map(number.__getitem__, map(id, views.tables))) for views in base.views]
-    masks = [[None] * len(views) for views in base.views]  # per base row, its table_masks over the corpus
+    masks = [{} for _ in base.views]  # per list, base row number -> its table_masks over the corpus
     shapes, tables = {}, {}  # row key -> its table; materialize's memo by shape
     for attempt in range(1, RETRIES + 2):
         reduced, worst = [], [0] * len(corpus)
         for views, row_numbers, row_masks, truth in zip(base.views, numbers, masks, truths):
-            rows, counts = [], [0] * len(corpus)
-            for drawn in zip(*[iter(views.draw(rng, multiset_size * times))] * times):  # `times` draws a row
+            sets, view_tables = views.sets, views.tables
+            row_sets, row_tables, counts = [], [], [0] * len(corpus)
+            draws = views.draw(rng, multiset_size * times)
+            for r in set(draws).difference(row_masks):  # made once per base row, and only once it is drawn
+                row_masks[r] = table_masks(view_tables[r], [columns[c] for c in sets[r]], full)
+            for drawn in zip(*[iter(draws)] * times):  # `times` draws a row
                 drawn = sorted(set(drawn))  # a repeated part changes neither the table nor the masks
-                coords = list(chain.from_iterable(map(views.sets.__getitem__, drawn)))
-                merged = sorted(set(coords))
-                position = {c: q for q, c in enumerate(merged)}
-                key = (tuple(map(position.__getitem__, coords)), tuple(map(row_numbers.__getitem__, drawn)))
-                if key not in shapes:
-                    row_parts = tuple(map(LocalView, map(views.sets.__getitem__, drawn), map(views.tables.__getitem__, drawn)))
-                    shapes[key] = UnanimityView(row_parts, tuple(merged)).materialize(tables)
-                rows.append((tuple(merged), shapes[key]))
+                coords = list(chain.from_iterable(map(sets.__getitem__, drawn)))
+                merged = tuple(sorted(set(coords)))
+                key = (tuple(map(merged.index, coords)), tuple(map(row_numbers.__getitem__, drawn)))
+                table = shapes.get(key)
+                if table is None:
+                    row_parts = tuple(map(LocalView, map(sets.__getitem__, drawn), map(view_tables.__getitem__, drawn)))
+                    table = shapes[key] = UnanimityView(row_parts, merged).materialize(tables)
+                row_sets.append(merged)
+                row_tables.append(table)
                 ones = zeros = full
-                for r in drawn:
-                    if row_masks[r] is None:
-                        row_masks[r] = table_masks(views.tables[r], [columns[c] for c in views.sets[r]], full)
-                    ones, zeros = ones & row_masks[r][0], zeros & row_masks[r][1]
+                for part_ones, part_zeros in map(row_masks.__getitem__, drawn):
+                    ones &= part_ones
+                    zeros &= part_zeros
                 wrong = ones & ~truth | zeros & truth
                 while wrong:
                     counts[(wrong & -wrong).bit_length() - 1] += 1
                     wrong &= wrong - 1
-            sets, row_tables = zip(*rows)
-            reduced.append(ExplicitViews(base.n, sets, (1,) * multiset_size, multiset_size, row_tables))
+            reduced.append(ExplicitViews(base.n, tuple(row_sets), (1,) * multiset_size, multiset_size, tuple(row_tables)))
             worst = list(map(max, worst, counts))
         entry_rates = tuple(Fraction(count, multiset_size) for count in worst)
         max_wrong_rate = max(entry_rates, default=Fraction(0))

@@ -16,6 +16,7 @@ from operator import eq, lshift, or_, rshift
 from random import Random
 
 DRAWS_PER_ROUND = 1 << 12  # bounds the words one getrandbits call holds
+_TOP_BYTE = [bytes(b >> s for b in range(256)) for s in range(8)]  # byte -> its top 8 - s bits
 
 
 def derive_seed(master_seed: int, *labels) -> int:
@@ -45,7 +46,11 @@ def randbelow_many(rng: Random, n: int, count: int) -> list[int]:
     values = []
     while len(values) < count:
         need = min(count - len(values), DRAWS_PER_ROUND)
-        words = struct.unpack(f"<{width * need}I", rng.getrandbits(32 * width * need).to_bytes(4 * width * need, "little"))
+        data = rng.getrandbits(32 * width * need).to_bytes(4 * width * need, "little")
+        if n < 256:  # k <= 8: a draw is the top byte of its one word, shifted, so bytes.translate drops and shifts
+            values += data[3::4].translate(None, bytes(range(n << shift - 24, 256))).translate(_TOP_BYTE[shift - 24])
+            continue
+        words = struct.unpack(f"<{width * need}I", data)
         draws = map(rshift, words[width - 1 :: width], repeat(shift))
         for j in reversed(range(width - 1)):  # the lower words, whole
             draws = map(or_, map(lshift, draws, repeat(32)), words[j::width])

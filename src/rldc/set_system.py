@@ -206,7 +206,7 @@ def system_from_json(doc: dict) -> WeightedSetSystem:
     ))
     if "weights" in doc:
         weights = read("weights", lambda v: [
-            parse_fraction(w if type(w) is str else _expect(w, int)) for w in _expect(v, list)
+            parse_fraction(w if type(w) is str else _expect(w, int), "a weight") for w in _expect(v, list)
         ])
         system = WeightedSetSystem.from_weights(n, sets, weights)
     else:

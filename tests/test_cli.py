@@ -15,7 +15,7 @@ from pinned import PINS, run_pin, system_to_json, write_pin_input
 
 import rldc
 from rldc import harness
-from rldc.cli import main
+from rldc.cli import main, write_json
 from rldc.daisy import MAX_LEVEL_BITS, MAX_LEVELS
 from rldc.set_system import SetSystem, WeightedSetSystem
 
@@ -334,6 +334,39 @@ def test_closed_stdout_exits_1_without_an_error_line(argv):
     assert run.stderr == b""
 
 
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(), st.sampled_from([0, 1, True, False, None, "é", "\n"])
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=6), st.dictionaries(st.text(max_size=4), inner, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=JSON_DOCS)
+@example(doc={"tables": [[0, 1, None, 1], [True, 1, 0]], "sets": [[0, 3], []], "weights": ["1/2", "é"], "k": {}})
+@example(doc=[[1.5, float("nan"), float("inf")], [[1]], {"": [None]}])
+@example(doc={"table": [0, 1, None] * 700, "rows": [list(range(1025)), [2] * 2048]})  # several encoder calls a list
+def test_json_writer_matches_the_standard_library(doc):
+    # lists of scalars take the C encoder, a list holding a bool (True == 1) the
+    # standard library; the text must be the same either way
+    fh = io.StringIO()
+    write_json(doc, fh)
+    assert fh.getvalue() == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_out_file_holds_stdout_without_its_final_newline(tmp_path, capsys):
+    argv = ["preprocess", "--code", "shared-pivot:kappa=2,r=4,k=4", "--seed", "3"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "pre.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert stdout.endswith("}\n") and out.read_bytes() == stdout[:-1].encode()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -394,7 +427,7 @@ def test_levels_over_a_wide_n_are_one_error_line(tmp_path, capsys):
     for path, argv, charge in [
         (wide, ["--ell", "30"], "n.bit_length() = 30 * 1025"),
         (three, ["--ell", "100", "--c", "1e4000"], f"{scaled} = 100 * {5 + 3 * (10**4000).bit_length()}"),
-        (three, ["--ell", "100", "--c", "1e-8000"], f"{scaled} = 100 * {5 + 3 + (10**8000).bit_length() // 4}"),
+        (three, ["--ell", "100", "--c", "1e-4000"], f"{scaled} = 100 * {5 + 3 + (10**4000).bit_length() // 4}"),
     ]:
         start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
@@ -404,6 +437,41 @@ def test_levels_over_a_wide_n_are_one_error_line(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == f"rldc: error: ell * {charge} exceeds {MAX_LEVEL_BITS}\n"
         assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 1e-15000 passes the level-bit charge at ell = 2; its denominator is too long to print
+        (["extract-daisy", "--in", "{star}", "--ell", "2", "--c", "1e-15000"], "--c '1e-15000' exceeds 4300 digits"),
+        (["extract-daisy", "--in", "{star}", "--ell", "100", "--c", "1e-8000"], "--c '1e-8000' exceeds 4300 digits"),
+        (["preprocess", "--code", "hadamard:m=3", "--epsilon", "1e-1000000"], "--epsilon '1e-1000000' exceeds 4300 digits"),
+        (["preprocess", "--code", "hadamard:m=3", "--tolerance", "1e10000000"], "--tolerance '1e10000000' exceeds 4300 digits"),
+        (["preprocess", "--code", "hadamard:m=3", "--epsilon", "1/" + "3" * 4301], "--epsilon '1/33333333333333333333333333333333333...'"),
+    ],
+)
+def test_oversized_rational_flag_is_refused_before_it_is_expanded(argv, message, star_json, capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(star=star_json) for arg in argv])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"rldc: error: {message}") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_oversized_json_weight_names_the_field(tmp_path, capsys):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({"n": 4, "sets": [[0, 1], [1, 2]], "weights": ["1e1000000", "1/2"]}))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["extract-daisy", "--in", str(path), "--ell", "2"])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "rldc: error: set-system JSON field 'weights' is ill-typed: a weight '1e1000000' exceeds 4300 digits\n"
+    )
 
 
 def test_largest_seed_accepted():

@@ -57,6 +57,9 @@ def test_oversized_set_rejected():
     system = SetSystem(4, ((0, 1, 2),))
     with pytest.raises(ValueError):
         build_daisy_sequence(system, 2, Fraction(1))
+    # a set of exactly ell elements is fine; the error names the first set with more
+    with pytest.raises(ValueError, match=r"^set 1 has 3 > 2 elements$"):
+        build_daisy_sequence(SetSystem(4, ((0, 1), (0, 1, 2))), 2, Fraction(1))
 
 
 def test_level_count_bounded_before_any_work():

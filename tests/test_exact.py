@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rldc.decoders import AdaptiveDecoder, LocalView
 from rldc.exact import (
+    MAX_RATIONAL_DIGITS,
     PowerBound,
     floor_power_bound,
     format_fraction,
@@ -25,6 +26,18 @@ def test_fraction_round_trip():
         assert parse_fraction(format_fraction(f)) == f
     assert parse_fraction("2/4") == Fraction(1, 2)
     assert parse_fraction("5") == 5
+
+
+def test_parse_fraction_digit_cap():
+    largest = 10**MAX_RATIONAL_DIGITS - 1
+    for f in (Fraction(largest), Fraction(-largest, largest - 1), Fraction(1, largest)):
+        assert parse_fraction(format_fraction(f)) == f
+    assert parse_fraction("1e4299") == 10**4299 and parse_fraction("1.5e-4298") == Fraction(15, 10**4299)
+    for text in ("1e4300", "1e-4300", "1e1_000_000", "9" * 4301, "9" * 4300 + "e1", "0." + "0" * 4300 + "1"):
+        with pytest.raises(ValueError, match=f"^--c '.*' exceeds {MAX_RATIONAL_DIGITS} digits$"):
+            parse_fraction(text, "--c")
+    with pytest.raises(ValueError, match="^a rational exceeds 4300 digits$"):
+        parse_fraction(Fraction(1, 10**MAX_RATIONAL_DIGITS))
 
 
 def test_exact_boundary_equality():

@@ -111,6 +111,17 @@ def test_tamper_breaking_the_partition_is_recorded():
     assert reports["pigeonhole"].instances == 0
 
 
+def test_tamper_kernel_at_the_coresub_bound_is_recorded():
+    # at (64, 2) level 1's kernel must have fewer than 2 * 64**(1/2) = 16 elements;
+    # exactly 16 is a violation, recorded with its replay label
+    def tamper(system, levels):
+        return (replace(levels[0], kernel=frozenset(range(16))),) + levels[1:]
+
+    reports = run_daisy_claim_suite([(64, 2)], 2, master_seed=1, tamper=tamper)
+    assert reports["coresub"].instances == 2 and reports["coresub"].violations == 2
+    assert reports["coresub"].violation_seeds == [("daisy", 64, 2, idx, 1, 16) for idx in range(2)]
+
+
 def test_audit_catches_fake_partition():
     system = random_set_system(16, 16, 2, random.Random(3))
     levels = build_daisy_sequence(system, 2, Fraction(1))

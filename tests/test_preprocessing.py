@@ -28,6 +28,7 @@ from rldc.decoders import (
 from rldc import preprocessing
 from rldc.harness import make_in_radius_corpus
 from rldc.preprocessing import (
+    MAX_MASK_BITS,
     MAX_SAMPLED_PARTS,
     AmplifiedDecoder,
     ReductionFailedError,
@@ -305,6 +306,27 @@ def test_reduce_refuses_too_many_parts_before_sampling():
     with pytest.raises(ValueError, match=f"samples {4 * 72 * reps} parts, over {MAX_SAMPLED_PARTS}"):
         reduce_randomness(amp, 72, [], Fraction(1), rng)
     assert rng.getstate() == state
+
+
+def test_reduce_refuses_dense_wide_parts_before_any_draw():
+    # 8 base rows over 12 of 16 coordinates with dense tables: a row of R = 8 parts
+    # merges all 16, and a new shape ANDs 2^16-bit masks for each of 4096 entries
+    # of each part, so 64 rows charge 64 * 8 * 4096 << 16 = 2^37 mask bits; the
+    # table entries (64 << 16 = 2^22) and the parts (512) are within their budgets
+    rng = random.Random(7)
+    sets = tuple(tuple(sorted(rng.sample(range(16), 12))) for _ in range(8))
+    dense = tuple(tuple(rng.randrange(2) for _ in range(1 << 12)) for _ in range(8))
+    views = ExplicitViews(16, sets, (1,) * 8, 8, dense)
+    amp = AmplifiedDecoder(NonAdaptiveDecoder(1, 16, 12, (views,)), 8)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=rf"^reduction may AND {1 << 37} mask bits, over {MAX_MASK_BITS}$"):
+        reduce_randomness(amp, 64, [], Fraction(1), rng)
+    assert rng.getstate() == state
+    # REJECT entries cost nothing: the same rows with two answers a table are charged 2 each
+    sparse = tuple((0, 1) + (None,) * ((1 << 12) - 2) for _ in range(8))
+    sparse_amp = AmplifiedDecoder(NonAdaptiveDecoder(1, 16, 12, (ExplicitViews(16, sets, (1,) * 8, 8, sparse),)), 8)
+    reduced, report = reduce_randomness(sparse_amp, 64, [], Fraction(1), rng)
+    assert report.passed and len(reduced.views[0]) == 64
 
 
 def _hadamard_xor_trees(m):
