@@ -98,11 +98,13 @@ def _csv_text(header: list[str], rows: list) -> str:
 
 
 def _cmd_extract_daisy(args) -> tuple[int, dict]:
-    with open(args.infile) as fh:
+    with open(args.infile, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except RecursionError:
             raise ValueError(f"set-system JSON in {args.infile!r} is nested too deeply") from None
+        except ValueError as err:  # not JSON, not UTF-8, or an integer past the digit limit
+            raise ValueError(f"set-system JSON in {args.infile!r} cannot be read: {err}") from None
     weighted = system_from_json(doc)
     scale = parse_fraction(args.scale, "--c") if args.scale is not None else None
     levels = build_daisy_sequence(weighted, args.ell, scale)

@@ -23,6 +23,12 @@ makes an amplified coin outcome (a UnanimityView of drawn rows) one table and
 checks a whole corpus.  That table depends only on the outcome's shape
 (unanimity_table), so a batch of outcomes builds one table per row shape.
 
+The block codes are one family, built by _block_code: a zero pivot block of
+kappa coordinates that every view reads, then r copies of each message bit.
+identity (r = 1) is a repetition code, and repetition is the shared-pivot
+code at kappa = 0, which the CLI names `repetition`: `shared-pivot` still
+refuses kappa = 0.
+
 decoder_to_json writes the JSON that `rldc preprocess` prints; nothing reads
 it back.
 """
@@ -42,7 +48,6 @@ from .exact import format_fraction, integer_masses
 from .rng import randbelow_many
 from .set_system import WeightedSetSystem
 
-Symbol = int | None  # 0, 1, or REJECT
 REJECT = None
 
 _SYMBOLS = (0, 1, None)
@@ -120,17 +125,6 @@ def validate_tree(tree, n: int, max_depth: int, _path: frozenset[int] = frozense
     path = _path | {tree.coord}
     validate_tree(tree.if_zero, n, max_depth - 1, path)
     validate_tree(tree.if_one, n, max_depth - 1, path)
-
-
-def run_tree(tree, w) -> "tuple[int | None, tuple[int, ...]]":
-    """Walk a tree against an oracle, returning (output, queried coords in order)."""
-    queried: list[int] = []
-    node = tree
-    while isinstance(node, TreeNode):
-        bit = w[node.coord]
-        queried.append(node.coord)
-        node = node.if_one if bit else node.if_zero
-    return node, tuple(queried)
 
 
 @dataclass(frozen=True)
@@ -368,34 +362,60 @@ class Code:
         return (self.decoding_radius.numerator * self.n) // self.decoding_radius.denominator
 
 
-_READ_BIT = (0, 1)
 _PARITY2 = (0, 1, 1, 0)
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
-def repetition_code(k: int, r: int) -> tuple[Code, NonAdaptiveDecoder]:
-    """Each message bit repeated r times; the decoder reads one uniform copy."""
-    if k < 1 or r < 1:
-        raise ValueError("k and r must be >= 1")
+def _block_code(name: str, kappa: int, r: int, k: int) -> tuple[Code, NonAdaptiveDecoder]:
+    """A zero pivot block of kappa coordinates, then r copies of each message bit.
+
+    The decoder for bit i reads the whole pivot block plus one uniform copy of
+    the bit; it outputs the copy when the pivot reads all-zero and REJECT
+    otherwise.  With kappa = 0 the pivot is empty, the table is (0, 1) and the
+    decoder reads one copy.
+    """
     _check_views(k * r, k)
-    n = k * r
+    if kappa + 1 > MAX_TABLE_ENTRIES.bit_length() - 1:  # 2^(kappa+1) entries
+        raise ValueError(f"kappa={kappa}: 2^{kappa + 1} table entries exceed {MAX_TABLE_ENTRIES}")
+    n = kappa + k * r
 
     def encode(msg: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(msg[j // r] for j in range(n))
+        word = [0] * kappa
+        for b in msg:
+            word.extend([b] * r)
+        return tuple(word)
 
     code = Code(
-        name=f"repetition:k={k},r={r}",
+        name=name,
         k=k,
         n=n,
         encoder=encode,
-        relative_distance=Fraction(1, k),
-        decoding_radius=Fraction(1, 4 * k),
+        relative_distance=Fraction(r, n),
+        decoding_radius=Fraction(r, 4 * n),
     )
-    tables, masses = (_READ_BIT,) * r, (1,) * r
+    pivot = tuple(range(kappa))
+    pivot_mask = (1 << kappa) - 1
+    table = tuple(
+        REJECT if idx & pivot_mask else (idx >> kappa) & 1 for idx in range(1 << (kappa + 1))
+    )
+    tables, masses = (table,) * r, (1,) * r
     views = tuple(
-        ExplicitViews(n, tuple(zip(range(i * r, (i + 1) * r))), masses, r, tables) for i in range(k)
+        ExplicitViews(
+            n, tuple(map(pivot.__add__, zip(range(kappa + i * r, kappa + (i + 1) * r)))), masses, r, tables
+        )
+        for i in range(k)
     )
-    return code, NonAdaptiveDecoder(k=k, n=n, locality=1, views=views)
+    return code, NonAdaptiveDecoder(k=k, n=n, locality=kappa + 1, views=views)
+
+
+def repetition_code(k: int, r: int) -> tuple[Code, NonAdaptiveDecoder]:
+    """Each message bit repeated r times; the decoder reads one uniform copy.
+
+    This is the shared-pivot code with an empty pivot (kappa = 0).
+    """
+    if k < 1 or r < 1:
+        raise ValueError("k and r must be >= 1")
+    return _block_code(f"repetition:k={k},r={r}", 0, r, k)
 
 
 def identity_code(k: int) -> tuple[Code, NonAdaptiveDecoder]:
@@ -447,47 +467,16 @@ def hadamard_code(m: int) -> tuple[Code, NonAdaptiveDecoder]:
 
 
 def shared_pivot_code(kappa: int, r: int, k: int) -> tuple[Code, NonAdaptiveDecoder]:
-    """A zero pivot block shared by every local view, then r copies per bit.
+    """A zero pivot block shared by every local view, then r copies per bit
+    (_block_code).
 
-    The decoder for bit i reads the whole pivot block plus one uniform copy;
-    it outputs the copy when the pivot reads all-zero and REJECT otherwise.
     Every view contains the pivot block, which forces a nonempty kernel in
-    daisy extraction.
+    daisy extraction.  At kappa = 0 this is repetition_code(k, r), so
+    `shared-pivot` refuses kappa = 0 and the CLI names that code `repetition`.
     """
     if kappa < 1 or r < 1 or k < 1:
         raise ValueError("kappa, r, k must be >= 1")
-    _check_views(k * r, k)
-    if kappa + 1 > MAX_TABLE_ENTRIES.bit_length() - 1:  # 2^(kappa+1) entries
-        raise ValueError(f"kappa={kappa}: 2^{kappa + 1} table entries exceed {MAX_TABLE_ENTRIES}")
-    n = kappa + k * r
-
-    def encode(msg: tuple[int, ...]) -> tuple[int, ...]:
-        word = [0] * kappa
-        for b in msg:
-            word.extend([b] * r)
-        return tuple(word)
-
-    code = Code(
-        name=f"shared-pivot:kappa={kappa},r={r},k={k}",
-        k=k,
-        n=n,
-        encoder=encode,
-        relative_distance=Fraction(r, n),
-        decoding_radius=Fraction(r, 4 * n),
-    )
-    pivot = tuple(range(kappa))
-    pivot_mask = (1 << kappa) - 1
-    table = tuple(
-        REJECT if idx & pivot_mask else (idx >> kappa) & 1 for idx in range(1 << (kappa + 1))
-    )
-    tables, masses = (table,) * r, (1,) * r
-    views = tuple(
-        ExplicitViews(
-            n, tuple(map(pivot.__add__, zip(range(kappa + i * r, kappa + (i + 1) * r)))), masses, r, tables
-        )
-        for i in range(k)
-    )
-    return code, NonAdaptiveDecoder(k=k, n=n, locality=kappa + 1, views=views)
+    return _block_code(f"shared-pivot:kappa={kappa},r={r},k={k}", kappa, r, k)
 
 
 def parse_code_spec(spec: str) -> tuple[Code, NonAdaptiveDecoder]:
@@ -546,22 +535,19 @@ def random_corruption(word: Sequence[int], flips: int, rng: Random) -> tuple[int
 def decoder_to_json(decoder: NonAdaptiveDecoder) -> dict:
     """One weighted set system per index plus the predicate truth tables.
 
-    REJECT serialises as JSON null.  Rows that share a table tuple (as
-    reduce_randomness's rows of one shape do) share its list in the document,
-    so it costs one list per distinct table; json.dump prints each use in full.
+    REJECT serialises as JSON null.  The document holds the view lists' own
+    row and table tuples, which print as arrays, so rows that share a table
+    tuple (as reduce_randomness's rows of one shape do) share it in the
+    document too; json.dump prints each use in full.
     """
-    lists = {}  # id(table) -> its list; the decoder keeps every table alive meanwhile
     indices = []
     for view_set in decoder.views:
-        for table in view_set.tables:
-            if id(table) not in lists:
-                lists[id(table)] = list(table)
         weights = {m: format_fraction(Fraction(m, view_set.total)) for m in set(view_set.masses)}
         doc = {
             "n": decoder.n,
-            "sets": list(map(list, view_set.sets)),
+            "sets": list(view_set.sets),
             "weights": list(map(weights.__getitem__, view_set.masses)),
-            "tables": [lists[id(table)] for table in view_set.tables],
+            "tables": list(view_set.tables),
         }
         indices.append(doc)
     return {"k": decoder.k, "n": decoder.n, "locality": decoder.locality, "indices": indices}

@@ -1,7 +1,8 @@
 """Reference semantics for the tests: of local decoders, exact output
-distributions, decoding by one sampled coin, the entry-by-entry view list
-that ExplicitViews's rows replace, and the plain forms of the mask
-computations; of the claim suites, the random instances drawn call by call."""
+distributions, decoding by one sampled coin, the walk of one decision tree,
+the entry-by-entry view list that ExplicitViews's rows replace, and the plain
+forms of the mask computations; of the claim suites, the random instances
+drawn call by call."""
 
 import functools
 import itertools
@@ -9,7 +10,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
-from rldc.decoders import REJECT, ExplicitViews, LocalView, NonAdaptiveDecoder, UnanimityView, run_tree
+from rldc.decoders import REJECT, ExplicitViews, LocalView, NonAdaptiveDecoder, TreeNode, UnanimityView
 from rldc.exact import integer_masses
 from rldc.preprocessing import RETRIES, AmplifiedDecoder, ReductionFailedError, ReductionReport
 from rldc.set_system import SetSystem
@@ -149,6 +150,16 @@ def decode(decoder, w, i, rng):
     view_set, times = runs(decoder, i)
     view = sample_view(view_set, rng, times)
     return evaluate(view, w), frozenset(view.coords)
+
+
+def run_tree(tree, w):
+    """Walk a tree against an oracle, returning (output, queried coords in order)."""
+    queried = []
+    node = tree
+    while isinstance(node, TreeNode):
+        queried.append(node.coord)
+        node = node.if_one if w[node.coord] else node.if_zero
+    return node, tuple(queried)
 
 
 def adaptive_decode(decoder, w, i, rng):

@@ -20,7 +20,6 @@ from rldc.decoders import (
     hadamard_code,
     random_corruption,
     repetition_code,
-    run_tree,
     shared_pivot_code,
 )
 from rldc.global_decoder import default_sampling_probability
@@ -42,7 +41,7 @@ from rldc.preprocessing import (
 )
 from rldc.rng import derive_rng
 
-from oracles import evaluate, output_distribution, runs, sample_view, wrong_rate
+from oracles import evaluate, output_distribution, run_tree, runs, sample_view, wrong_rate
 
 SEED = 20250808
 

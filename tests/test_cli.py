@@ -599,13 +599,24 @@ def test_empty_rational_is_usage_error(argv, star_json, capsys):
         ('{"n": 4, "sets": [[-3, 1]]}', "set 0 has elements outside [0, 4)"),
         ('{"n": 4, "sets": [[2, 1, 2]]}', "set 0 repeats element 2"),
         ('{"n": 4, "sets": [[]]}', "set 0 is empty"),
+        (
+            '{"n": ' + "9" * 5001 + ', "sets": [[0]]}',
+            "set-system JSON in {path!r} cannot be read: Exceeds the limit (4300 digits) for integer string "
+            "conversion: value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit",
+        ),
+        (
+            b"\xff\xfe",
+            "set-system JSON in {path!r} cannot be read: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte",
+        ),
+        ("not json", "set-system JSON in {path!r} cannot be read: Expecting value: line 1 column 1 (char 0)"),
     ],
-    ids=["deep", "negative", "repeat", "empty"],
+    ids=["deep", "negative", "repeat", "empty", "long-int", "not-utf8", "not-json"],
 )
 def test_deep_or_negative_input_is_one_error_line(text, message, tmp_path, capsys):
     path = str(tmp_path / "bad.json")
-    with open(path, "w") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(SystemExit) as exc:
         main(["extract-daisy", "--in", path, "--ell", "2"])
     assert exc.value.code == 2

@@ -81,6 +81,19 @@ def test_repetition_r1_matches_identity():
     _, ident = identity_code(3)
     for i in range(3):
         assert list(rep.views[i]) == list(ident.views[i])
+    # identity is repetition r = 1, and repetition is shared-pivot without its pivot block
+    for kappa, r, k in ((1, 1, 1), (2, 3, 2), (3, 2, 4)):
+        pivot_code, pivot = shared_pivot_code(kappa, r, k)
+        rep_code, rep = repetition_code(k, r)
+        for msg in all_messages(k):
+            assert pivot_code.encode(msg)[kappa:] == rep_code.encode(msg)
+        for i in range(k):
+            unpivoted = []
+            for weight, view in pivot.views[i]:
+                assert view.coords[:kappa] == tuple(range(kappa))
+                coords = tuple(c - kappa for c in view.coords[kappa:])
+                unpivoted.append((weight, LocalView(coords, view.table[:: 1 << kappa])))  # pivot bits are the low ones
+            assert unpivoted == list(rep.views[i])
 
 
 def test_constant_reject_predicate():

@@ -73,3 +73,58 @@ def test_unused_import_check_sees_string_annotations():
     tree = ast.parse("from a import B, C, D\nfrom .e import F\nx: 'B | None' = 1\ndef f(y: C) -> 'list[int]': pass")
     assert unused_imports(tree, reexports=True) == ["D (line 1)"]
     assert unused_imports(tree, reexports=False) == ["D (line 1)", "F (line 2)"]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def top_level_names(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Each top-level function, class and assigned name, with its statement."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(name.id, node) for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return found
+
+
+def loaded_names(node: ast.AST) -> set[str]:
+    """The names a statement reads, bare or as an attribute."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def perfbench_names() -> set[str]:
+    """Every name perfbench's source mentions: bare, as an attribute, or as a
+    dotted part of a string (the tracer binds targets such as "Code.encode")."""
+    names = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_every_top_level_name_is_used():
+    # a name only tests read belongs in the tests (tests/oracles.py holds reference semantics);
+    # dunders such as __all__ and __version__ are read by Python and packaging tools
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(Path(rldc.__file__).parent.glob("*.py"))}
+    statements = [node for tree in modules.values() for node in tree.body]
+    reads = {id(node): loaded_names(node) for node in statements}
+    used = perfbench_names() | set(rldc.__all__)
+    dead = []
+    for module, tree in modules.items():
+        for name, definition in top_level_names(tree):
+            read = any(name in reads[id(node)] for node in statements if node is not definition)
+            if not (read or name in used or name.startswith("__")):
+                dead.append(f"rldc.{module}.{name}")
+    assert not dead, f"names that neither rldc, perfbench nor rldc.__all__ reads: {dead}"

@@ -21,7 +21,6 @@ from rldc.decoders import (
     hadamard_code,
     parse_code_spec,
     repetition_code,
-    run_tree,
     shared_pivot_code,
     tree_coords,
 )
@@ -41,7 +40,7 @@ from rldc.preprocessing import (
     repetitions_for,
 )
 
-from oracles import output_distribution, reduce_by_words, views_of
+from oracles import output_distribution, reduce_by_words, run_tree, views_of
 
 
 def random_tree(rng, n, depth, used=frozenset()):
