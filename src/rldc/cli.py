@@ -20,7 +20,7 @@ from itertools import chain, repeat
 
 from .daisy import MAX_LEVELS, build_daisy_sequence, extraction_report, pick_heavy_level
 from .decoders import decoder_to_json, parse_code_spec
-from .exact import parse_fraction
+from .exact import MAX_RATIONAL_DIGITS, parse_fraction
 from .global_decoder import KERNEL_CAP
 from .harness import (
     CLAIM_IDS,
@@ -97,10 +97,18 @@ def _csv_text(header: list[str], rows: list) -> str:
     return buf.getvalue()
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer of at most MAX_RATIONAL_DIGITS digits, refused before
+    int() meets Python's own digit limit."""
+    if len(text) > MAX_RATIONAL_DIGITS + text.startswith("-"):
+        raise ValueError(f"an integer exceeds {MAX_RATIONAL_DIGITS} digits")
+    return int(text)
+
+
 def _cmd_extract_daisy(args) -> tuple[int, dict]:
     with open(args.infile, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise ValueError(f"set-system JSON in {args.infile!r} is nested too deeply") from None
         except ValueError as err:  # not JSON, not UTF-8, or an integer past the digit limit

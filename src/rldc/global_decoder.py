@@ -47,10 +47,13 @@ outcome keeps the completion and what the decoder scanned of it, and the
 audit resumes the scan where the decoder stopped.
 
 An empty kernel (2-query codes such as Hadamard) is the case with one
-assignment, a = 0, and runs the same core.  Views with equal lane bytes
-output the same there, so complete_views keeps one triple per distinct lane
-key of each group; the index decodes iff they give one non-REJECT bit, and
-the audit has nothing past the decoder's stop.
+assignment, a = 0, and skips the completion: the lanes are the only axis
+left, so each group with full lanes makes one bit mask per table bit, the
+bits integer shifted down to coordinate lo + d and ANDed with the full
+lanes, and one decoders.table_masks call gives the lanes that read 1 and
+those that read 0.  The index decodes b iff b's mask is every full lane in
+every group; no lane byte is made.  The outcome keeps no completion, so the
+audit resumes past a = 0 and finds nothing.
 
 On a valid codeword the assignment matching the true kernel values makes
 every completed view output the true bit, and no assignment can achieve
@@ -69,7 +72,7 @@ from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .daisy import HeavyDaisy, build_daisy_sequence, pick_heavy_level
-from .decoders import REJECT, ExplicitViews, NonAdaptiveDecoder
+from .decoders import REJECT, ExplicitViews, NonAdaptiveDecoder, table_masks
 
 DECODED = "decoded"
 NO_CONSENSUS = "no_consensus"
@@ -117,7 +120,8 @@ LANE_BITS = 7  # petal bits per lane byte; the byte's top bit marks a full lane
 class PetalGroup:
     """Daisy members that share a table object, the offsets of their petal
     coordinates from the first one (c0), the table bits of those petal
-    coordinates and the kernel (table bit, assignment bit) pairs.
+    coordinates and the kernel (table bit, assignment bit) pairs: the petal
+    coordinate at offsets[t] is table bit positions[t].
 
     Lane c - lo stands for c0 = c, and byte c - lo of `lanes` is 1 when a
     member sits there.  A lane holds one member: repeated views go to
@@ -130,6 +134,7 @@ class PetalGroup:
     table: tuple
     pairs: tuple[tuple[int, int], ...]
     offsets: tuple[int, ...]
+    positions: tuple[int, ...]
     index: tuple[bytes | tuple[int, ...], ...]
     lo: int
     hi: int
@@ -302,7 +307,8 @@ def _lay_out(table: tuple, key: tuple, c0s: Sequence[int]) -> list[PetalGroup]:
         mask = bytearray(hi - lo)
         for c0 in layer:
             mask[c0 - lo] = 1
-        groups.append(PetalGroup(table, pairs, offsets, tuple(index), lo, hi, int.from_bytes(mask, "little")))
+        lanes = int.from_bytes(mask, "little")
+        groups.append(PetalGroup(table, pairs, offsets, positions, tuple(index), lo, hi, lanes))
         layer = [c0 for c0 in layer if counts[c0] > len(groups)]
     return groups
 
@@ -343,10 +349,9 @@ def _full_lane_bytes(g: PetalGroup, full: int, bits: int) -> list[bytes]:
 
 
 def complete_views(pkg: IndexDecodePackage, sample: SampleBytes) -> tuple[int, tuple]:
-    """The completion core: the count of fully queried views and one
-    (table, base index, kernel pairs) triple per such view, or with an empty
-    kernel per distinct lane key of a group (equal lane bytes output the
-    same).  The base index holds the view's sampled petal bits; each kernel
+    """The completion core of a nonempty kernel: the count of fully queried
+    views and one (table, base index, kernel pairs) triple per such view.
+    The base index holds the view's sampled petal bits; each kernel
     coordinate it reads is a (table bit, assignment bit) pair."""
     queried, completion = 0, []
     for g, full in zip(pkg.groups, fully_queried_petals(pkg, sample)):
@@ -354,8 +359,6 @@ def complete_views(pkg: IndexDecodePackage, sample: SampleBytes) -> tuple[int, t
             continue
         lanes = _full_lane_bytes(g, full, sample.bits_int)
         queried += len(lanes[0])  # every full lane byte has 0x80 set, so translate kept each
-        if not pkg.kernel_order:  # distinct keys in every group is ROADMAP item 2, which waits for item 1
-            lanes = [set(lanes[0])] if len(lanes) == 1 else list(zip(*set(zip(*lanes))))
         columns = [map(index.__getitem__, column) for index, column in zip(g.index, lanes)]
         bases = columns[0] if len(columns) == 1 else map(sum, zip(*columns))
         completion += zip(repeat(g.table), bases, repeat(g.pairs))
@@ -371,7 +374,8 @@ def kernel_assignment(pkg: IndexDecodePackage, word: Sequence[int]) -> int:
 def unanimous_assignments(completion: tuple, width: int, start: int = 0) -> Iterator[tuple[int, int]]:
     """Yield (a, b) for each assignment a >= start of a width-bit kernel, in
     lexicographic order, under which every view of the (nonempty)
-    completion outputs bit b.  The one loop over kernel assignments."""
+    completion outputs bit b.  The one loop over kernel assignments; an
+    empty kernel's outcome has no completion and nothing past a = 0."""
     for a in range(start, 1 << width):
         outputs = []
         for table, idx, pairs in completion:
@@ -398,11 +402,13 @@ def decode_index(
     rule returns at the first unanimous assignment in lexicographic order;
     strict mode scans all assignments and answers only when a single bit
     value ever achieves unanimity.  An empty kernel has one assignment, so
-    both modes try it alone and agree.
+    both modes try it alone and agree: _decode_by_lanes reads it.
     """
     width = len(pkg.kernel_order)
     if width > kernel_cap:
         return IndexOutcome(KERNEL_TOO_LARGE, None, 0, 0)
+    if not width:
+        return _decode_by_lanes(pkg, sample)
 
     queried, completion = complete_views(pkg, sample)
     if not queried:
@@ -414,6 +420,29 @@ def decode_index(
     bits = {bit for _, bit in unanimous}
     status, bit = (DECODED, bits.pop()) if len(bits) == 1 else (NO_CONSENSUS, None)
     return IndexOutcome(status, bit, queried, tried, completion, unanimous)
+
+
+def _decode_by_lanes(pkg: IndexDecodePackage, sample: SampleBytes) -> IndexOutcome:
+    """An empty kernel's one assignment, a = 0, as one table_masks call per
+    group over its full lanes: literal t holds the lanes whose petal
+    coordinate at offsets[t] reads 1, at table bit positions[t].  The index
+    decodes b iff every group's lanes reading b are all its full lanes.  The
+    outcome keeps no completion, so the audit has nothing past a = 0."""
+    bits, queried, votes = sample.bits_int, 0, 0b11  # bit b of votes: b is still unanimous
+    for g, full in zip(pkg.groups, fully_queried_petals(pkg, sample)):
+        if full:
+            literals = [0] * len(g.positions)
+            for position, d in zip(g.positions, g.offsets):
+                literals[position] = bits >> 8 * (g.lo + d) & full
+            ones, zeros = table_masks(g.table, literals, full)
+            queried += full.bit_count()
+            votes &= (ones == full) << 1 | (zeros == full)
+    if not queried:
+        return IndexOutcome(NO_CONSENSUS, None, 0, 0)
+    if not votes:  # a group's lanes read REJECT or both bits, or two groups disagree
+        return IndexOutcome(NO_CONSENSUS, None, queried, 1)
+    bit = votes >> 1
+    return IndexOutcome(DECODED, bit, queried, 1, (), ((0, bit),))
 
 
 def run_global_decoder(

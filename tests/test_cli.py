@@ -601,9 +601,9 @@ def test_empty_rational_is_usage_error(argv, star_json, capsys):
         ('{"n": 4, "sets": [[]]}', "set 0 is empty"),
         (
             '{"n": ' + "9" * 5001 + ', "sets": [[0]]}',
-            "set-system JSON in {path!r} cannot be read: Exceeds the limit (4300 digits) for integer string "
-            "conversion: value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit",
+            "set-system JSON in {path!r} cannot be read: an integer exceeds 4300 digits",
         ),
+        ('{"n": 4, "sets": [[-' + "9" * 4300 + ", 1]]}", "set 0 has elements outside [0, 4)"),
         (
             b"\xff\xfe",
             "set-system JSON in {path!r} cannot be read: 'utf-8' codec can't decode byte 0xff in position 0: "
@@ -611,7 +611,7 @@ def test_empty_rational_is_usage_error(argv, star_json, capsys):
         ),
         ("not json", "set-system JSON in {path!r} cannot be read: Expecting value: line 1 column 1 (char 0)"),
     ],
-    ids=["deep", "negative", "repeat", "empty", "long-int", "not-utf8", "not-json"],
+    ids=["deep", "negative", "repeat", "empty", "long-int", "longest-int", "not-utf8", "not-json"],
 )
 def test_deep_or_negative_input_is_one_error_line(text, message, tmp_path, capsys):
     path = str(tmp_path / "bad.json")
@@ -623,6 +623,7 @@ def test_deep_or_negative_input_is_one_error_line(text, message, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.err == f"rldc: error: {message.format(path=path)}\n"
     assert captured.out == ""
+    assert "set_int_max_str_digits" not in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -280,15 +280,70 @@ def test_audit_flags_an_empty_kernel_decoding_the_wrong_bit():
     assert _audit_index(pkg, outcome, word, x[2]) == (False, 1)
 
 
-def test_empty_kernel_outcome_keeps_one_triple_per_distinct_lane_key():
-    # each view reads (w[r], w[r ^ 4]), and a valid word makes that one of two lane bytes
+def test_empty_kernel_outcome_is_one_assignment_without_completion():
+    # each view reads (w[r], w[r ^ 4]); every full lane is counted, the one
+    # assignment a = 0 is unanimous on the decoded bit and no triple is kept
     code, dec = hadamard_code(5)
     pkg = build_index_package(dec, 2)
     word = code.encode((1, 0, 1, 1, 0))
     outcome = decode_index(pkg, sample_of(range(code.n), word), kernel_cap=20)
     assert outcome.status == DECODED and outcome.bit == 1
     assert outcome.fully_queried == 16 and outcome.assignments_tried == 1
-    assert len(outcome.completion) == 2
+    assert outcome.unanimous == ((0, 1),) and outcome.completion == ()
+
+
+# bit 0 of a table index is a view's first coordinate: read it, and REJECT
+# when both coordinates read 0; swapping the two table bits changes the output
+FIRST_OR_REJECT = (REJECT, 1, 0, 1)
+
+
+def _lane_package(rows, table=FIRST_OR_REJECT, n=6):
+    return _package(tuple(LocalView(row, table) for row in rows), frozenset(), n)
+
+
+def _decode_lanes(compiled, word, sampled):
+    """decode_index on an empty kernel, checked against the reference in
+    both modes."""
+    sampled_values = {j: word[j] for j in sampled}
+    outcome = decode_index(compiled.pkg, sample_of(sampled, word), 20)
+    assert outcome == decode_index(compiled.pkg, sample_of(sampled, word), 20, strict=True)
+    assert outcome == reference_decode(compiled, sampled_values, 20, False)
+    return outcome
+
+
+def test_empty_kernel_groups_must_agree():
+    # (0,1) reads 1 through XOR; (2,3) twice, under another table, reads 0 in two layers
+    xor, xnor = (0, 1, 1, 0), (1, 0, 0, 1)
+    views = (LocalView((0, 1), xor), LocalView((2, 3), xnor), LocalView((2, 3), xnor))
+    compiled = _package(views, frozenset(), 4)
+    assert [(g.table, g.lanes) for g in compiled.pkg.groups] == [(xor, 1), (xnor, 1), (xnor, 1)]
+    outcome = _decode_lanes(compiled, [1, 0, 1, 0], range(4))
+    assert (outcome.status, outcome.fully_queried, outcome.assignments_tried) == (NO_CONSENSUS, 3, 1)
+    assert outcome.unanimous == ()
+    # with (2,3) reading 1 as well every group agrees
+    assert _decode_lanes(compiled, [1, 0, 1, 1], range(4)).bit == 1
+    # and either side alone decodes its own bit
+    assert _decode_lanes(compiled, [1, 0, 1, 0], {0, 1}).bit == 1
+    assert _decode_lanes(compiled, [1, 0, 1, 0], {2, 3}).bit == 0
+
+
+def test_empty_kernel_lane_reading_reject_blocks_decoding():
+    compiled = _lane_package(((0, 1), (2, 3), (4, 5)))
+    assert len(compiled.pkg.groups) == 1
+    outcome = _decode_lanes(compiled, [1, 0, 1, 1, 0, 0], range(6))
+    assert (outcome.status, outcome.bit, outcome.fully_queried) == (NO_CONSENSUS, None, 3)
+    outcome = _decode_lanes(compiled, [1, 0, 1, 1, 1, 0], range(6))
+    assert (outcome.status, outcome.bit, outcome.fully_queried) == (DECODED, 1, 3)
+
+
+def test_empty_kernel_lane_not_fully_queried_cannot_block_decoding():
+    # (4,5) reads 0 in the word, and as sampled, but coordinate 5 is not sampled
+    compiled = _lane_package(((0, 1), (2, 3), (4, 5)))
+    word = [1, 0, 1, 1, 0, 1]
+    assert _decode_lanes(compiled, word, range(6)).status == NO_CONSENSUS
+    outcome = _decode_lanes(compiled, word, range(5))
+    assert (outcome.status, outcome.bit, outcome.fully_queried) == (DECODED, 1, 2)
+    assert _decode_lanes(compiled, [0, 1, 0, 1, 1, 0], {0, 1, 2, 3, 5}).bit == 0
 
 
 def test_views_that_query_nothing_decode():
@@ -663,9 +718,7 @@ def test_empty_kernel_reads_several_index_tables():
 
 def _check_compiled_filter(compiled, sampled_values, ordered):
     """Compiled filter lanes and completion triples against the per-member
-    reference: equal as multisets, and in the same order when `ordered`.  An
-    empty kernel keeps one triple per distinct lane key, so there the
-    triples are equal as sets and the count is the reference's length."""
+    reference: equal as multisets, and in the same order when `ordered`."""
     sample = sample_of(sampled_values, sampled_values)
     got, want = queried_lanes(compiled.pkg, sample), reference_lanes(compiled, sampled_values)
     queried, completion = complete_views(compiled.pkg, sample)
@@ -673,10 +726,7 @@ def _check_compiled_filter(compiled, sampled_values, ordered):
     want_triples = comparable(reference_completion(compiled, sampled_values))
     assert got == want if ordered else Counter(got) == Counter(want)
     assert queried == len(want_triples)
-    if not compiled.pkg.kernel_order:
-        assert set(got_triples) == set(want_triples)
-    else:
-        assert got_triples == want_triples if ordered else Counter(got_triples) == Counter(want_triples)
+    assert got_triples == want_triples if ordered else Counter(got_triples) == Counter(want_triples)
 
 
 @settings(max_examples=300, deadline=None)
@@ -719,10 +769,13 @@ def test_compiled_filter_matches_reference_in_order_on_builtin_codes(spec, data)
         _check_compiled_filter(compiled, {j: word[j] for j in sample}, ordered=True)
 
 
-@pytest.mark.parametrize("spec, lo", [("hadamard:m=12", 0), ("shared-pivot:kappa=5,r=64,k=16", 5)])
+@pytest.mark.parametrize(
+    "spec, lo", [("hadamard:m=12", 0), ("repetition:k=16,r=64", 0), ("shared-pivot:kappa=5,r=64,k=16", 5)]
+)
 def test_decode_matches_reference_at_full_width(spec, lo):
     # samples of the whole word from the sampler, at the default p and at 0.9:
-    # Hadamard groups span 4095 lanes, and shared-pivot lanes start past the kernel
+    # Hadamard groups span 4095 lanes, repetition tables read one bit, and
+    # shared-pivot lanes start past the kernel
     code, indices = _builtin_packages(spec)
     assert min(g.lo for compiled in indices for g in compiled.pkg.groups) == lo
     locality = parse_code_spec(spec)[1].locality
